@@ -18,10 +18,10 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
+from . import __version__
 from .collisional import (
     ChannelSpec,
     GasModel,
@@ -64,13 +64,6 @@ SCENARIOS = ("cat", "collide", "dephase", "dot", "lindblad", "nqubit",
              "pointer", "qbm", "traject", "weakcoupling")
 _FORMATS = ("csv", "json")
 _UNITS = ("natural", "si")
-
-
-def _package_version() -> str:
-    try:
-        return version("artifact")
-    except PackageNotFoundError:
-        return "unknown"
 
 
 @dataclass(frozen=True)
@@ -732,7 +725,7 @@ def _cmd_run(args) -> int:
     elapsed = time.perf_counter() - started
     series = ResultSeries(columns=columns, metadata={
         "config": cfg.echo(),
-        "version": _package_version(),
+        "version": __version__,
         "seed": cfg.seed,
     })
     if cfg.output_format == "csv":

@@ -3,12 +3,15 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decolab.cli import ResultSeries, main, validate_config
+import decolab
+from decolab.cli import _PARAM_TABLES, ResultSeries, main, validate_config
 from decolab.dephasing import SpectralDensity, classify_regime
 from decolab.errors import PhysicsError, SchemaError
 from decolab.lindblad import cat_coherence_factor
@@ -24,6 +27,9 @@ TRAJECT = {
     "params": {"gamma": 1.0, "horizon": 2.0, "n_traj": 50},
     "seed": 7,
 }
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -118,6 +124,34 @@ class TestValidate:
         assert capsys.readouterr().out == ""
 
 
+class TestDocumentation:
+    def test_readme_json_examples_validate_and_run(self, tmp_path, capsys,
+                                                   monkeypatch):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert blocks
+        monkeypatch.chdir(tmp_path)
+        for i, block in enumerate(blocks):
+            config = json.loads(block)
+            assert validate_config(config) == []
+            assert main(["run", write_config(tmp_path, config, f"readme{i}.json")]) == 0
+
+    def test_schema_matches_parameter_tables(self):
+        schema = json.loads((ROOT / "docs" / "config_schema.json").read_text(
+            encoding="utf-8"))["definitions"]
+        for key, table in _PARAM_TABLES.items():
+            definition = schema[key if isinstance(key, str) else "_".join(key)]
+            props = definition["properties"]
+            assert set(props) == set(table), key
+            assert set(definition.get("required", [])) == {
+                name for name, (_, required, _) in table.items() if required}, key
+            for name, (kind, _, default) in table.items():
+                assert props[name].get("default") == default, (key, name)
+                if kind.startswith("choice:"):
+                    enum = [str(v) for v in props[name]["enum"]]
+                    assert enum == kind.split(":", 1)[1].split("|"), (key, name)
+
+
 class TestRunOutputs:
     def test_dephase_csv_values(self, tmp_path, capsys):
         out = tmp_path / "series.csv"
@@ -178,6 +212,7 @@ class TestRunOutputs:
         payload = json.loads(text)
         assert set(payload) == {"columns", "metadata"}
         assert set(payload["metadata"]) == {"config", "version", "seed"}
+        assert payload["metadata"]["version"] == decolab.__version__
         # complex values serialize as [re, im]; the uniform two-level
         # superposition starts at rho_01 = 1/2
         first = payload["columns"]["coherence_01"][0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import polygamma
 
 from decolab.dephasing import (
@@ -30,6 +31,93 @@ def coth(x):
     # independent route: (e^{2x} + 1)/(e^{2x} - 1)
     e = math.exp(2.0 * x)
     return (e + 1.0) / (e - 1.0)
+
+
+# Oracle 1: the adaptive quadrature that evaluated F_vac and F_th before the
+# closed forms. Below ~4 pi radians of phase across the window the plain
+# adaptive rule takes the cosine; above it the oscillatory (QAWO) rule does.
+# Trusted for T/omega_c >= 0.01 and T t <= 100: at lower temperature it
+# never samples the thin thermal weight below w ~ 60 T (returns 0), and at
+# long times it runs low without flagging it (at T t = 100, T/omega_c = 1e-4:
+# 4% for d = 1, 93% for d = 3).
+QUAD_EPSREL = 1e-11
+
+
+def quad_decay(j, temperature, t):
+    """int J(w) (1 - cos wt) weight(w)/w^2 dw by adaptive quadrature, with
+    weight 1 (F_vac) at temperature 0, else coth(w/2T) - 1 (F_th)."""
+    if temperature == 0.0:
+        def g(w):
+            return float(j(w))
+        zero_limit = 0.0
+        omega_hi = 50.0 * j.omega_c
+    else:
+        def g(w):
+            x = 0.5 * w / temperature
+            return float(j(w)) * (2.0 / math.expm1(2.0 * x) if x < 30.0 else 0.0)
+        # w -> 0 limit of the integrand: a T t^2 for d = 1, else 0
+        zero_limit = j.a * temperature * t * t if j.d == 1 else 0.0
+        omega_hi = 50.0 * max(j.omega_c, temperature)
+
+    def direct(w):
+        if w < 1e-100:
+            return zero_limit
+        s = float(np.sinc(0.5 * w * t / np.pi))
+        return g(w) * 0.5 * t * t * s * s
+
+    def h(w):
+        return g(w) / (w * w)
+
+    split = 4.0 * math.pi / t
+    if split >= omega_hi:
+        total, err = quad(direct, 0.0, omega_hi, epsabs=0.0, epsrel=QUAD_EPSREL,
+                          limit=400)
+    else:
+        val_a, err_a = quad(direct, 0.0, split, epsabs=0.0, epsrel=QUAD_EPSREL,
+                            limit=400)
+        val_b, err_b = quad(h, split, omega_hi, epsabs=0.0, epsrel=QUAD_EPSREL,
+                            limit=400)
+        val_c, err_c = quad(h, split, omega_hi, weight="cos", wvar=t,
+                            epsabs=1e-14, epsrel=QUAD_EPSREL, limit=800)
+        total, err = val_a + val_b - val_c, err_a + err_b + err_c
+    assert err <= 1e-6 * abs(total) + 1e-13, f"quadrature error {err:.2e} at t = {t}"
+    return total
+
+
+# Oracle 2: coth(w/2T) = 1 + 2 sum_n exp(-n w/T) splits both integrals into
+# Laplace transforms over b_n = 1/omega_c + n/T (n = 0 is the vacuum), each
+# term exact and positive, so the sum loses no digits to cancellation.
+MATSUBARA_TERMS = 2_000_000
+
+
+def matsubara_decay(j, temperature, ts):
+    """Lists (F_vac, F_th) over the times ts from the Matsubara series, the
+    terms beyond n = MATSUBARA_TERMS as an integral to leading order in t/b."""
+    d = j.d
+    pref = j.a if d == 1 else 2.0 * j.a / j.omega_c ** (d - 1)
+    b = 1.0 / j.omega_c + np.arange(1, MATSUBARA_TERMS + 1) / temperature
+    edge = 1.0 / j.omega_c + (MATSUBARA_TERMS + 0.5) / temperature
+    vac, th = [], []
+    for t in ts:
+        s = t * t
+
+        def term(b):
+            bb = b * b
+            if d == 1:
+                return np.log1p(s / bb)
+            if d == 2:
+                return s / (b * (bb + s))
+            return s * (3.0 * bb + s) / (bb * (bb + s) ** 2)
+
+        # T int_edge^inf term db with term ~ s/b^2, s/b^3, 3s/b^4
+        tail = temperature * s * (1.0 / edge, 0.5 / edge ** 2, 1.0 / edge ** 3)[d - 1]
+        vac.append(0.5 * pref * float(term(np.float64(1.0 / j.omega_c))))
+        th.append(pref * (float(np.sum(term(b))) + tail))
+    return vac, th
+
+
+def relative_errors(got, want):
+    return [abs(g / w - 1.0) for g, w in zip(got, want)]
 
 
 class TestDiscreteModes:
@@ -205,6 +293,70 @@ class TestThermalDecay:
         assert vals[0] > 0.0
 
 
+def times_over_y(omega_c, temp):
+    """Times for y = T t from 1e-6 to 1e2, plus both sides of the switch
+    between the small-y series and the gamma functions at y = w/4."""
+    w = 1.0 + temp / omega_c
+    ys = [*np.geomspace(1e-6, 1e2, 7), 0.99 * w / 4.0, 1.01 * w / 4.0]
+    return [y / temp for y in ys]
+
+
+def benchmark_times(omega_c):
+    """Times of the benchmark's dephase jobs: 1e-3/omega_c to 60."""
+    return list(np.geomspace(1e-3 / omega_c, 60.0, 5))
+
+
+class TestClosedFormOracles:
+    # (omega_c, T): a cold and a hot bath, and the two extreme T/omega_c
+    # corners of the benchmark's dephase range (omega_c 5-20, T 0.05-0.5)
+    @pytest.mark.parametrize("omega_c, temp, bench", [
+        (1.0, 1e-4, False), (0.5, 3.0, False), (5.0, 0.5, True), (20.0, 0.05, True)])
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_matches_matsubara_series(self, d, omega_c, temp, bench):
+        j = SpectralDensity(a=0.7, omega_c=omega_c, d=d)
+        ts = times_over_y(omega_c, temp) + (benchmark_times(omega_c) if bench else [])
+        vac, th = matsubara_decay(j, temp, ts)
+        assert max(relative_errors([F_vac(j, t) for t in ts], vac)) <= 1e-11
+        assert max(relative_errors([F_th(j, temp, t) for t in ts], th)) <= 1e-11
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_matches_quadrature_in_its_window(self, d):
+        cases = [(omega_c, temp, times_over_y(omega_c, temp))
+                 for omega_c, temp in ((1.0, 0.01), (5.0, 0.5), (0.5, 3.0))]
+        # T/omega_c = 0.0025 is inside the window only over the benchmark's times
+        cases.append((20.0, 0.05, benchmark_times(20.0)))
+        for omega_c, temp, ts in cases:
+            j = SpectralDensity(a=0.7, omega_c=omega_c, d=d)
+            got = [F_th(j, temp, t) for t in ts]
+            assert max(relative_errors(got, [quad_decay(j, temp, t) for t in ts])) <= 1e-9
+
+    # QAWO warns of roundoff at t = 1e5; the oracle's own error check holds
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_vacuum_matches_quadrature(self, d):
+        for omega_c in (0.5, 5.0, 20.0):
+            j = SpectralDensity(a=0.7, omega_c=omega_c, d=d)
+            ts = np.geomspace(1e-4 / omega_c, 1e5, 7)
+            got = [F_vac(j, t) for t in ts]
+            assert max(relative_errors(got, [quad_decay(j, 0.0, t) for t in ts])) <= 1e-9
+
+
+class TestBeyondQuadratureWindow:
+    # Outside the quadrature oracle's window, where F_th came out 1.3-4.1% low
+    # at long times and exactly 0 for T <= 3e-5, without an error.
+    @pytest.mark.parametrize("temp, t, reference", [
+        (1e-3, 1e4, 27.2697047458),
+        (1e-3, 1e5, 307.705854962),
+        (1e-4, 1e5, 27.2748882659),
+        (3e-5, 10.0, 1.48037570789e-7),
+    ])
+    def test_matches_matsubara_series(self, temp, t, reference):
+        j = SpectralDensity(a=1.0, omega_c=1.0)
+        series = matsubara_decay(j, temp, [t])[1][0]
+        assert series == pytest.approx(reference, rel=1e-10)
+        assert F_th(j, temp, t) == pytest.approx(series, rel=1e-10)
+
+
 class TestTrigamma:
     def test_known_values(self):
         assert trigamma(1.0) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-12)
@@ -218,6 +370,19 @@ class TestTrigamma:
     def test_domain(self):
         with pytest.raises(PhysicsError):
             trigamma(0.0)
+        with pytest.raises(PhysicsError):
+            trigamma(complex(0.0, 2.0))
+
+    def test_complex_argument(self):
+        # reflection psi'(1 - z) + psi'(z) = pi^2/sin^2(pi z) at z = 1/2 + iy
+        for y in (0.01, 0.7, 3.0):
+            want = math.pi ** 2 / (2.0 * math.cosh(math.pi * y) ** 2)
+            assert trigamma(complex(0.5, y)).real == pytest.approx(want, rel=1e-12)
+        # psi'(z) = sum_n (n + z)^-2, midpoint remainder 1/(N + z - 1/2)
+        n = np.arange(0, 200000, dtype=float)
+        for z in (complex(1.3, 0.2), complex(2.0, 25.0), complex(40.0, 400.0)):
+            series = np.sum((n + z) ** -2.0) + 1.0 / (n[-1] + z + 0.5)
+            assert abs(trigamma(z) / series - 1.0) < 1e-11
 
 
 class TestSuperOhmicPlateau:
