@@ -5,6 +5,13 @@ Maxwell gas: the spatial localization rate and momentum-transfer gain rate
 of an immobile heavy particle, and the complex rate tensor driving the
 channel-basis master equation of a fixed scatterer with internal levels
 (populations obey a rate equation, coherences pick up elastic dephasing).
+
+The localization and saturation rates come from one table: the Legendre
+moments a_L of |f|^2 at the nodes of a composite Gauss-Legendre rule in the
+reduced speed s = v/v_th. The spherical-Bessel addition theorem
+j0(2z sin(theta/2)) = sum_L (2L+1) j_L(z)^2 P_L(cos theta) turns the angular
+integral of |f|^2 sinc into the sum 2 sum_L a_L j_L(z)^2, so only the speed
+integral is left (Hornberger & Sipe, PRA 68, 012105 (2003)).
 Natural units: hbar = k_B = 1; masses and temperatures in matching units.
 """
 
@@ -14,8 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 from scipy.integrate import quad
-from scipy.special import eval_legendre, spherical_jn, spherical_yn
+from scipy.special import spherical_jn, spherical_yn
 
 from .errors import DimensionError, PhysicsError, QuadratureError
 
@@ -25,6 +33,11 @@ _GL_RTOL = 1e-10
 # Maxwell weight exp(-s^2) at s = 8 leaves a relative tail below 1e-12
 _SPEED_CUT = 8.0
 _QUAD_OPTS = {"epsabs": 1e-13, "epsrel": 1e-11, "limit": 400}
+# Gauss-Legendre nodes per speed panel, and panels of the coarsest speed table
+_PANEL_ORDER = 16
+_PANEL_START = 4
+# array elements per chunk of oscillation panels, so memory stays bounded in x
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -150,7 +163,7 @@ def _speed_average(gas: GasModel, g, s_lo: float = 0.0, complex_valued: bool = F
     s_hi = math.sqrt(s_lo * s_lo + _SPEED_CUT * _SPEED_CUT)
     if complex_valued:
         re = _checked_quad(lambda s: integrand(s).real, s_lo, s_hi)
-        im = quad(lambda s: integrand(s).imag, s_lo, s_hi, **_QUAD_OPTS)[0]
+        im = _checked_quad(lambda s: integrand(s).imag, s_lo, s_hi)
         return complex(re, im)
     return _checked_quad(integrand, s_lo, s_hi)
 
@@ -161,86 +174,202 @@ def total_cross_section(amp: IsotropicAmplitude, energy: float) -> float:
     return 2.0 * math.pi * float(value.real)
 
 
-def saturation_rate(amp: IsotropicAmplitude, gas: GasModel) -> float:
-    """Total collision rate n <sigma v>: the large-distance localization limit."""
-    return gas.n_gas * _speed_average(
-        gas, lambda v: v * total_cross_section(amp, 0.5 * gas.m * v * v))
+def _legendre_moments(g, nodes, weights) -> np.ndarray:
+    """Legendre coefficients a_L = (2L+1)/2 sum_i w_i g_i P_L(c_i), L < n, of
+    each row of g sampled at the n Gauss-Legendre nodes. P_L comes from its
+    recurrence, so no n x n matrix is built."""
+    gw = g * weights
+    n = nodes.size
+    moments = np.empty((g.shape[0], n))
+    moments[:, 0] = 0.5 * gw.sum(axis=1)
+    p_prev, p = np.ones(n), nodes
+    for ell in range(1, n):
+        moments[:, ell] = (ell + 0.5) * (gw @ p)
+        p_prev, p = p, ((2 * ell + 1) * nodes * p - ell * p_prev) / (ell + 1)
+    return moments
 
 
-def _sinc_weighted_integral(amp: IsotropicAmplitude, energy: float, a: float):
-    """int |f(cos)|^2 sinc(a sqrt(2(1-cos))) dcos.
+def _moment_rows(amp: IsotropicAmplitude, energies) -> np.ndarray:
+    """Legendre moments a_L(E) of |f(cos theta, E)|^2, one row per energy.
 
-    At a = 0 this must cancel the cross-section term exactly, so the same
-    Gauss-Legendre rule is reused; otherwise the substitution
-    u = sqrt(2(1-cos)) turns it into a finite sin-transform, which handles
-    arbitrarily many oscillations without node explosion.
+    Each row comes from the first Gauss-Legendre rule, doubling from
+    _GL_START up to _GL_MAX nodes, whose upper half of moments lies below
+    _GL_RTOL of their bound |a_L| <= (2L+1) a_0 (the bound keeps roundoff
+    in a forward peak from stalling the test); the lower half is then the
+    settled projection. The amplitude is called once per energy and rule.
+    Trailing moments below _GL_RTOL a_0 at every energy are dropped: since
+    sum_L j_L(z)^2 <= sum_L (2L+1) j_L(z)^2 = 1, either set moves the
+    localization bracket by at most _GL_RTOL a_0.
     """
-    if a == 0.0:
-        return float(_angular_integral(lambda c: np.abs(amp(c, energy)) ** 2).real)
-
-    def g(u):
-        return float(np.abs(amp(np.array([1.0 - 0.5 * u * u]), energy))[0] ** 2)
-
-    value, abserr = quad(g, 0.0, 2.0, weight="sin", wvar=a,
-                         epsabs=1e-13, epsrel=1e-11, limit=400, full_output=1)[:2]
-    if abserr > 1e-6 * abs(value) + 1e-12:
-        raise QuadratureError("oscillatory angular quadrature did not converge",
-                              estimate=value / a)
-    return value / a
-
-
-def _osc_speed_average(amp: IsotropicAmplitude, gas: GasModel, x: float,
-                       scale: float) -> float:
-    """Thermal average of the oscillatory sinc term with the integration
-    order swapped: the sin weight sits in the speed variable, so the phase
-    m v x can be arbitrarily large without defeating the outer quadrature.
-    The outer angle integrand is a Fourier tail of a smooth speed profile
-    and decays monotonically."""
-    beta = gas.m * gas.thermal_speed * x
-
-    def inner(u):
-        cos_theta = np.array([1.0 - 0.5 * u * u])
-
-        def h(s):
-            v = gas.thermal_speed * s
-            f_val = amp(cos_theta, 0.5 * gas.m * v * v)[0]
-            return s * s * math.exp(-s * s) * (abs(f_val) ** 2)
-
-        return quad(h, 0.0, _SPEED_CUT, weight="sin", wvar=beta * u,
-                    epsabs=1e-13, epsrel=1e-11, limit=400)[0]
-
-    outer, abserr = quad(inner, 0.0, 2.0, full_output=1, **_QUAD_OPTS)[:2]
-    pref = gas.n_gas * (8.0 * math.sqrt(math.pi)) / (gas.m * x)
-    if pref * abserr > 1e-8 * abs(scale):
-        raise QuadratureError("oscillatory speed quadrature did not converge",
-                              estimate=pref * outer)
-    return pref * outer
+    rows = [None] * len(energies)
+    todo = list(range(len(energies)))
+    n = _GL_START
+    while todo:
+        if n > _GL_MAX:
+            raise QuadratureError("angular moments did not settle")
+        nodes, weights = _gl_rule(n)
+        g = np.array([np.abs(amp(nodes, energies[i])) ** 2 for i in todo])
+        moments = _legendre_moments(g, nodes, weights)
+        settled = np.all(np.abs(moments[:, n // 2:]) <= _GL_RTOL * moments[:, :1]
+                         * (2 * np.arange(n // 2, n) + 1), axis=1)
+        for i, row, ok in zip(todo, moments, settled):
+            if ok:
+                rows[i] = row[:n // 2]
+        todo = [i for i, ok in zip(todo, settled) if not ok]
+        n *= 2
+    width = 1 + max(np.flatnonzero(np.abs(row) > _GL_RTOL * row[0]).max(initial=0)
+                    for row in rows)
+    table = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        table[i, :min(width, row.size)] = row[:width]
+    return table
 
 
-# largest phase m v_typ x handled by per-speed quadrature before switching
-# to the swapped-order route
-_OSC_PHASE_SPLIT = 40.0
+@dataclass(frozen=True)
+class _SpeedTable:
+    """Moments a_L(s) at the nodes s of n_panels equal Gauss-Legendre panels
+    on [0, _SPEED_CUT]; weight holds the rule's weights times s^3 e^{-s^2}."""
+
+    n_panels: int
+    s: np.ndarray
+    weight: np.ndarray
+    moments: np.ndarray
+
+
+def _speed_table(amp: IsotropicAmplitude, gas: GasModel, n_panels: int) -> _SpeedTable:
+    ref, w = _gl_rule(_PANEL_ORDER)
+    half = 0.5 * _SPEED_CUT / n_panels
+    s = (half * (2 * np.arange(n_panels)[:, None] + 1 + ref)).ravel()
+    weight = np.tile(half * w, n_panels) * s**3 * np.exp(-s * s)
+    moments = _moment_rows(amp, 0.5 * gas.m * (gas.thermal_speed * s) ** 2)
+    return _SpeedTable(n_panels, s, weight, moments)
+
+
+def _settled_rate(amp: IsotropicAmplitude, gas: GasModel, integral) -> float:
+    """16 sqrt(pi) n v_th integral(table), on speed tables of _PANEL_START,
+    2x, 4x ... panels until two successive values agree within _GL_RTOL, with
+    at most _GL_MAX nodes. The prefactor is n v_th (4/sqrt(pi)) 4 pi, so the
+    table's sum of s^3 e^{-s^2} a_0 gives n <sigma v> with sigma = 4 pi a_0."""
+    pref = 16.0 * math.sqrt(math.pi) * gas.n_gas * gas.thermal_speed
+    value = None
+    n_panels = _PANEL_START
+    while n_panels * _PANEL_ORDER <= _GL_MAX:
+        refined = pref * integral(_speed_table(amp, gas, n_panels))
+        if value is not None and abs(refined - value) <= _GL_RTOL * abs(refined):
+            return refined
+        value = refined
+        n_panels *= 2
+    raise QuadratureError("speed integral did not settle", estimate=value)
+
+
+def _saturation_integral(table: _SpeedTable) -> float:
+    return float(table.weight @ table.moments[:, 0])
+
+
+def saturation_rate(amp: IsotropicAmplitude, gas: GasModel) -> float:
+    """Total collision rate n <sigma v>: the large-distance localization
+    limit, the thermal average of 4 pi a_0 v over the moment table."""
+    return _settled_rate(amp, gas, _saturation_integral)
+
+
+def _riccati_bessel_bound(n: int) -> np.ndarray:
+    """mu_L >= max_z (z j_L(z))^2 for L < n.
+
+    z j_L(z) rises until after the turning point z_L = sqrt(L(L+1)), and the
+    modulus z^2 (j_L^2 + y_L^2) falls for all z (Nicholson), so its value
+    at z_L bounds the maximum; it is within a factor 1.8 of it for L <= 200.
+    """
+    ells = np.arange(1, n)
+    z = np.sqrt(ells * (ells + 1.0))
+    modulus = z * z * (spherical_jn(ells, z) ** 2 + spherical_yn(ells, z) ** 2)
+    return np.concatenate(([1.0], modulus))
+
+
+# direct tail terms beyond the table at z <= 1: each further term there is
+# below 0.071 of the previous, and ten leave less than 3e-16 of the tail
+_DIRECT_TAIL = 10
+
+
+def _bracket(a, z) -> np.ndarray:
+    """sum_{L>=1} ((2L+1) a_0 - a_L) j_L(z)^2 for each row of moments a, with
+    a_L = 0 beyond the row; |a_L| <= (2L+1) a_0 makes every term nonnegative.
+
+    Its tail a_0 sum_{L>L_f} (2L+1) j_L^2 is a_0 (1 - sum_{L<=L_f} (2L+1)
+    j_L^2), except at z <= 1, where that difference cancels and the tail is
+    summed term by term instead.
+    """
+    width = a.shape[1]
+    ells = np.arange(width + _DIRECT_TAIL)
+    degen = 2 * ells + 1
+    jl2 = spherical_jn(ells[:width, None], z) ** 2
+    tail = 1.0 - degen[:width] @ jl2
+    small = z <= 1.0
+    if small.any():
+        tail[small] = degen[width:] @ spherical_jn(ells[width:, None], z[small]) ** 2
+    inner = np.sum((degen[1:width] * a[:, :1] - a[:, 1:]) * jl2[1:].T, axis=1)
+    return inner + a[:, 0] * tail
+
+
+def _bracket_integral(table: _SpeedTable, beta: float, sub: int) -> float:
+    """int_0^{_SPEED_CUT} ds s^3 e^{-s^2} bracket(beta s) on `sub` equal
+    Gauss-Legendre sub-panels per table panel. The moments at the sub-panel
+    nodes come from the polynomial through each table panel's nodes, which
+    returns the table's own values to roundoff when sub = 1. The work goes
+    in chunks of about _CHUNK array elements."""
+    q = _PANEL_ORDER
+    ref, w = _gl_rule(q)
+    # node values on a table panel -> Legendre coefficients of their interpolant
+    to_coef = (np.arange(q) + 0.5)[:, None] * legvander(ref, q - 1).T * w
+    half = 0.5 * _SPEED_CUT / table.n_panels
+    centers = half * (2 * np.arange(table.n_panels) + 1)
+    moments = table.moments.reshape(table.n_panels, q, -1)
+    width = moments.shape[2]
+    step = max(1, _CHUNK // (table.n_panels * q * (width + _DIRECT_TAIL)))
+    total = 0.0
+    for first in range(0, sub, step):
+        parts = np.arange(first, min(sub, first + step))
+        t = ((2 * parts[:, None] + 1 + ref) / sub - 1.0).ravel()
+        a = (legvander(t, q - 1) @ to_coef) @ moments
+        s = (centers[:, None] + half * t).ravel()
+        weight = np.tile(half / sub * w, table.n_panels * parts.size) * s**3 * np.exp(-s * s)
+        total += float(weight @ _bracket(a.reshape(-1, width), beta * s))
+    return total
 
 
 def localization_rate(amp: IsotropicAmplitude, gas: GasModel, x: float) -> float:
     """Decay rate of spatial coherence over separation x: thermal average of
     v [sigma(E) - 2 pi int |f|^2 sinc(2 sin(theta/2) m v x) dcos]; zero at
-    x = 0, saturating at the total collision rate for large separation."""
+    x = 0, saturating at the total collision rate for large separation.
+
+    With beta = m v_th x and the Legendre coefficients a_L(s) of
+    |f|^2 = sum_L a_L P_L(cos theta) at gas speed s v_th, the rate is
+    16 sqrt(pi) n v_th int ds s^3 e^{-s^2} sum_{L>=1} ((2L+1) a_0 - a_L)
+    j_L(beta s)^2, a sum of nonnegative terms, so F(0) = 0 exactly and small
+    x loses nothing to cancellation. The speed integral uses about one
+    period of cos(2 beta s) per panel, doubling until it settles.
+
+    The bracket equals a_0 - sum_L a_L j_L(beta s)^2, and
+    |sum_L a_L j_L(z)^2| <= sum_L |a_L| mu_L / z^2, where mu_L bounds the
+    Riccati-Bessel maximum max_z (z j_L(z))^2. So the rate differs from the
+    saturation rate by at most the fraction
+    B / (beta^2 S), B = int ds s e^{-s^2} sum_L mu_L |a_L|,
+    S = int ds s^3 e^{-s^2} a_0. Where that fraction is below _GL_RTOL the
+    table's saturation rate is returned, which bounds the work at any x.
+    """
     if x < 0:
         raise PhysicsError("separation must be nonnegative")
     beta = gas.m * gas.thermal_speed * x
 
-    if beta <= _OSC_PHASE_SPLIT:
-        def per_speed(v):
-            energy = 0.5 * gas.m * v * v
-            smooth = _sinc_weighted_integral(amp, energy, 0.0)
-            osc = _sinc_weighted_integral(amp, energy, gas.m * v * x)
-            return v * 2.0 * math.pi * (smooth - osc)
+    def integral(table):
+        saturation = _saturation_integral(table)
+        mu = _riccati_bessel_bound(table.moments.shape[1])
+        bound = (table.weight / table.s**2) @ (np.abs(table.moments) @ mu)
+        if bound <= _GL_RTOL * saturation * beta * beta:
+            return saturation
+        sub = max(1, math.ceil(_SPEED_CUT * beta / (math.pi * _PANEL_START)))
+        return _bracket_integral(table, beta, sub)
 
-        return gas.n_gas * _speed_average(gas, per_speed)
-
-    smooth = saturation_rate(amp, gas)
-    return smooth - _osc_speed_average(amp, gas, x, scale=smooth)
+    return _settled_rate(amp, gas, integral)
 
 
 def momentum_gain_rate(amp: IsotropicAmplitude, gas: GasModel, q_grid):

@@ -35,7 +35,9 @@ Against 40-digit references both routes are within 2e-13 for T/omega_c <= 30.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma, polygamma, psi
@@ -48,6 +50,8 @@ _COTH_CUT = 30.0
 # to cancellation; the terms of their Taylor series in y fall off like
 # (y/w)^(2k) there, so 16 terms leave a remainder below 1e-19.
 _SMALL_Y = 0.25
+_FLOAT_MAX = sys.float_info.max
+_SQRT_MAX = math.sqrt(_FLOAT_MAX)
 _SERIES_K = np.arange(1, 17)
 _SERIES_COEF = np.array([(-1.0) ** (k + 1) / math.factorial(2 * k) for k in _SERIES_K])
 # the trigamma asymptotic tail is used from here; its first omitted term,
@@ -152,16 +156,41 @@ def discretize_spectral_density(j: SpectralDensity, n_modes, omega_max=None) -> 
 
 
 def F_vac(j: SpectralDensity, t) -> float:
-    """Vacuum decay function int J(w)(1 - cos wt)/w^2 dw, in closed form."""
+    """Vacuum decay function int J(w)(1 - cos wt)/w^2 dw, in closed form.
+
+    The forms in x = (omega_c t)^2 hold while x (d = 1), a x (d = 2) or
+    a x^2 (d = 3) stays finite; beyond, the same forms in r = 1/x are used.
+    """
     if t < 0:
         raise PhysicsError("t must be nonnegative")
-    x = (j.omega_c * t) ** 2
+    u = j.omega_c * t
     if j.d == 1:
-        return 0.5 * j.a * math.log1p(x)
+        limit = _SQRT_MAX
+    else:
+        limit = (_FLOAT_MAX / max(j.a, 1.0)) ** (0.5 if j.d == 2 else 0.25)
+    if u < limit:
+        x = u ** 2
+        if j.d == 1:
+            return 0.5 * j.a * math.log1p(x)
+        if j.d == 2:
+            return float(j.a * x / (1.0 + x))
+        # cancellation-free form of a [1 - (1 - x)/(1 + x)^2]
+        return float(j.a * (3.0 * x + x * x) / (1.0 + x) ** 2)
+    r = (1.0 / u) ** 2
+    if j.d == 1:
+        return float(j.a * math.log(u) + 0.5 * j.a * math.log1p(r))
     if j.d == 2:
-        return float(j.a * x / (1.0 + x))
-    # cancellation-free form of a [1 - (1 - x)/(1 + x)^2]
-    return float(j.a * (3.0 * x + x * x) / (1.0 + x) ** 2)
+        return float(j.a / (1.0 + r))
+    return float(j.a * (1.0 + 3.0 * r) / (1.0 + r) ** 2)
+
+
+@lru_cache(maxsize=64)
+def _series_derivs(d: int, w: float) -> np.ndarray:
+    """psi^(d-2+2k)(w), k = 1..16: the small-y series' derivatives, which a
+    t-grid at fixed bath and temperature shares."""
+    derivs = polygamma(d - 2 + 2 * _SERIES_K, w)
+    derivs.flags.writeable = False
+    return derivs
 
 
 def F_th(j: SpectralDensity, temperature, t) -> float:
@@ -178,9 +207,8 @@ def F_th(j: SpectralDensity, temperature, t) -> float:
     y = temperature * t
     scale = 2.0 * j.a * c ** (j.d - 1)
     if y < _SMALL_Y * w:
-        derivs = polygamma(j.d - 2 + 2 * _SERIES_K, w)
         return float(scale * (-1) ** (j.d + 1)
-                     * np.dot(_SERIES_COEF * y ** (2 * _SERIES_K), derivs))
+                     * np.dot(_SERIES_COEF * y ** (2 * _SERIES_K), _series_derivs(j.d, w)))
     z = complex(w, y)
     if j.d == 1:
         return float(scale * (loggamma(w) - loggamma(z).real))

@@ -170,6 +170,22 @@ class TestRunOutputs:
         for t, row in by_t.items():
             assert row[4] == classify_regime(j, 0.1, t)[0]
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_dephase_far_beyond_the_cutoff_time(self, tmp_path, capsys, d):
+        """t_max = 1e160 puts (omega_c t)^2 past the float range; every row
+        still carries finite decay functions and visibility."""
+        cfg = {"scenario": "dephase",
+               "params": dict(DEPHASE["params"], d=d, t_min=1.0, t_max=1e160)}
+        out = tmp_path / "series.csv"
+        assert main(["run", write_config(tmp_path, cfg), "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 5
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row[1:4]), row
+        # a = 1, omega_c = 10: a log(omega_c t) for d = 1, a for d = 2, 3
+        want = math.log(10.0 * 1e160) if d == 1 else 1.0
+        assert float(rows[-1][1]) == pytest.approx(want, rel=1e-15)
+
     def test_csv_uses_crlf_line_endings(self, tmp_path, capsys):
         out = tmp_path / "series.csv"
         main(["run", write_config(tmp_path, DEPHASE), "--output", str(out)])

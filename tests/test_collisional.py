@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legmul
 from scipy.integrate import quad, solve_ivp
+from scipy.special import spherical_jn, spherical_yn
 
 from decolab.collisional import (
+    _SPEED_CUT,
     ChannelSpec,
     GasModel,
     IsotropicAmplitude,
@@ -22,8 +25,10 @@ from decolab.collisional import (
     momentum_gain_rate,
     saturation_rate,
     total_cross_section,
+    _moment_rows,
+    _speed_average,
 )
-from decolab.errors import DimensionError, PhysicsError
+from decolab.errors import DimensionError, PhysicsError, QuadratureError
 
 GAS = GasModel(n_gas=1.0, m=1.0, temperature=1.0)
 F0 = 0.7 + 0.2j
@@ -32,6 +37,60 @@ SWAVE = constant_amplitude(F0)
 
 def analytic_saturation(gas, f0):
     return 4.0 * math.pi * abs(f0) ** 2 * gas.n_gas * gas.mean_speed
+
+
+_ORACLE_OPTS = {"epsabs": 1e-13, "epsrel": 1e-11, "limit": 400}
+
+
+def _oracle_quad(func, lo, hi, **kwargs):
+    value, abserr = quad(func, lo, hi, full_output=1, **dict(_ORACLE_OPTS, **kwargs))[:2]
+    assert abserr <= 1e-6 * abs(value) + 1e-12, (value, abserr)
+    return value
+
+
+def quad_localization_rate(amp, gas, x):
+    """Localization rate by nested adaptive quadrature, independent of the
+    Legendre-moment table. Below the phase m v_th x = 40 each speed gets
+    sigma(E) minus 2 pi times a QAWO sin transform of |f|^2 in
+    u = sqrt(2(1 - cos theta)); above it the sin weight sits in the speed
+    variable instead and the result is subtracted from n <sigma v>."""
+    beta = gas.m * gas.thermal_speed * x
+
+    def f2(u, energy):
+        return abs(amp(np.array([1.0 - 0.5 * u * u]), energy)[0]) ** 2
+
+    if beta <= 40.0:
+        def per_speed(v):
+            energy = 0.5 * gas.m * v * v
+            a = gas.m * v * x
+            osc = _oracle_quad(lambda u: f2(u, energy), 0.0, 2.0,
+                               weight="sin", wvar=a) / a
+            return v * (total_cross_section(amp, energy) - 2.0 * math.pi * osc)
+
+        return gas.n_gas * _speed_average(gas, per_speed)
+
+    smooth = gas.n_gas * _speed_average(
+        gas, lambda v: v * total_cross_section(amp, 0.5 * gas.m * v * v))
+
+    def inner(u):
+        def h(s):
+            v = gas.thermal_speed * s
+            return s * s * math.exp(-s * s) * f2(u, 0.5 * gas.m * v * v)
+
+        return quad(h, 0.0, _SPEED_CUT, weight="sin", wvar=beta * u, **_ORACLE_OPTS)[0]
+
+    outer = _oracle_quad(inner, 0.0, 2.0)
+    return smooth - gas.n_gas * 8.0 * math.sqrt(math.pi) / (gas.m * x) * outer
+
+
+def hard_sphere_partial_waves(radius, mass, energy):
+    """Legendre coefficients (2l+1) t_l / k of the hard-sphere amplitude,
+    with the phase-shift cutoff of `hard_sphere_amplitude`."""
+    k = math.sqrt(2.0 * mass * energy)
+    kr = k * radius
+    ells = np.arange(int(kr + 8.0 * kr ** (1.0 / 3.0) + 12.0) + 1)
+    tan_delta = spherical_jn(ells, kr) / spherical_yn(ells, kr)
+    return (2 * ells + 1) * tan_delta / (1.0 - 1j * tan_delta) / k
 
 
 class TestMaxwell:
@@ -136,6 +195,25 @@ class TestLocalizationRate:
         c_exact = (4.0 * math.pi / 3.0) * GAS.n_gas * GAS.m**2 * abs(F0) ** 2 * v3
         assert c_fd == pytest.approx(c_exact, rel=1e-3)
 
+    @pytest.mark.parametrize("m_v_bar_x", [1e-5, 1e-4])
+    def test_small_separation_series(self, m_v_bar_x):
+        """F(x) = c x^2 [1 - (2/5)(m v_th x)^2 + O(x^4)] for a constant
+        amplitude: the quadratic term carries no cancellation error."""
+        x = m_v_bar_x / (GAS.m * GAS.mean_speed)
+        v3 = 4.0 / math.sqrt(math.pi) * GAS.thermal_speed**3
+        c_exact = (4.0 * math.pi / 3.0) * GAS.n_gas * GAS.m**2 * abs(F0) ** 2 * v3
+        beta = GAS.m * GAS.thermal_speed * x
+        ratio = localization_rate(SWAVE, GAS, x) / (c_exact * x * x)
+        assert abs(ratio - (1.0 - 0.4 * beta * beta)) <= 1e-12
+
+    def test_beyond_the_oscillation_bound_returns_saturation(self):
+        """At m v_th x = 1e9 the oscillating term is provably below _GL_RTOL
+        of the saturation rate, which comes back without a beta-sized rule."""
+        x = 1e9 / (GAS.m * GAS.thermal_speed)
+        for amp in (SWAVE, hard_sphere_amplitude(0.5, GAS.m)):
+            assert localization_rate(amp, GAS, x) == pytest.approx(
+                saturation_rate(amp, GAS), rel=1e-8)
+
     def test_bounded_and_monotone_over_six_decades(self):
         f_inf = analytic_saturation(GAS, F0)
         xs = np.logspace(-2, 4, 13) / (GAS.m * GAS.mean_speed)
@@ -143,6 +221,37 @@ class TestLocalizationRate:
         assert all(v >= 0.0 for v in values)
         assert all(v <= f_inf * (1.0 + 1e-3) for v in values)
         assert all(b >= a * (1.0 - 1e-9) for a, b in zip(values, values[1:]))
+
+
+class TestAgainstQuadratureOracle:
+    @pytest.mark.parametrize("beta", [5.0, 60.0])
+    def test_constant_amplitude_both_sides_of_phase_40(self, beta):
+        x = beta / (GAS.m * GAS.thermal_speed)
+        assert localization_rate(SWAVE, GAS, x) == pytest.approx(
+            quad_localization_rate(SWAVE, GAS, x), rel=1e-9)
+
+    @pytest.mark.parametrize("radius, temperature", [(0.1, 1.0), (0.5, 0.25)])
+    def test_hard_sphere_small_phase(self, radius, temperature):
+        gas = GasModel(n_gas=0.8, m=1.0, temperature=temperature)
+        amp = hard_sphere_amplitude(radius, gas.m)
+        x = 1.0 / (gas.m * gas.thermal_speed)
+        assert localization_rate(amp, gas, x) == pytest.approx(
+            quad_localization_rate(amp, gas, x), rel=1e-9)
+
+    def test_hard_sphere_moments_are_the_partial_wave_product(self):
+        """|f|^2 of a partial-wave sum is the Legendre product of its
+        coefficients with their conjugates, which the projection reproduces."""
+        energies = [1e-3, 0.5, 8.0, 40.0]
+        table = _moment_rows(hard_sphere_amplitude(0.5, 1.0), energies)
+        for row, energy in zip(table, energies):
+            c = hard_sphere_partial_waves(0.5, 1.0, energy)
+            exact = legmul(c, np.conj(c)).real
+            width = min(row.size, exact.size)
+            # roundoff against each moment's bound |a_L| <= (2L+1) a_0
+            bound = (2 * np.arange(width) + 1) * exact[0]
+            assert np.all(np.abs(row[:width] - exact[:width]) <= 1e-13 * bound)
+            # moments past the table are below _GL_RTOL a_0
+            assert np.all(np.abs(exact[width:]) <= 1e-10 * exact[0])
 
 
 class TestMomentumGain:
@@ -274,6 +383,15 @@ class TestElasticDephasing:
         rotated = elastic_dephasing_rate(constant_amplitude(0.5 * phase),
                                          constant_amplitude((0.2 + 0.1j) * phase), GAS)
         assert rotated == pytest.approx(base, rel=1e-12)
+
+
+class TestSpeedAverage:
+    def test_imaginary_part_error_is_checked(self):
+        """A rough imaginary part fails its own error-estimate check instead
+        of returning whatever the quadrature reached."""
+        with pytest.raises(QuadratureError):
+            _speed_average(GAS, lambda v: complex(1.0, math.sin(1e6 * v) / v),
+                           complex_valued=True)
 
 
 class TestEnergyShifts:

@@ -13,6 +13,7 @@ from decolab.dephasing import (
     F_superohmic_limit,
     F_th,
     F_vac,
+    _series_derivs,
     alpha_k,
     chi_thermal_discrete,
     chi_vacuum_discrete,
@@ -245,6 +246,37 @@ class TestVacuumDecay:
         with pytest.raises(PhysicsError):
             F_vac(SpectralDensity(a=1.0, omega_c=1.0), -1.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_finite_where_the_square_overflows(self, d):
+        """(omega_c t)^2 overflows past t ~ 1e153 here, and its square for d = 3
+        past 1e76: the decay function stays finite and reaches its long-time
+        form a log(omega_c t) (d = 1) or a (d = 2, 3)."""
+        j = SpectralDensity(a=1.3, omega_c=10.0, d=d)
+        for t in (1e76, 1e80, 1e153, 1e160, 1e300, np.float64(1e160)):
+            u = j.omega_c * float(t)
+            want = j.a * math.log(u) if d == 1 else j.a
+            assert F_vac(j, t) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_values_below_the_overflow_are_the_x_forms(self, d):
+        """Where x = (omega_c t)^2 and the numerator stay finite, the forms in
+        x are evaluated exactly as written, so those values keep their bytes."""
+        for a in (0.7, 3.0):
+            j = SpectralDensity(a=a, omega_c=10.0, d=d)
+            # omega_c t = 10 t stays below where x, a x or a x^2 overflows:
+            # 1.34e154, 1.34e154/sqrt(a) and 1.16e77/a^(1/4) for a >= 1
+            big = max(a, 1.0)
+            top = {1: 1.3e153, 2: 1.3e153 / math.sqrt(big), 3: 1.1e76 / big ** 0.25}[d]
+            for t in (1e-3, 1.0, 1e60, 1e-3 * top, top):
+                x = (j.omega_c * t) ** 2
+                if d == 1:
+                    want = 0.5 * j.a * math.log1p(x)
+                elif d == 2:
+                    want = float(j.a * x / (1.0 + x))
+                else:
+                    want = float(j.a * (3.0 * x + x * x) / (1.0 + x) ** 2)
+                assert F_vac(j, t) == want
+
 
 class TestThermalDecay:
     def test_exact_series(self):
@@ -291,6 +323,20 @@ class TestThermalDecay:
         vals = [F_th(j, temp, 3.0) for temp in (0.01, 0.1, 1.0)]
         assert vals[0] < vals[1] < vals[2]
         assert vals[0] > 0.0
+
+    def test_series_derivatives_computed_once_per_bath(self):
+        """A small-y t-grid at fixed (d, T/omega_c) evaluates the 16
+        polygamma values once, and reuses them unchanged."""
+        j = SpectralDensity(a=1.0, omega_c=10.0, d=2)
+        temp = 0.2
+        w = 1.0 + temp / j.omega_c
+        _series_derivs.cache_clear()
+        values = [F_th(j, temp, t) for t in np.geomspace(1e-3, 1.0, 20)]
+        info = _series_derivs.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
+        derivs = polygamma(2 * np.arange(1, 17), w)
+        assert np.array_equal(_series_derivs(2, w), derivs)
+        assert all(v > 0.0 for v in values)
 
 
 def times_over_y(omega_c, temp):
