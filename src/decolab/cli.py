@@ -13,10 +13,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,12 +356,13 @@ def validate_config(raw) -> list:
         if "format" in output and output["format"] not in _FORMATS:
             bad.append(f"output.format: must be one of {', '.join(_FORMATS)}")
     seed = raw.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        bad.append("seed: must be an integer")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)
+                             or not 0 <= seed < 2**64):
+        bad.append("seed: must be an integer in [0, 2**64 - 1]")
     return bad
 
 
-def resolve_config(raw, seed_override=None, output_override=None,
+def resolve_config(raw, output_override=None,
                    format_override=None) -> ScenarioConfig:
     """Apply defaults and command-line overrides to a validated config."""
     scenario = raw["scenario"]
@@ -379,7 +378,7 @@ def resolve_config(raw, seed_override=None, output_override=None,
             and params["amp_im"] is None:
         params["amp_im"] = 0.0
 
-    seed = seed_override if seed_override is not None else raw.get("seed")
+    seed = raw.get("seed")
     if seed is None and scenario == "traject":
         seed = 0
 
@@ -389,19 +388,6 @@ def resolve_config(raw, seed_override=None, output_override=None,
         or f"decolab-{scenario}.{fmt}"
     return ScenarioConfig(scenario=scenario, params=params, units=units,
                           seed=seed, output_path=path, output_format=fmt)
-
-
-def _worker_count() -> int:
-    text = os.environ.get("DECOLAB_THREADS")
-    if text is None:
-        return 1
-    try:
-        count = int(text)
-    except ValueError:
-        raise SchemaError(f"DECOLAB_THREADS must be an integer, got {text!r}")
-    if count < 1:
-        raise SchemaError("DECOLAB_THREADS must be at least 1")
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +499,9 @@ def _run_traject(cfg):
     gen = LindbladGenerator(hamiltonian=h, channels=((p["gamma"], _LOWER),))
     psi0 = np.array([1.0, 0.0], dtype=complex)
 
-    def one(index):
-        record, _ = run_trajectory(psi0, gen, p["horizon"], cfg.seed + index)
-        return record
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        records = list(pool.map(one, range(p["n_traj"])))
-
     cols = {"traj": [], "n_events": [], "first_event": [], "last_event": []}
-    for index, record in enumerate(records):
+    for index in range(p["n_traj"]):
+        record, _ = run_trajectory(psi0, gen, p["horizon"], cfg.seed, index)
         times = [t for t, _ in record.events]
         cols["traj"].append(index)
         cols["n_events"].append(len(times))
@@ -714,11 +694,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     raw = _load_config(args.config)
+    if args.seed is not None and isinstance(raw, dict):
+        # the override goes through the same schema check as a config seed
+        raw = dict(raw, seed=args.seed)
     violations = validate_config(raw)
     if violations:
         raise SchemaError("; ".join(violations))
-    cfg = resolve_config(raw, seed_override=args.seed,
-                         output_override=args.output,
+    cfg = resolve_config(raw, output_override=args.output,
                          format_override=args.format)
     started = time.perf_counter()
     columns, summary = _RUNNERS[cfg.scenario](cfg)

@@ -98,18 +98,25 @@ def evolve_robust(xi0, gen: LindbladGenerator, t_final: float,
     if t_final == 0.0:
         return tuple(snapshots)
 
-    solver = RK45(lambda _, y: nonlinear_rhs(y, gen), 0.0, xi0, t_final,
+    # scipy's solver sits in a reference cycle of its own closures, which
+    # would keep gen's dense matrices alive until the cycle collector runs;
+    # the right-hand side reaches gen through `held`, emptied on the way out
+    held = [gen]
+    solver = RK45(lambda _, y: nonlinear_rhs(y, held[0]), 0.0, xi0, t_final,
                   rtol=rtol, atol=atol, max_step=max_step)
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise QuadratureError(f"flow integrator failed: {message}")
-        solver.y /= np.linalg.norm(solver.y)
-        # the cached derivative predates the renormalization; refresh it so
-        # the FSAL stage of the next step sees the corrected state
-        solver.f = solver.fun(solver.t, solver.y)
-        snapshots.append(RobustStateFlow(xi=solver.y.copy(), gen=gen,
-                                         t=float(solver.t)))
+    try:
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise QuadratureError(f"flow integrator failed: {message}")
+            solver.y /= np.linalg.norm(solver.y)
+            # the cached derivative predates the renormalization; refresh it
+            # so the FSAL stage of the next step sees the corrected state
+            solver.f = solver.fun(solver.t, solver.y)
+            snapshots.append(RobustStateFlow(xi=solver.y.copy(), gen=gen,
+                                             t=float(solver.t)))
+    finally:
+        held.clear()
     return tuple(snapshots)
 
 

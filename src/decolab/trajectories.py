@@ -43,6 +43,9 @@ class _NoJumpPropagator:
     def __init__(self, gen: LindbladGenerator):
         self.h_c = effective_hamiltonian(gen)
         self.dim = self.h_c.shape[0]
+        # decay operator sum_k gamma_k L_k†L_k = i (H_C - H_C†): the survival
+        # |psi(tau)|^2 falls at the rate <psi(tau)| Gamma |psi(tau)>
+        self.gamma = 1j * (self.h_c - self.h_c.conj().T)
         self.mode = "rk"
         if self.dim <= _EXPM_DIM_MAX:
             self.mode = "expm"
@@ -54,29 +57,34 @@ class _NoJumpPropagator:
                 self._inv = np.linalg.inv(vecs)
 
     def apply(self, psi, tau: float) -> np.ndarray:
+        """exp(-i tau H_C) applied to a vector or to each column of a matrix."""
+        psi = np.asarray(psi, dtype=complex)
         if tau == 0.0:
-            return np.array(psi, dtype=complex)
+            return psi.copy()
         if self.mode == "eig":
-            return self._vecs @ (np.exp(-1j * tau * self._vals) * (self._inv @ psi))
+            cols = self._inv @ psi.reshape(self.dim, -1)
+            return (self._vecs @ (np.exp(-1j * tau * self._vals)[:, None] * cols)
+                    ).reshape(psi.shape)
         if self.mode == "expm":
             return expm(-1j * tau * self.h_c) @ psi
-        sol = solve_ivp(lambda _, y: -1j * (self.h_c @ y), (0.0, tau),
-                        np.asarray(psi, dtype=complex), method="RK45",
-                        rtol=1e-10, atol=1e-13)
+        sol = solve_ivp(lambda _, y: -1j * (self.h_c @ y.reshape(self.dim, -1)).ravel(),
+                        (0.0, tau), psi.ravel(), method="RK45", rtol=1e-10, atol=1e-13)
         if not sol.success:
             raise PhysicsError(f"no-jump propagation failed: {sol.message}")
-        return sol.y[:, -1]
+        return sol.y[:, -1].reshape(psi.shape)
 
-    def norm_sq(self, psi, taus) -> np.ndarray:
-        """Survival probabilities |exp(-i tau H_C) psi|^2 on an array of times."""
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    def states(self, psi, taus) -> np.ndarray:
+        """Rows exp(-i tau H_C) psi for each tau of a 1-d array."""
         if self.mode == "eig":
-            w = self._inv @ psi
             phases = np.exp(-1j * taus[:, None] * self._vals[None, :])
-            out = (phases * w[None, :]) @ self._vecs.T
-            return np.einsum("ij,ij->i", out, out.conj()).real
-        return np.array([float(np.vdot(v, v).real)
-                         for v in (self.apply(psi, t) for t in taus)])
+            return (phases * (self._inv @ psi)[None, :]) @ self._vecs.T
+        # step through the times in order, so each propagation is short
+        out = np.empty((taus.size, self.dim), dtype=complex)
+        t, cur = 0.0, psi
+        for k in np.argsort(taus):
+            out[k] = cur = self.apply(cur, taus[k] - t)
+            t = taus[k]
+        return out
 
 
 def no_jump_propagate(psi, gen: LindbladGenerator, tau: float) -> np.ndarray:
@@ -84,72 +92,71 @@ def no_jump_propagate(psi, gen: LindbladGenerator, tau: float) -> np.ndarray:
     is the probability that no jump occurred up to tau."""
     if tau < 0:
         raise PhysicsError("tau must be nonnegative")
-    return _NoJumpPropagator(gen).apply(np.asarray(psi, dtype=complex), tau)
+    return _NoJumpPropagator(gen).apply(psi, tau)
 
 
-def _first_crossing(prop: _NoJumpPropagator, psi, u: float, t_max: float):
-    """First tau with survival(tau) = u, or None if survival(t_max) > u."""
+def _norm_sq(rows) -> np.ndarray:
+    return np.einsum("ij,ij->i", rows.conj(), rows).real
+
+
+def _waiting_times(prop: _NoJumpPropagator, psi, us, t_max: float) -> np.ndarray:
+    """First tau with survival(tau) = u for each u; inf where survival(t_max) > u.
+
+    A uniform grid brackets each crossing at the first point where the
+    running minimum of the survival is <= u. Inside the bracket, Newton on
+    f = log survival - log u, with f' = -<psi|Gamma|psi>/survival exact,
+    takes the crossing; a step that leaves the bracket or fails to halve the
+    previous one is replaced by bisection.
+    """
     grid = np.linspace(0.0, t_max, _GRID_POINTS + 1)
-    surv = prop.norm_sq(psi, grid)
-    below = np.nonzero(surv <= u)[0]
-    if below.size == 0:
-        return None
-    j = int(below[0])
-    if j == 0:
-        return 0.0
-    lo, hi = grid[j - 1], grid[j]
-    while hi - lo > _BISECT_REL * hi:
-        mid = 0.5 * (lo + hi)
-        if prop.norm_sq(psi, mid)[0] <= u:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    surv = np.minimum.accumulate(_norm_sq(prop.states(psi, grid)))
+    idx = np.searchsorted(-surv, -us, side="left")
+    out = np.where(idx == 0, 0.0, np.inf)
+    work = np.nonzero((idx >= 1) & (idx <= _GRID_POINTS))[0]
+    j = idx[work]
+    lo, hi, log_u = grid[j - 1], grid[j], np.log(us[work])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # start from the log-linear interpolant between the bracket ends
+        tau = lo + (hi - lo) * (np.log(surv[j - 1]) - log_u) \
+            / (np.log(surv[j - 1]) - np.log(surv[j]))
+        tau = np.where((tau >= lo) & (tau <= hi), tau, 0.5 * (lo + hi))
+        last = hi - lo
+        while work.size:
+            rows = prop.states(psi, tau)
+            s = _norm_sq(rows)
+            rate = np.einsum("ij,ij->i", rows.conj(), rows @ prop.gamma.T).real
+            f = np.log(s) - log_u
+            hi = np.where(f <= 0.0, tau, hi)
+            lo = np.where(f <= 0.0, lo, tau)
+            new = tau + f * s / rate
+            done = np.abs(new - tau) <= _BISECT_REL * new
+            newton = (new > lo) & (new < hi) & (np.abs(new - tau) <= 0.5 * last)
+            new = np.where(done | newton, new, 0.5 * (lo + hi))
+            last = np.abs(new - tau)
+            done |= last <= _BISECT_REL * new
+            out[work[done]] = new[done]
+            keep = ~done
+            work, tau, lo, hi, log_u, last = (
+                work[keep], new[keep], lo[keep], hi[keep], log_u[keep], last[keep])
+    return out
 
 
 def sample_jump_time(psi, gen: LindbladGenerator, u: float, t_max: float):
     """Waiting time by survival inversion: first tau with
     |no_jump_propagate(psi, tau)|^2 = u; None when no jump occurs by t_max."""
-    if not 0.0 < u < 1.0:
-        raise PhysicsError("u must lie in (0, 1)")
-    if t_max <= 0:
-        raise PhysicsError("t_max must be positive")
-    return _first_crossing(_NoJumpPropagator(gen), np.asarray(psi, dtype=complex),
-                           float(u), float(t_max))
+    tau = sample_jump_times(psi, gen, [u], t_max)[0]
+    return None if np.isinf(tau) else float(tau)
 
 
 def sample_jump_times(psi, gen: LindbladGenerator, us, t_max: float) -> np.ndarray:
-    """Vectorized sibling of sample_jump_time; no-jump entries come back inf."""
+    """Waiting times for an array of survival levels; no-jump entries are inf."""
     us = np.asarray(us, dtype=float)
-    if np.any((us <= 0.0) | (us >= 1.0)):
+    if not np.all((us > 0.0) & (us < 1.0)):
         raise PhysicsError("u must lie in (0, 1)")
-    if t_max <= 0:
+    if not t_max > 0:
         raise PhysicsError("t_max must be positive")
-    prop = _NoJumpPropagator(gen)
-    psi = np.asarray(psi, dtype=complex)
-    if prop.mode != "eig":
-        return np.array([t if (t := _first_crossing(prop, psi, u, t_max)) is not None
-                         else np.inf for u in us])
-
-    grid = np.linspace(0.0, t_max, _GRID_POINTS + 1)
-    surv = prop.norm_sq(psi, grid)
-    # first grid index where survival drops to u, per sample
-    idx = np.searchsorted(-surv, -us, side="left")
-    out = np.full(us.shape, np.inf)
-    active = idx <= _GRID_POINTS
-    lo = np.where(idx >= 1, grid[np.minimum(idx, _GRID_POINTS) - 1], 0.0)
-    hi = grid[np.minimum(idx, _GRID_POINTS)]
-    work = active & (idx >= 1)
-    lo_w, hi_w, u_w = lo[work].copy(), hi[work].copy(), us[work]
-    while lo_w.size and np.any(hi_w - lo_w > _BISECT_REL * hi_w):
-        mid = 0.5 * (lo_w + hi_w)
-        s_mid = prop.norm_sq(psi, mid)
-        drop = s_mid <= u_w
-        hi_w = np.where(drop, mid, hi_w)
-        lo_w = np.where(drop, lo_w, mid)
-    out[work] = 0.5 * (lo_w + hi_w)
-    out[active & (idx == 0)] = 0.0
-    return out
+    return _waiting_times(_NoJumpPropagator(gen), np.asarray(psi, dtype=complex),
+                          us.ravel(), float(t_max)).reshape(us.shape)
 
 
 def apply_jump(psi, gen: LindbladGenerator, rng: Generator):
@@ -183,79 +190,58 @@ class JumpRecord:
             last = t
 
 
-@dataclass
-class TrajectoryState:
-    """Mutable loop state of one trajectory between normalization points."""
-
-    psi: np.ndarray
-    t: float
-    events: list
-
-    def normalize(self):
-        n = np.linalg.norm(self.psi)
-        if n == 0.0:
-            raise PhysicsError("trajectory state collapsed to zero")
-        self.psi = self.psi / n
-
-
 def _stream(base_seed: int, index: int) -> Generator:
-    # counter-based streams: (seed, index) keys are independent by design,
-    # so parallel trajectory order can never change the draws
+    # counter-based streams: trajectory i of seed s draws from key (s, i),
+    # so distinct seeds or indices never share a stream
     return Generator(Philox(key=np.array([base_seed, index], dtype=np.uint64)))
 
 
 def _run(psi0, gen, horizon, rng, prop=None):
     prop = prop or _NoJumpPropagator(gen)
-    state = TrajectoryState(np.asarray(psi0, dtype=complex).copy(), 0.0, [])
-    while True:
-        remaining = horizon - state.t
-        if remaining <= 0:
-            break
+    psi, t, events = np.array(psi0, dtype=complex), 0.0, []
+    while t < horizon:
         u = rng.random()
         while u == 0.0:
             u = rng.random()
-        tau = _first_crossing(prop, state.psi, u, remaining)
+        tau = float(_waiting_times(prop, psi, np.array([u]), horizon - t)[0])
         # a crossing rounded onto the horizon itself counts as no jump: the
         # record invariant keeps click times strictly inside the window
-        if tau is None or state.t + tau >= horizon:
-            state.psi = prop.apply(state.psi, remaining)
-            state.normalize()
-            state.t = horizon
+        jump = t + tau < horizon
+        psi = prop.apply(psi, tau if jump else horizon - t)
+        norm = np.linalg.norm(psi)
+        if norm == 0.0:
+            raise PhysicsError("trajectory state collapsed to zero")
+        psi = psi / norm
+        if not jump:
             break
-        state.psi = prop.apply(state.psi, tau)
-        state.normalize()
-        state.t += tau
-        k, state.psi = apply_jump(state.psi, gen, rng)
-        state.events.append((state.t, k))
-    return JumpRecord(tuple(state.events), horizon), state.psi
+        t += tau
+        k, psi = apply_jump(psi, gen, rng)
+        events.append((t, k))
+    return JumpRecord(tuple(events), horizon), psi
 
 
-def run_trajectory(psi0, gen: LindbladGenerator, horizon: float, seed: int):
-    """One piecewise-deterministic trajectory; returns (record, final state)."""
+def run_trajectory(psi0, gen: LindbladGenerator, horizon: float, seed: int,
+                   index: int = 0):
+    """Trajectory `index` of `seed`, drawn from Philox key (seed, index);
+    returns (record, final state)."""
     if horizon <= 0:
         raise PhysicsError("horizon must be positive")
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise PhysicsError("initial state must be normalized")
-    return _run(psi0, gen, float(horizon), _stream(seed, 0))
+    return _run(psi0, gen, float(horizon), _stream(seed, index))
 
 
 def record_operator(record: JumpRecord, gen: LindbladGenerator) -> np.ndarray:
     """Compound conditioning operator M_R: no-jump stretches interleaved with
     the recorded jump operators, ending at the horizon."""
     prop = _NoJumpPropagator(gen)
-    ops = [op for _, op in gen.channels]
     m = np.eye(gen.dim, dtype=complex)
     t_prev = 0.0
     for t_i, k_i in record.events:
-        m = expm(-1j * (t_i - t_prev) * prop.h_c) @ m if prop.mode != "eig" else \
-            prop._vecs @ (np.exp(-1j * (t_i - t_prev) * prop._vals)[:, None] * (prop._inv @ m))
-        m = ops[k_i] @ m
+        m = gen.channels[k_i][1] @ prop.apply(m, t_i - t_prev)
         t_prev = t_i
-    tail = record.horizon - t_prev
-    m = expm(-1j * tail * prop.h_c) @ m if prop.mode != "eig" else \
-        prop._vecs @ (np.exp(-1j * tail * prop._vals)[:, None] * (prop._inv @ m))
-    return m
+    return prop.apply(m, record.horizon - t_prev)
 
 
 def record_probability_density(record: JumpRecord, rho0, gen: LindbladGenerator) -> float:

@@ -6,6 +6,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,8 @@ import decolab
 from decolab.cli import _PARAM_TABLES, ResultSeries, main, validate_config
 from decolab.dephasing import SpectralDensity, classify_regime
 from decolab.errors import PhysicsError, SchemaError
-from decolab.lindblad import cat_coherence_factor
+from decolab.lindblad import LindbladGenerator, cat_coherence_factor
+from decolab.trajectories import ensemble_average, run_trajectory
 from decolab.units import HBAR, K_B, UnitSystem
 
 DEPHASE = {
@@ -286,24 +288,77 @@ class TestDeterminism:
         assert main(["run", rerun_cfg]) == 0
         assert out.read_bytes() == original
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, capsys,
-                                                monkeypatch):
-        cfg = write_config(tmp_path, TRAJECT)
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        main(["run", cfg, "--output", str(serial)])
-        monkeypatch.setenv("DECOLAB_THREADS", "4")
-        main(["run", cfg, "--output", str(threaded)])
-        assert serial.read_bytes() == threaded.read_bytes()
+    def test_seeds_share_no_trajectory(self, tmp_path, capsys):
+        """Trajectory i of seed s is Philox key (s, i), so neighbouring
+        seeds draw disjoint streams instead of overlapping shifted ones."""
+        cfg = write_config(tmp_path, dict(TRAJECT, params=dict(
+            TRAJECT["params"], n_traj=200)))
+        firsts = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"seed{seed}.csv"
+            assert main(["run", cfg, "--seed", seed, "--output", str(out)]) == 0
+            header, rows = read_csv(out)
+            col = header.index("first_event")
+            firsts.append({row[col] for row in rows if row[col]})
+        assert min(map(len, firsts)) > 100
+        assert len(firsts[0] & firsts[1]) <= 2
 
-    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DECOLAB_THREADS", "zero")
-        cfg = write_config(tmp_path, TRAJECT)
-        assert main(["run", cfg]) == 2
-        assert "DECOLAB_THREADS" in capsys.readouterr().err
+    def test_one_seeding_rule_across_entry_points(self, tmp_path, capsys):
+        """CLI row i is run_trajectory(..., seed, i), and ensemble_average
+        averages exactly those trajectories."""
+        omega, gamma, horizon, n_traj, seed = 1.5, 0.8, 3.0, 40, 12
+        cfg = write_config(tmp_path, {
+            "scenario": "traject", "seed": seed,
+            "params": {"gamma": gamma, "horizon": horizon, "n_traj": n_traj,
+                       "omega": omega}})
+        out = tmp_path / "rows.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        header, rows = read_csv(out)
+
+        gen = LindbladGenerator(omega * np.array([[0, 1], [1, 0]]),
+                                ((gamma, np.array([[0, 0], [1, 0]])),))
+        psi0 = np.array([1.0, 0.0], dtype=complex)
+        acc = np.zeros((2, 2), dtype=complex)
+        for i, row in enumerate(rows):
+            record, psi = run_trajectory(psi0, gen, horizon, seed, i)
+            times = [t for t, _ in record.events]
+            got = dict(zip(header, row))
+            assert int(got["traj"]) == i
+            assert int(got["n_events"]) == len(times)
+            assert got["first_event"] == (repr(float(times[0])) if times else "")
+            assert got["last_event"] == (repr(float(times[-1])) if times else "")
+            acc += np.outer(psi, psi.conj())
+        assert sum(int(dict(zip(header, r))["n_events"]) > 1 for r in rows) > 5
+        mean = ensemble_average(psi0, gen, horizon, n_traj, seed)
+        assert np.max(np.abs(mean - acc / n_traj)) <= 1e-14
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, dict(TRAJECT, seed=seed))
+        assert main(["validate", cfg]) == 2
+        assert capsys.readouterr().out.startswith("seed:")
+        assert main(["run", cfg, "--output", str(tmp_path / "a.csv")]) == 2
+        assert "seed:" in capsys.readouterr().err
+        # the command-line override passes the same check
+        ok = write_config(tmp_path, TRAJECT, name="ok.json")
+        assert main(["run", ok, "--seed", str(seed),
+                     "--output", str(tmp_path / "b.csv")]) == 2
+        assert "seed:" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        top = 2**64 - 1
+        cfg = write_config(tmp_path, dict(TRAJECT, seed=top))
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "a.json"
+        assert main(["run", cfg, "--output", str(out), "--format", "json"]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["metadata"]["seed"] == top
+        assert main(["run", write_config(tmp_path, TRAJECT, name="b.json"),
+                     "--seed", str(top), "--output", str(tmp_path / "b.csv")]) == 0
+
     def test_run_refuses_invalid_config(self, tmp_path, capsys):
         bad = {"scenario": "dephase", "params": {"a": 1.0}}
         assert main(["run", write_config(tmp_path, bad)]) == 2

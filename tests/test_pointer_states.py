@@ -1,7 +1,9 @@
 """Pointer-state tests: sieve oracles by 2x2 and coherent-state algebra,
 vector-vs-projector flow consistency, grid soliton convergence."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -184,6 +186,20 @@ class TestEvolveRobust:
             evolve_robust(np.array([1.0, 1.0]), gen, 1.0)
         with pytest.raises(PhysicsError):
             evolve_robust(bloch_state(0.1), gen, -1.0)
+
+    def test_generator_freed_without_cycle_collector(self):
+        """Once the snapshots are dropped, nothing the integrator left
+        behind keeps the generator (and its dense matrices) alive."""
+        gen = dephasing_qubit(0.6)
+        ref = weakref.ref(gen)
+        gc.disable()
+        try:
+            snaps = evolve_robust(bloch_state(1.1), gen, 1.5)
+            assert len(snaps) > 2
+            del snaps, gen
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_damped_oscillator_tracks_decaying_coherent_state(self):
         """The flow keeps a coherent state coherent: fidelity with

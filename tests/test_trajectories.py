@@ -16,6 +16,7 @@ from decolab.lindblad import (
     destroy,
     evolve,
 )
+from decolab import trajectories
 from decolab.operator_core import trace_distance
 from decolab.trajectories import (
     JumpRecord,
@@ -159,7 +160,7 @@ class TestWaitingTimes:
             if t_single is None:
                 assert np.isinf(t_batch)
             else:
-                assert t_batch == pytest.approx(t_single, rel=1e-7, abs=1e-10)
+                assert t_batch == pytest.approx(t_single, rel=1e-12)
 
     def test_waiting_time_distribution(self):
         """Sampled waiting times follow the exponential law (KS test)."""
@@ -176,6 +177,41 @@ class TestWaitingTimes:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(PhysicsError):
                 sample_jump_time(KET1, gen, bad, 1.0)
+
+
+class TestPropagatorModes:
+    """Waiting times and record operators agree whichever way the no-jump
+    propagator is evaluated: eigenbasis, matrix exponential or RK."""
+
+    US = np.array([1e-4, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999])
+
+    @staticmethod
+    def force(monkeypatch, mode):
+        if mode != "eig":
+            monkeypatch.setattr(trajectories, "_EIG_COND_MAX", 0.0)
+        if mode == "rk":
+            monkeypatch.setattr(trajectories, "_EXPM_DIM_MAX", 0)
+
+    def results(self, monkeypatch, mode):
+        gen = driven_decay_generator(1.3, 0.9)
+        with monkeypatch.context() as patch:
+            self.force(patch, mode)
+            assert trajectories._NoJumpPropagator(gen).mode == mode
+            psi = (KET0 + 0.5j * KET1) / math.sqrt(1.25)
+            batch = sample_jump_times(psi, gen, self.US, 4.0)
+            single = [sample_jump_time(psi, gen, u, 4.0) for u in self.US]
+            record = JumpRecord(((0.4, 0), (1.7, 0), (2.05, 0)), 3.5)
+            return batch, single, record_operator(record, gen)
+
+    def test_every_mode_agrees(self, monkeypatch):
+        ref_times, _, ref_op = self.results(monkeypatch, "eig")
+        assert np.isinf(ref_times).any() and np.isfinite(ref_times).sum() >= 5
+        for mode in ("eig", "expm", "rk"):
+            times, single, op = self.results(monkeypatch, mode)
+            np.testing.assert_allclose(
+                times, [np.inf if t is None else t for t in single], rtol=1e-12)
+            np.testing.assert_allclose(times, ref_times, rtol=1e-9)
+            np.testing.assert_allclose(op, ref_op, rtol=0, atol=1e-9)
 
 
 class TestJumps:
