@@ -287,6 +287,11 @@ def _extra_violations(scenario: str, units: str, params: dict) -> list:
         if params.get("radius") is None and params.get("amp_re") is None:
             bad.append("params: give a constant amplitude (amp_re) or a "
                        "hard-sphere radius")
+        amp_im = params.get("amp_im")
+        if _is_num(params.get("amp_re")) and params["amp_re"] == 0 \
+                and (amp_im is None or (_is_num(amp_im) and amp_im == 0)):
+            bad.append("params.amp_re: the constant amplitude must be nonzero; "
+                       "amp_re = amp_im = 0 scatters nothing")
     if scenario == "dot" and isinstance(params.get("energies"), list) \
             and isinstance(params.get("amplitudes"), dict):
         top = len(params["energies"])

@@ -6,9 +6,18 @@ of an immobile heavy particle, and the complex rate tensor driving the
 channel-basis master equation of a fixed scatterer with internal levels
 (populations obey a rate equation, coherences pick up elastic dephasing).
 
-The localization and saturation rates come from one table: the Legendre
-moments a_L of |f|^2 at the nodes of a composite Gauss-Legendre rule in the
-reduced speed s = v/v_th. The spherical-Bessel addition theorem
+An amplitude is a partial-wave sum f = sum_l c_l(E) P_l(cos theta), stored
+as its Legendre coefficients c_l, so every angular integral is finite
+Legendre algebra in them. By orthogonality of the P_l,
+int f_a f_b^* dcos theta = 2 sum_l c_{a,l} c_{b,l}^* / (2l+1), which gives the
+cross section and the rate-tensor and dephasing integrands; the forward
+amplitude is sum_l c_l. |f|^2 is a polynomial of degree 2 l_max in
+cos theta, so its Legendre moments a_L are exact on one Gauss-Legendre rule
+of 2 l_max + 2 nodes.
+
+The localization and saturation rates come from one table: the moments a_L
+of |f|^2 at the nodes of a composite Gauss-Legendre rule in the reduced
+speed s = v/v_th. The spherical-Bessel addition theorem
 j0(2z sin(theta/2)) = sum_L (2L+1) j_L(z)^2 P_L(cos theta) turns the angular
 integral of |f|^2 sinc into the sum 2 sum_L a_L j_L(z)^2, so only the speed
 integral is left (Hornberger & Sipe, PRA 68, 012105 (2003)).
@@ -21,13 +30,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
+from numpy.polynomial.legendre import legval, legvander
 from scipy.integrate import quad
 from scipy.special import spherical_jn, spherical_yn
 
 from .errors import DimensionError, PhysicsError, QuadratureError
 
-_GL_START = 64
 _GL_MAX = 8192
 _GL_RTOL = 1e-10
 # Maxwell weight exp(-s^2) at s = 8 leaves a relative tail below 1e-12
@@ -72,48 +80,60 @@ def maxwell_speed_pdf(gas: GasModel, v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsotropicAmplitude:
-    """Rotationally invariant scattering amplitude f(cos theta; E).
+    """Rotationally invariant scattering amplitude f(cos theta; E), of
+    dimension length, as the partial-wave sum sum_l c_l(E) P_l(cos theta).
 
-    The callable must accept a cos-theta array and a scalar incoming kinetic
-    energy, returning complex amplitudes of dimension length.
+    `coefficients` maps a 1-d array of n_E incoming kinetic energies to the
+    (n_E, l_max + 1) complex array of Legendre coefficients c_l(E).
     """
 
-    f: object
+    coefficients: object
 
     def __call__(self, cos_theta, energy):
-        return np.asarray(self.f(cos_theta, energy), dtype=complex)
+        return np.asarray(legval(np.asarray(cos_theta, dtype=float), _row(self, energy)),
+                          dtype=complex)
+
+
+def _row(amp: IsotropicAmplitude, energy: float) -> np.ndarray:
+    """The Legendre coefficients c_l of amp at one energy."""
+    return amp.coefficients(np.array([float(energy)]))[0]
 
 
 def constant_amplitude(value) -> IsotropicAmplitude:
     """Pure s-wave scatterer: the same complex length at every angle and energy."""
     value = complex(value)
-    return IsotropicAmplitude(lambda c, e: np.full(np.shape(c), value, dtype=complex))
+    return IsotropicAmplitude(lambda e: np.full((len(e), 1), value, dtype=complex))
 
 
 def hard_sphere_amplitude(radius: float, mass: float) -> IsotropicAmplitude:
-    """Hard-sphere partial-wave sum, truncated once the phase shifts are
-    negligible (tail below 1e-8 of the forward amplitude)."""
+    """Hard-sphere partial waves c_l = (2l+1) t_l / k with
+    t_l = tan(delta_l) / (1 - i tan(delta_l)) and tan(delta_l) = j_l(kr) / y_l(kr).
+
+    Every energy shares the cutoff l_max = kr + 8 (kr)^(1/3) + 12 of the
+    largest kr, where the phase shifts are negligible; a row whose last
+    coefficient exceeds 1e-8 of its summed magnitudes raises. Below
+    kr = 1e-8 a row is the s-wave limit c_0 = -r (scattering length = radius).
+    """
     if radius <= 0 or mass <= 0:
         raise PhysicsError("radius and mass must be positive")
 
-    def f(cos_theta, energy):
-        cos_theta = np.asarray(cos_theta, dtype=float)
-        k = math.sqrt(max(2.0 * mass * float(energy), 0.0))
+    def coefficients(energies):
+        k = np.sqrt(np.maximum(2.0 * mass * np.asarray(energies, dtype=float), 0.0))
         x = k * radius
-        if x < 1e-8:
-            # s-wave limit: the scattering length equals the radius
-            return np.full(cos_theta.shape, -radius, dtype=complex)
-        ell_max = int(x + 8.0 * x ** (1.0 / 3.0) + 12.0)
-        ells = np.arange(ell_max + 1)
-        tan_delta = spherical_jn(ells, x) / spherical_yn(ells, x)
-        t_ell = tan_delta / (1.0 - 1j * tan_delta)
-        coeffs = (2 * ells + 1) * t_ell / k
-        tail = abs(coeffs[-1])
-        if tail > 1e-8 * max(np.abs(coeffs).sum(), 1e-300):
+        top = float(x.max())
+        ells = np.arange(int(top + 8.0 * top ** (1.0 / 3.0) + 12.0) + 1)
+        coeffs = np.zeros((x.size, ells.size), dtype=complex)
+        coeffs[:, 0] = -radius
+        wave = x >= 1e-8
+        xw = x[wave, None]
+        tan_delta = spherical_jn(ells, xw) / spherical_yn(ells, xw)
+        coeffs[wave] = (2 * ells + 1) * tan_delta / (1.0 - 1j * tan_delta) / k[wave, None]
+        tail = np.abs(coeffs[:, -1])
+        if np.any(tail > 1e-8 * np.maximum(np.abs(coeffs).sum(axis=1), 1e-300)):
             raise QuadratureError("partial-wave sum did not converge")
-        return np.polynomial.legendre.legval(cos_theta, coeffs)
+        return coeffs
 
-    return IsotropicAmplitude(f)
+    return IsotropicAmplitude(coefficients)
 
 
 _GL_CACHE: dict = {}
@@ -125,20 +145,11 @@ def _gl_rule(n: int):
     return _GL_CACHE[n]
 
 
-def _angular_integral(g) -> complex:
-    """Integral of g over cos theta in [-1, 1], Gauss-Legendre nodes doubled
-    until the value settles."""
-    nodes, weights = _gl_rule(_GL_START)
-    value = np.dot(weights, g(nodes))
-    n = _GL_START
-    while n < _GL_MAX:
-        n *= 2
-        nodes, weights = _gl_rule(n)
-        refined = np.dot(weights, g(nodes))
-        if abs(refined - value) <= _GL_RTOL * max(abs(refined), 1e-300):
-            return refined
-        value = refined
-    raise QuadratureError("angular quadrature did not settle", estimate=value)
+def _overlap(c_a: np.ndarray, c_b: np.ndarray) -> complex:
+    """int f_a f_b^* dcos theta = 2 sum_l c_{a,l} c_{b,l}^* / (2l+1) for the
+    coefficient rows of f_a and f_b; orders past the shorter row add 0."""
+    width = min(c_a.size, c_b.size)
+    return 2.0 * np.vdot(c_b[:width], c_a[:width] / (2 * np.arange(width) + 1))
 
 
 def _checked_quad(func, lo, hi, **kwargs):
@@ -169,60 +180,29 @@ def _speed_average(gas: GasModel, g, s_lo: float = 0.0, complex_valued: bool = F
 
 
 def total_cross_section(amp: IsotropicAmplitude, energy: float) -> float:
-    """sigma(E) = 2 pi int |f|^2 dcos."""
-    value = _angular_integral(lambda c: np.abs(amp(c, energy)) ** 2)
-    return 2.0 * math.pi * float(value.real)
-
-
-def _legendre_moments(g, nodes, weights) -> np.ndarray:
-    """Legendre coefficients a_L = (2L+1)/2 sum_i w_i g_i P_L(c_i), L < n, of
-    each row of g sampled at the n Gauss-Legendre nodes. P_L comes from its
-    recurrence, so no n x n matrix is built."""
-    gw = g * weights
-    n = nodes.size
-    moments = np.empty((g.shape[0], n))
-    moments[:, 0] = 0.5 * gw.sum(axis=1)
-    p_prev, p = np.ones(n), nodes
-    for ell in range(1, n):
-        moments[:, ell] = (ell + 0.5) * (gw @ p)
-        p_prev, p = p, ((2 * ell + 1) * nodes * p - ell * p_prev) / (ell + 1)
-    return moments
+    """sigma(E) = 2 pi int |f|^2 dcos = 4 pi sum_l |c_l|^2 / (2l+1)."""
+    c = _row(amp, energy)
+    return 2.0 * math.pi * float(_overlap(c, c).real)
 
 
 def _moment_rows(amp: IsotropicAmplitude, energies) -> np.ndarray:
     """Legendre moments a_L(E) of |f(cos theta, E)|^2, one row per energy.
 
-    Each row comes from the first Gauss-Legendre rule, doubling from
-    _GL_START up to _GL_MAX nodes, whose upper half of moments lies below
-    _GL_RTOL of their bound |a_L| <= (2L+1) a_0 (the bound keeps roundoff
-    in a forward peak from stalling the test); the lower half is then the
-    settled projection. The amplitude is called once per energy and rule.
+    With coefficients up to l_max, |f|^2 P_L has degree at most 4 l_max for
+    L <= 2 l_max, so one Gauss-Legendre rule of 2 l_max + 2 nodes gives
+    every nonzero moment a_L = (2L+1)/2 int |f|^2 P_L dcos exactly.
     Trailing moments below _GL_RTOL a_0 at every energy are dropped: since
     sum_L j_L(z)^2 <= sum_L (2L+1) j_L(z)^2 = 1, either set moves the
     localization bracket by at most _GL_RTOL a_0.
     """
-    rows = [None] * len(energies)
-    todo = list(range(len(energies)))
-    n = _GL_START
-    while todo:
-        if n > _GL_MAX:
-            raise QuadratureError("angular moments did not settle")
-        nodes, weights = _gl_rule(n)
-        g = np.array([np.abs(amp(nodes, energies[i])) ** 2 for i in todo])
-        moments = _legendre_moments(g, nodes, weights)
-        settled = np.all(np.abs(moments[:, n // 2:]) <= _GL_RTOL * moments[:, :1]
-                         * (2 * np.arange(n // 2, n) + 1), axis=1)
-        for i, row, ok in zip(todo, moments, settled):
-            if ok:
-                rows[i] = row[:n // 2]
-        todo = [i for i, ok in zip(todo, settled) if not ok]
-        n *= 2
-    width = 1 + max(np.flatnonzero(np.abs(row) > _GL_RTOL * row[0]).max(initial=0)
-                    for row in rows)
-    table = np.zeros((len(rows), width))
-    for i, row in enumerate(rows):
-        table[i, :min(width, row.size)] = row[:width]
-    return table
+    coeffs = amp.coefficients(np.asarray(energies, dtype=float))
+    width = coeffs.shape[1]
+    nodes, weights = _gl_rule(2 * width)
+    vander = legvander(nodes, 2 * width - 2)
+    f2 = np.abs(coeffs @ vander[:, :width].T) ** 2
+    rows = ((f2 * weights) @ vander) * (np.arange(2 * width - 1) + 0.5)
+    kept = np.abs(rows) > _GL_RTOL * rows[:, :1]
+    return rows[:, :1 + np.flatnonzero(kept.any(axis=0)).max(initial=0)]
 
 
 @dataclass(frozen=True)
@@ -459,14 +439,14 @@ class RateTensor:
 
 def energy_shifts(spec: ChannelSpec, gas: GasModel) -> np.ndarray:
     """Forward-scattering energy renormalization per channel:
-    eps_a = -(2 pi n/m) <Re f_aa(forward)>."""
+    eps_a = -(2 pi n/m) <Re f_aa(forward)>, with f(forward) = sum_l c_l."""
     shifts = np.zeros(spec.n_channels)
     for alpha in range(spec.n_channels):
         amp = spec.amplitudes.get((alpha, alpha))
         if amp is None:
             continue
         shifts[alpha] = -2.0 * math.pi * gas.n_gas / gas.m * _speed_average(
-            gas, lambda v: float(amp(np.array([1.0]), 0.5 * gas.m * v * v)[0].real))
+            gas, lambda v: float(_row(amp, 0.5 * gas.m * v * v).sum().real))
     return shifts
 
 
@@ -481,9 +461,7 @@ def _pair_rate(spec: ChannelSpec, gas: GasModel, alpha, beta, alpha0, beta0) -> 
     def per_speed(v):
         energy = 0.5 * gas.m * v * v
         v_out = math.sqrt(max(v * v - 2.0 * delta_e / gas.m, 0.0))
-        angular = _angular_integral(
-            lambda c: f_a(c, energy) * np.conj(f_b(c, energy)))
-        return v_out * 2.0 * math.pi * angular
+        return v_out * 2.0 * math.pi * _overlap(_row(f_a, energy), _row(f_b, energy))
 
     return gas.n_gas * _speed_average(gas, per_speed, s_lo=s_lo, complex_valued=True)
 
@@ -523,14 +501,16 @@ def dot_rate_tensor(spec: ChannelSpec, gas: GasModel) -> RateTensor:
 def elastic_dephasing_rate(amp_a: IsotropicAmplitude, amp_b: IsotropicAmplitude,
                            gas: GasModel) -> float:
     """Coherence decay between two elastic channels:
-    pi n <v int |f_a - f_b|^2 dcos>. Vanishes only when the gas cannot
-    distinguish the two channels."""
+    pi n <v int |f_a - f_b|^2 dcos> = 2 pi n <v sum_l |c_{a,l} - c_{b,l}|^2 / (2l+1)>.
+    Vanishes only when the gas cannot distinguish the two channels."""
 
     def per_speed(v):
         energy = 0.5 * gas.m * v * v
-        diff = _angular_integral(
-            lambda c: np.abs(amp_a(c, energy) - amp_b(c, energy)) ** 2)
-        return v * math.pi * float(diff.real)
+        c_a, c_b = _row(amp_a, energy), _row(amp_b, energy)
+        diff = np.zeros(max(c_a.size, c_b.size), dtype=complex)
+        diff[:c_a.size] += c_a
+        diff[:c_b.size] -= c_b
+        return v * math.pi * _overlap(diff, diff).real
 
     return gas.n_gas * _speed_average(gas, per_speed)
 

@@ -225,12 +225,16 @@ def evolve(gen: LindbladGenerator, rho: np.ndarray, t: float) -> np.ndarray:
     if gen.dim <= _EXPM_DIM_MAX:
         return expm_apply(liouvillian(gen), rho, t)
     d = gen.dim
-
-    def rhs(_, y):
-        return apply_generator(gen, y.reshape(d, d)).ravel()
-
-    sol = solve_ivp(rhs, (0.0, t), rho.ravel().astype(complex),
-                    method="RK45", rtol=_RK_RTOL, atol=1e-12)
+    # scipy's solver sits in a reference cycle of its own closures; the
+    # right-hand side reaches gen through `held`, emptied on the way out, so
+    # the cycle does not keep gen alive until the cycle collector runs
+    held = [gen]
+    try:
+        sol = solve_ivp(lambda _, y: apply_generator(held[0], y.reshape(d, d)).ravel(),
+                        (0.0, t), rho.ravel().astype(complex),
+                        method="RK45", rtol=_RK_RTOL, atol=1e-12)
+    finally:
+        held.clear()
     if not sol.success:
         raise PhysicsError(f"propagation failed: {sol.message}")
     return sol.y[:, -1].reshape(d, d)

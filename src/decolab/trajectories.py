@@ -67,8 +67,14 @@ class _NoJumpPropagator:
                     ).reshape(psi.shape)
         if self.mode == "expm":
             return expm(-1j * tau * self.h_c) @ psi
-        sol = solve_ivp(lambda _, y: -1j * (self.h_c @ y.reshape(self.dim, -1)).ravel(),
-                        (0.0, tau), psi.ravel(), method="RK45", rtol=1e-10, atol=1e-13)
+        # the right-hand side reaches H_C through `held`, emptied on the way
+        # out, so scipy's self-referencing solver does not keep it alive
+        held, dim = [self.h_c], self.dim
+        try:
+            sol = solve_ivp(lambda _, y: -1j * (held[0] @ y.reshape(dim, -1)).ravel(),
+                            (0.0, tau), psi.ravel(), method="RK45", rtol=1e-10, atol=1e-13)
+        finally:
+            held.clear()
         if not sol.success:
             raise PhysicsError(f"no-jump propagation failed: {sol.message}")
         return sol.y[:, -1].reshape(psi.shape)

@@ -104,6 +104,20 @@ class TestValidate:
         assert main(["validate", write_config(tmp_path, bad)]) == 2
         assert "not both" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("amp_im", [None, 0, 0.0])
+    def test_collide_rejects_zero_constant_amplitude(self, tmp_path, capsys, amp_im):
+        params = {"n_gas": 1.0, "mass": 1.0, "temperature": 1.0, "amp_re": 0,
+                  "n_points": 2}
+        if amp_im is not None:
+            params["amp_im"] = amp_im
+        cfg = write_config(tmp_path, {"scenario": "collide", "params": params})
+        assert main(["validate", cfg]) == 2
+        assert "params.amp_re:" in capsys.readouterr().out
+        assert main(["run", cfg, "--output", str(tmp_path / "zero.csv")]) == 2
+        assert "params.amp_re:" in "".join(capsys.readouterr())
+        params["amp_im"] = 0.3
+        assert validate_config({"scenario": "collide", "params": params}) == []
+
     def test_nqubit_pair_index_range(self, tmp_path, capsys):
         bad = {"scenario": "nqubit",
                "params": {"n_qubits": 2, "pairs": [[0, 4]]}}

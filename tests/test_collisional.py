@@ -1,11 +1,12 @@
 """Scattering-rate tests: Maxwell moments, amplitude built-ins, localization
 saturation, momentum-transfer sum rule, channel rate tensor."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import legmul
+from numpy.polynomial.legendre import leggauss, legmul
 from scipy.integrate import quad, solve_ivp
 from scipy.special import spherical_jn, spherical_yn
 
@@ -13,7 +14,6 @@ from decolab.collisional import (
     _SPEED_CUT,
     ChannelSpec,
     GasModel,
-    IsotropicAmplitude,
     constant_amplitude,
     dot_master_rhs,
     dot_rate_tensor,
@@ -81,6 +81,25 @@ def quad_localization_rate(amp, gas, x):
 
     outer = _oracle_quad(inner, 0.0, 2.0)
     return smooth - gas.n_gas * 8.0 * math.sqrt(math.pi) / (gas.m * x) * outer
+
+
+def gl_ladder_integral(g):
+    """Integral of g over cos theta in [-1, 1] on Gauss-Legendre rules of 64,
+    128, ... nodes, doubled until two successive values agree within 1e-10
+    relative, with at most 8192 nodes: quadrature that knows nothing of the
+    partial-wave coefficients behind g. A g with trailing axes is integrated
+    elementwise, and every element must settle."""
+    n = 64
+    nodes, weights = leggauss(n)
+    value = np.tensordot(weights, g(nodes), axes=1)
+    while n < 8192:
+        n *= 2
+        nodes, weights = leggauss(n)
+        refined = np.tensordot(weights, g(nodes), axes=1)
+        if np.all(np.abs(refined - value) <= 1e-10 * np.abs(refined)):
+            return refined
+        value = refined
+    raise AssertionError(f"angular ladder did not settle: {value}")
 
 
 def hard_sphere_partial_waves(radius, mass, energy):
@@ -252,6 +271,69 @@ class TestAgainstQuadratureOracle:
             assert np.all(np.abs(row[:width] - exact[:width]) <= 1e-13 * bound)
             # moments past the table are below _GL_RTOL a_0
             assert np.all(np.abs(exact[width:]) <= 1e-10 * exact[0])
+
+    def test_coefficients_over_energies_are_the_per_energy_rows(self):
+        """One call over an energy array gives each energy's partial waves,
+        zero-padded to the largest energy's cutoff, and the s-wave limit
+        c_0 = -r below kr = 1e-8."""
+        energies = np.array([1e-20, 1e-3, 0.5, 8.0, 40.0])
+        table = hard_sphere_amplitude(0.5, 1.0).coefficients(energies)
+        assert table.shape == (5, hard_sphere_partial_waves(0.5, 1.0, 40.0).size)
+        np.testing.assert_array_equal(table[0], -0.5 * np.eye(1, table.shape[1])[0])
+        for row, energy in zip(table[1:], energies[1:]):
+            c = hard_sphere_partial_waves(0.5, 1.0, energy)
+            np.testing.assert_array_equal(row[:c.size], c)
+            assert np.all(np.abs(row[c.size:]) <= 1e-8 * np.abs(c).sum())
+
+
+HARD_A, HARD_B = hard_sphere_amplitude(0.5, 1.0), hard_sphere_amplitude(1.0, 1.0)
+
+
+@functools.cache
+def ladder_per_speed(v):
+    """By the angular ladder at gas speed v: v 2 pi int f_x f_y^* dcos for
+    (x, y) = (a, a), (b, b), (a, b), then v pi int |f_a - f_b|^2 dcos, then
+    both forward amplitudes, for the hard spheres HARD_A and HARD_B."""
+    energy = 0.5 * GAS.m * v * v
+
+    def g(c):
+        a, b = HARD_A(c, energy), HARD_B(c, energy)
+        return np.stack([a * a.conj(), b * b.conj(), a * b.conj(),
+                         0.5 * np.abs(a - b) ** 2], axis=-1)
+
+    forward = [amp(np.array([1.0]), energy)[0] for amp in (HARD_A, HARD_B)]
+    return np.concatenate([v * 2.0 * math.pi * gl_ladder_integral(g), forward])
+
+
+class TestAgainstAngularLadder:
+    """The exact partial-wave sums against Gauss-Legendre quadrature of the
+    amplitude itself, for hard spheres (up to 31 partial waves here)."""
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0])
+    def test_total_cross_section(self, radius):
+        amp = hard_sphere_amplitude(radius, 1.0)
+        for energy in (1e-3, 0.5, 8.0, 40.0):
+            ladder = gl_ladder_integral(lambda c: np.abs(amp(c, energy)) ** 2)
+            assert total_cross_section(amp, energy) == pytest.approx(
+                2.0 * math.pi * ladder, rel=1e-10)
+
+    def test_elastic_dephasing_integrand(self):
+        ladder = GAS.n_gas * _speed_average(GAS, lambda v: ladder_per_speed(v)[3].real)
+        assert elastic_dephasing_rate(HARD_A, HARD_B, GAS) == pytest.approx(
+            ladder, rel=1e-10)
+
+    def test_two_hard_sphere_channels(self):
+        """Pair rates of two elastic channels scattering as hard spheres of
+        different radii, and their forward-amplitude energy shifts."""
+        tensor = dot_rate_tensor(two_channel_elastic(HARD_A, HARD_B), GAS)
+        for i, cell in enumerate(((0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 0, 1))):
+            ladder = GAS.n_gas * _speed_average(
+                GAS, lambda v: ladder_per_speed(v)[i], complex_valued=True)
+            assert tensor.m[cell] == pytest.approx(ladder, rel=1e-10)
+        for alpha in (0, 1):
+            forward = _speed_average(GAS, lambda v: ladder_per_speed(v)[4 + alpha].real)
+            assert tensor.eps[alpha] == pytest.approx(
+                -2.0 * math.pi * GAS.n_gas / GAS.m * forward, rel=1e-10)
 
 
 class TestMomentumGain:

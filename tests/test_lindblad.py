@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import random_density, random_generator, random_hermitian, random_state
+from decolab import lindblad
 from decolab.errors import DimensionError, PhysicsError
 from decolab.lindblad import (
     CoherentStateSpec,
@@ -265,6 +268,22 @@ class TestDampedOscillator:
             alpha_t = 1.0 * np.exp(-1j * omega * t - 0.5 * gamma * t)
             target = coherent_state(CoherentStateSpec(alpha_t, n_max))
             assert fidelity(rho_t, target) >= 0.999
+
+    def test_rk_path_frees_generator_without_cycle_collector(self, monkeypatch):
+        """Once evolve returns, nothing scipy's solver left behind keeps the
+        generator (and its dense matrices) alive."""
+        monkeypatch.setattr(lindblad, "_EXPM_DIM_MAX", 0)
+        gen = damped_oscillator_generator(1.0, 0.5, 6)
+        rho0 = coherent_state(CoherentStateSpec(0.5, 6))
+        ref = weakref.ref(gen)
+        gc.disable()
+        try:
+            rho_t = evolve(gen, rho0, 0.5)
+            assert np.trace(rho_t).real == pytest.approx(1.0, abs=1e-9)
+            del gen
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_coherent_vector_amplitudes(self):
         alpha, n_max = 1.3 + 0.4j, 25

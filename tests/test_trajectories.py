@@ -1,6 +1,8 @@
 """Jump-unravelling tests: waiting-time law, record densities, ensemble limit."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -202,6 +204,21 @@ class TestPropagatorModes:
             single = [sample_jump_time(psi, gen, u, 4.0) for u in self.US]
             record = JumpRecord(((0.4, 0), (1.7, 0), (2.05, 0)), 3.5)
             return batch, single, record_operator(record, gen)
+
+    def test_rk_mode_frees_propagator_without_cycle_collector(self, monkeypatch):
+        """Once the caller drops an rk-mode propagator, nothing scipy's solver
+        left behind keeps it (and its dense H_C) alive."""
+        self.force(monkeypatch, "rk")
+        prop = trajectories._NoJumpPropagator(driven_decay_generator(1.3, 0.9))
+        assert prop.mode == "rk"
+        ref = weakref.ref(prop)
+        gc.disable()
+        try:
+            assert np.linalg.norm(prop.apply(KET0, 0.5)) < 1.0
+            del prop
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_every_mode_agrees(self, monkeypatch):
         ref_times, _, ref_op = self.results(monkeypatch, "eig")
