@@ -552,6 +552,11 @@ def _run_collide(cfg):
     xs = np.geomspace(p["x_min"], p["x_max"], p["n_points"])
     rates = [localization_rate(amp, gas, x) for x in xs]
     sat = saturation_rate(amp, gas)
+    if sat == 0.0:
+        f = abs(complex(amp(1.0, p["temperature"])))
+        raise PhysicsError(f"saturation rate n<sigma v> = {sat!r} underflowed: "
+                           f"forward |f| = {f:.3g}, |f|^2 = {f * f:.3g} at "
+                           f"E = T, n_gas = {p['n_gas']:.3g}")
     columns = {"x": [float(x) for x in xs], "rate": rates}
     return columns, [f"saturation rate n<sigma v> = {sat:.6g}",
                      f"rate at x_max reaches {rates[-1] / sat:.4%} of saturation"]

@@ -378,6 +378,20 @@ class TestExitCodes:
         assert main(["run", write_config(tmp_path, bad)]) == 2
         assert "error: schema" in capsys.readouterr().err
 
+    def test_collide_saturation_underflow_exits_3(self, tmp_path, capsys):
+        # |f|^2 = 1e-400 is 0 in double precision, so n<sigma v> is exactly 0
+        params = {"n_gas": 1.0, "mass": 1.0, "temperature": 1.0,
+                  "amp_re": 1e-200, "n_points": 2}
+        cfg = write_config(tmp_path, {"scenario": "collide", "params": params})
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "tiny.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "saturation rate" in err and "|f|^2 = 0" in err
+        assert "|f| = 1e-200" in err
+        assert not out.exists()
+
     def test_physics_failure_exits_3(self, tmp_path, capsys):
         # span far below the 10 sigma0 floor trips the grid validation
         bad = {"scenario": "pointer",

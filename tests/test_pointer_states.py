@@ -1,13 +1,16 @@
 """Pointer-state tests: sieve oracles by 2x2 and coherent-state algebra,
-vector-vs-projector flow consistency, grid soliton convergence."""
+vector-vs-projector flow consistency, grid soliton convergence, the Riccati
+closed form of Gaussian widths, and the per-call flow derivative and dense
+DFT kinetic matrix kept as oracles for the compiled routes."""
 
+import cmath
 import gc
 import math
 import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import circulant, dft, expm
 
 from decolab.errors import PhysicsError
 from decolab.lindblad import (
@@ -17,8 +20,10 @@ from decolab.lindblad import (
     damped_oscillator_generator,
     destroy,
 )
+from decolab.operator_core import dag, herm_part
 from decolab.pointer_states import (
     RobustStateFlow,
+    _flow_rhs,
     evolve_robust,
     linear_entropy_rate,
     nonlinear_rhs,
@@ -46,6 +51,42 @@ def conjugated(gen, u):
     return LindbladGenerator(
         hamiltonian=u @ gen.hamiltonian @ u.conj().T,
         channels=tuple((r, u @ op @ u.conj().T) for r, op in gen.channels))
+
+
+def per_call_rhs(xi, gen):
+    """The flow derivative as first written: every operator product formed
+    on every call, L+L applied as dag(L) @ (L xi)."""
+    xi = np.asarray(xi, dtype=complex)
+    out = -1j * (gen.hamiltonian @ xi)
+    for rate, op in gen.channels:
+        l_xi = op @ xi
+        exp_l = np.vdot(xi, l_xi)
+        ll_xi = dag(op) @ l_xi
+        exp_ll = np.vdot(xi, ll_xi).real
+        out = out + rate * (np.conj(exp_l) * (l_xi - exp_l * xi)
+                            - 0.5 * (ll_xi - exp_ll * xi))
+    return out
+
+
+def dft_kinetic(grid, m):
+    """Spectral p^2/2m as the dense product F+ diag(k^2/2m) F, F the unitary
+    DFT matrix: O(n^3) to build."""
+    n = grid.size
+    k = 2.0 * math.pi * np.fft.fftfreq(n, d=grid[1] - grid[0])
+    f = dft(n, scale="sqrtn")
+    return herm_part(f.conj().T @ ((k**2)[:, None] / (2.0 * m) * f))
+
+
+def riccati_width(m, gamma, temperature, width0, t):
+    """Width of the Gaussian exp(-a x^2 + b x) under the monitored free
+    particle's flow: da/dt = c1 - c2 a^2 with c1 = 2 gamma m T and
+    c2 = 2i/m, solved by a = r tanh(kappa t + artanh(a0/r)), r = sqrt(c1/c2),
+    kappa = sqrt(c1 c2); sigma^2 = 1/(4 Re a)."""
+    c1, c2 = 2.0 * gamma * m * temperature, 2j / m
+    r, kappa = cmath.sqrt(c1 / c2), cmath.sqrt(c1 * c2)
+    a0 = 1.0 / (4.0 * width0**2)
+    a = r * cmath.tanh(kappa * t + cmath.atanh(a0 / r))
+    return 1.0 / (2.0 * math.sqrt(a.real))
 
 
 class TestRobustStateFlow:
@@ -149,6 +190,27 @@ class TestNonlinearRhs:
         bracket = np.conj(exp_a) * (a @ xi - exp_a * xi)
         assert np.linalg.norm(bracket) <= 1e-6
 
+    def test_compiled_matches_per_call_route(self, rng):
+        """The compiled derivative against the per-call one, on generators
+        mixing a diagonal channel (one zero on its diagonal) with dense ones,
+        one of which is nonzero off the diagonal in a single entry."""
+        from conftest import random_hermitian, random_state
+        for dim in (2, 3, 5, 16):
+            d = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            d[dim // 2] = 0.0
+            dense = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            corner = np.diag(rng.normal(size=dim)).astype(complex)
+            corner[0, dim - 1] = 0.4 - 0.2j
+            gen = LindbladGenerator(random_hermitian(rng, dim),
+                                    ((0.7, np.diag(d)), (1.3, dense), (0.4, corner)))
+            rhs = _flow_rhs(gen)
+            for _ in range(3):
+                xi = random_state(rng, dim)
+                expected = per_call_rhs(xi, gen)
+                scale = np.linalg.norm(expected)
+                assert np.linalg.norm(rhs(xi) - expected) <= 1e-13 * scale
+                assert np.array_equal(nonlinear_rhs(xi, gen), rhs(xi))
+
     def test_dephasing_pointer_state_is_fixed_ray(self):
         gen = LindbladGenerator(hamiltonian=0.5 * 1.1 * SZ, channels=((0.8, SZ),))
         xi = np.array([1.0, 0.0], dtype=complex)
@@ -189,15 +251,18 @@ class TestEvolveRobust:
 
     def test_generator_freed_without_cycle_collector(self):
         """Once the snapshots are dropped, nothing the integrator left
-        behind keeps the generator (and its dense matrices) alive."""
-        gen = dephasing_qubit(0.6)
-        ref = weakref.ref(gen)
+        behind, the compiled right-hand side included, keeps the generator
+        or its matrices alive: one diagonal and one dense channel."""
+        gen = LindbladGenerator(hamiltonian=0.7 * SX,
+                                channels=((0.6, SZ.copy()), (0.2, SX.copy())))
+        refs = [weakref.ref(gen), weakref.ref(gen.hamiltonian)]
+        refs += [weakref.ref(op) for _, op in gen.channels]
         gc.disable()
         try:
             snaps = evolve_robust(bloch_state(1.1), gen, 1.5)
             assert len(snaps) > 2
             del snaps, gen
-            assert ref() is None
+            assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             gc.enable()
 
@@ -227,8 +292,35 @@ class TestEvolveRobust:
         final = evolve_robust(xi0, gen, 6.0)[-1]
         assert state_width(grid, final.xi) == pytest.approx(sigma0, rel=0.05)
 
+    @pytest.mark.parametrize("m, gamma, temp", [(1.0, 1.0, 1.0), (2.0, 0.5, 1.5),
+                                                (1.0, 1.0 / 8.0, 1.0)])
+    def test_widths_follow_riccati_closed_form(self, m, gamma, temp):
+        """A Gaussian stays Gaussian under the flow, its width following the
+        Riccati solution at every accepted step. The grid spans +-30 sigma_0
+        so the initial state's cut-off tail stays below the bar."""
+        sigma0 = qbm_soliton_width(m, gamma, temp)
+        grid = np.linspace(-30.0 * sigma0, 30.0 * sigma0, 256)
+        gen = qbm_pointer_generator(m, gamma, temp, grid)
+        xi0 = np.exp(-grid**2 / (4.0 * (2.0 * sigma0) ** 2)).astype(complex)
+        xi0 /= np.linalg.norm(xi0)
+        snaps = evolve_robust(xi0, gen, 2.0)
+        assert snaps[-1].t == 2.0
+        for snap in snaps:
+            expected = riccati_width(m, gamma, temp, 2.0 * sigma0, snap.t)
+            assert state_width(grid, snap.xi) == pytest.approx(expected, rel=1e-9)
+
 
 class TestQbmPointerModel:
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_kinetic_matches_dense_dft_product(self, n):
+        grid = np.linspace(-10.0, 10.0, n)
+        h = qbm_pointer_generator(1.0, 1.0 / 8.0, 1.0, grid).hamiltonian
+        oracle = dft_kinetic(grid, 1.0)
+        assert np.max(np.abs(h - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        assert not np.any(h.imag)
+        assert np.array_equal(h, h.T)
+        assert np.array_equal(h, circulant(h[:, 0]))
+
     def test_kinetic_term_is_spectral(self):
         grid = np.linspace(-10.0, 10.0, 256)
         gen = qbm_pointer_generator(1.0, 1.0 / 8.0, 1.0, grid)
