@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -62,6 +63,9 @@ SCENARIOS = ("cat", "collide", "dephase", "dot", "lindblad", "nqubit",
              "pointer", "qbm", "traject", "weakcoupling")
 _FORMATS = ("csv", "json")
 _UNITS = ("natural", "si")
+# "final,initial" keys of `dot` amplitudes, ASCII digits only; the schema's
+# patternProperties in docs/config_schema.json is this same pattern
+_AMP_KEY = re.compile(r"^([0-9]+), *([0-9]+)$")
 
 
 @dataclass(frozen=True)
@@ -206,6 +210,12 @@ def _is_num(value) -> bool:
         and math.isfinite(value)
 
 
+def _amp_pair(key):
+    """The (final, initial) index pair a `dot` amplitude key names, or None."""
+    match = _AMP_KEY.fullmatch(key) if isinstance(key, str) else None
+    return None if match is None else (int(match[1]), int(match[2]))
+
+
 def _check_kind(value, kind):
     if kind == "num":
         return None if _is_num(value) else "must be a finite number"
@@ -236,10 +246,15 @@ def _check_kind(value, kind):
     if kind == "ampmap":
         if not isinstance(value, dict) or not value:
             return "must be a nonempty map of \"a,b\" keys to [re, im] pairs"
+        named = {}
         for key, pair in value.items():
-            parts = key.split(",") if isinstance(key, str) else []
-            if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+            indices = _amp_pair(key)
+            if indices is None:
                 return f"key {key!r} is not of the form \"a,b\""
+            if indices in named:
+                return (f"keys {named[indices]!r} and {key!r} name the same "
+                        f"(final, initial) pair {indices}")
+            named[indices] = key
             if _check_kind(pair, "complexpair"):
                 return f"entry {key!r} must be a [re, im] pair"
         return None
@@ -296,9 +311,8 @@ def _extra_violations(scenario: str, units: str, params: dict) -> list:
             and isinstance(params.get("amplitudes"), dict):
         top = len(params["energies"])
         for key in params["amplitudes"]:
-            parts = [p.strip() for p in str(key).split(",")]
-            if len(parts) == 2 and all(p.isdigit() for p in parts) \
-                    and any(int(p) >= top for p in parts):
+            indices = _amp_pair(key)
+            if indices is not None and max(indices) >= top:
                 bad.append(f"params.amplitudes: key {key!r} outside the "
                            f"{top}-channel range")
     if scenario == "pointer" and units == "natural":
@@ -565,10 +579,8 @@ def _run_collide(cfg):
 def _run_dot(cfg):
     p = cfg.params
     gas = GasModel(n_gas=p["n_gas"], m=p["mass"], temperature=p["temperature"])
-    amps = {}
-    for key, pair in p["amplitudes"].items():
-        a, b = (int(part) for part in key.split(","))
-        amps[(a, b)] = constant_amplitude(complex(*pair))
+    amps = {_amp_pair(key): constant_amplitude(complex(*pair))
+            for key, pair in p["amplitudes"].items()}
     spec = ChannelSpec(energies=tuple(p["energies"]), amplitudes=amps)
     tensor = dot_rate_tensor(spec, gas)
     n = spec.n_channels

@@ -15,9 +15,14 @@ amplitude is sum_l c_l. |f|^2 is a polynomial of degree 2 l_max in
 cos theta, so its Legendre moments a_L are exact on one Gauss-Legendre rule
 of 2 l_max + 2 nodes.
 
-The localization and saturation rates come from one table: the moments a_L
-of |f|^2 at the nodes of a composite Gauss-Legendre rule in the reduced
-speed s = v/v_th. The spherical-Bessel addition theorem
+Every thermal average uses one composite Gauss-Legendre rule in the reduced
+speed s = v/v_th on [0, _SPEED_CUT], doubled until the value settles, with
+each amplitude's coefficients computed once per rule. Above the threshold
+s_lo = sqrt(gap/T) of an upward gap, s^2 = u^2 + s_lo^2 with u on the rule
+makes the outgoing speed exactly v_th u: no square-root edge at threshold.
+
+The localization and saturation rates come from one table on that rule: the
+moments a_L of |f|^2 at its nodes. The spherical-Bessel addition theorem
 j0(2z sin(theta/2)) = sum_L (2L+1) j_L(z)^2 P_L(cos theta) turns the angular
 integral of |f|^2 sinc into the sum 2 sum_L a_L j_L(z)^2, so only the speed
 integral is left (Hornberger & Sipe, PRA 68, 012105 (2003)).
@@ -26,12 +31,13 @@ Natural units: hbar = k_B = 1; masses and temperatures in matching units.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legval, legvander
-from scipy.integrate import quad
 from scipy.special import spherical_jn, spherical_yn
 
 from .errors import DimensionError, PhysicsError, QuadratureError
@@ -40,7 +46,6 @@ _GL_MAX = 8192
 _GL_RTOL = 1e-10
 # Maxwell weight exp(-s^2) at s = 8 leaves a relative tail below 1e-12
 _SPEED_CUT = 8.0
-_QUAD_OPTS = {"epsabs": 1e-13, "epsrel": 1e-11, "limit": 400}
 # Gauss-Legendre nodes per speed panel, and panels of the coarsest speed table
 _PANEL_ORDER = 16
 _PANEL_START = 4
@@ -90,13 +95,8 @@ class IsotropicAmplitude:
     coefficients: object
 
     def __call__(self, cos_theta, energy):
-        return np.asarray(legval(np.asarray(cos_theta, dtype=float), _row(self, energy)),
-                          dtype=complex)
-
-
-def _row(amp: IsotropicAmplitude, energy: float) -> np.ndarray:
-    """The Legendre coefficients c_l of amp at one energy."""
-    return amp.coefficients(np.array([float(energy)]))[0]
+        row = self.coefficients(np.array([float(energy)]))[0]
+        return np.asarray(legval(np.asarray(cos_theta, dtype=float), row), dtype=complex)
 
 
 def constant_amplitude(value) -> IsotropicAmplitude:
@@ -136,52 +136,67 @@ def hard_sphere_amplitude(radius: float, mass: float) -> IsotropicAmplitude:
     return IsotropicAmplitude(coefficients)
 
 
-_GL_CACHE: dict = {}
-
-
+@functools.cache
 def _gl_rule(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
-def _overlap(c_a: np.ndarray, c_b: np.ndarray) -> complex:
-    """int f_a f_b^* dcos theta = 2 sum_l c_{a,l} c_{b,l}^* / (2l+1) for the
-    coefficient rows of f_a and f_b; orders past the shorter row add 0."""
-    width = min(c_a.size, c_b.size)
-    return 2.0 * np.vdot(c_b[:width], c_a[:width] / (2 * np.arange(width) + 1))
+def _overlap(c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
+    """int f_a f_b^* dcos theta = 2 sum_l c_{a,l} c_{b,l}^* / (2l+1), row by
+    row, for coefficient rows of f_a and f_b along the last axis; orders past
+    the shorter row add 0."""
+    width = min(c_a.shape[-1], c_b.shape[-1])
+    terms = c_a[..., :width] / (2 * np.arange(width) + 1) * c_b[..., :width].conj()
+    return 2.0 * terms.sum(axis=-1)
 
 
-def _checked_quad(func, lo, hi, **kwargs):
-    opts = dict(_QUAD_OPTS)
-    opts.update(kwargs)
-    value, abserr = quad(func, lo, hi, full_output=1, **opts)[:2]
-    if abserr > 1e-6 * abs(value) + 1e-12:
-        raise QuadratureError(
-            f"speed quadrature error estimate {abserr:.2e} too large", estimate=value)
-    return value
+def _speed_rule(n_panels: int):
+    """Nodes and weights of n_panels equal _PANEL_ORDER-point Gauss-Legendre
+    panels on [0, _SPEED_CUT]."""
+    ref, w = _gl_rule(_PANEL_ORDER)
+    half = 0.5 * _SPEED_CUT / n_panels
+    nodes = (half * (2 * np.arange(n_panels)[:, None] + 1 + ref)).ravel()
+    return nodes, np.tile(half * w, n_panels)
 
 
-def _speed_average(gas: GasModel, g, s_lo: float = 0.0, complex_valued: bool = False):
-    """Thermal average int dv nu(v) g(v), optionally restricted to v above a
-    threshold expressed in thermal units s = v/sqrt(2T/m)."""
-    vt = gas.thermal_speed
-    pref = 4.0 / math.sqrt(math.pi)
+def _settled(weighted_terms):
+    """Sum of weighted_terms(n_panels) on speed rules of _PANEL_START, 2x,
+    4x ... panels, until two successive sums agree within _GL_RTOL of the sum
+    of the terms' magnitudes (at most _GL_MAX nodes), so an integrand that
+    changes sign or phase settles even where its value cancels."""
+    value = None
+    n_panels = _PANEL_START
+    while n_panels * _PANEL_ORDER <= _GL_MAX:
+        terms = weighted_terms(n_panels)
+        refined = np.sum(terms)
+        if value is not None and abs(refined - value) <= _GL_RTOL * np.sum(np.abs(terms)):
+            return refined
+        value = refined
+        n_panels *= 2
+    raise QuadratureError("speed integral did not settle", estimate=value)
 
-    def integrand(s):
-        return pref * s * s * math.exp(-s * s) * g(vt * s)
 
-    s_hi = math.sqrt(s_lo * s_lo + _SPEED_CUT * _SPEED_CUT)
-    if complex_valued:
-        re = _checked_quad(lambda s: integrand(s).real, s_lo, s_hi)
-        im = _checked_quad(lambda s: integrand(s).imag, s_lo, s_hi)
-        return complex(re, im)
-    return _checked_quad(integrand, s_lo, s_hi)
+def _maxwell_average(gas: GasModel, per_speed, gap: float = 0.0):
+    """Thermal average int dv nu(v) g(v) over the speeds that can pay an
+    energy gap, with g = per_speed(energy, v_out) at arrays of incoming
+    kinetic energies and outgoing speeds. In u, with s^2 = u^2 + max(gap, 0)/T,
+    the measure is (4/sqrt(pi)) u s e^{-s^2} du and
+    v_out = v_th sqrt(u^2 + max(-gap, 0)/T), the incoming speed when gap = 0."""
+    s_lo2 = max(gap, 0.0) / gas.temperature
+    down2 = max(-gap, 0.0) / gas.temperature
+
+    def weighted_terms(n_panels):
+        u, w = _speed_rule(n_panels)
+        s2 = u * u + s_lo2
+        g = per_speed(gas.temperature * s2, gas.thermal_speed * np.sqrt(u * u + down2))
+        return 4.0 / math.sqrt(math.pi) * w * u * np.sqrt(s2) * np.exp(-s2) * g
+
+    return _settled(weighted_terms)
 
 
 def total_cross_section(amp: IsotropicAmplitude, energy: float) -> float:
     """sigma(E) = 2 pi int |f|^2 dcos = 4 pi sum_l |c_l|^2 / (2l+1)."""
-    c = _row(amp, energy)
+    c = amp.coefficients(np.array([float(energy)]))[0]
     return 2.0 * math.pi * float(_overlap(c, c).real)
 
 
@@ -217,29 +232,18 @@ class _SpeedTable:
 
 
 def _speed_table(amp: IsotropicAmplitude, gas: GasModel, n_panels: int) -> _SpeedTable:
-    ref, w = _gl_rule(_PANEL_ORDER)
-    half = 0.5 * _SPEED_CUT / n_panels
-    s = (half * (2 * np.arange(n_panels)[:, None] + 1 + ref)).ravel()
-    weight = np.tile(half * w, n_panels) * s**3 * np.exp(-s * s)
+    s, w = _speed_rule(n_panels)
+    weight = w * s**3 * np.exp(-s * s)
     moments = _moment_rows(amp, 0.5 * gas.m * (gas.thermal_speed * s) ** 2)
     return _SpeedTable(n_panels, s, weight, moments)
 
 
 def _settled_rate(amp: IsotropicAmplitude, gas: GasModel, integral) -> float:
-    """16 sqrt(pi) n v_th integral(table), on speed tables of _PANEL_START,
-    2x, 4x ... panels until two successive values agree within _GL_RTOL, with
-    at most _GL_MAX nodes. The prefactor is n v_th (4/sqrt(pi)) 4 pi, so the
+    """16 sqrt(pi) n v_th integral(table), settled over the speed tables of
+    successive rules. The prefactor is n v_th (4/sqrt(pi)) 4 pi, so the
     table's sum of s^3 e^{-s^2} a_0 gives n <sigma v> with sigma = 4 pi a_0."""
     pref = 16.0 * math.sqrt(math.pi) * gas.n_gas * gas.thermal_speed
-    value = None
-    n_panels = _PANEL_START
-    while n_panels * _PANEL_ORDER <= _GL_MAX:
-        refined = pref * integral(_speed_table(amp, gas, n_panels))
-        if value is not None and abs(refined - value) <= _GL_RTOL * abs(refined):
-            return refined
-        value = refined
-        n_panels *= 2
-    raise QuadratureError("speed integral did not settle", estimate=value)
+    return float(_settled(lambda n_panels: pref * integral(_speed_table(amp, gas, n_panels))))
 
 
 def _saturation_integral(table: _SpeedTable) -> float:
@@ -357,13 +361,12 @@ def momentum_gain_rate(amp: IsotropicAmplitude, gas: GasModel, q_grid):
 
     The energy-shell constraint is eliminated analytically (the incoming
     momentum component along Q is pinned to Q/2), leaving a single radial
-    integral over incoming momenta p0 >= Q/2. Returns a callable with the
-    supplied grid and its values attached as .grid / .grid_values; integrating
-    M_in over all transfers recovers the total collision rate.
+    integral over incoming momenta p0 = Q/2 + p_th u, u on the speed rule.
+    Returns a callable with the supplied grid and its values attached as
+    .grid / .grid_values; integrating M_in over all transfers recovers the
+    total collision rate.
     """
     q_grid = np.asarray(q_grid, dtype=float)
-    if np.any(q_grid < 0):
-        raise PhysicsError("momentum transfer must be nonnegative")
     m, temp, n = gas.m, gas.temperature, gas.n_gas
     p_th = math.sqrt(2.0 * m * temp)
     mu_pref = (2.0 * math.pi * m * temp) ** -1.5
@@ -374,17 +377,21 @@ def momentum_gain_rate(amp: IsotropicAmplitude, gas: GasModel, q_grid):
         if q == 0.0:
             return math.inf
 
-        def integrand(u):
+        def weighted_terms(n_panels):
+            u, w = _speed_rule(n_panels)
             p0 = 0.5 * q + p_th * u
-            mu = mu_pref * math.exp(-p0 * p0 / (2.0 * m * temp))
-            if mu == 0.0:
-                return 0.0
-            cos_theta = 1.0 - q * q / (2.0 * p0 * p0)
-            f_val = amp(np.array([cos_theta]), p0 * p0 / (2.0 * m))[0]
-            return p0 * mu * abs(f_val) ** 2 * p_th
+            weight = 2.0 * math.pi * n * p_th / (m * q) * w * p0 \
+                * mu_pref * np.exp(-p0 * p0 / (2.0 * m * temp))
+            # no amplitude where the Maxwell weight underflows, so a huge
+            # transfer never asks for a huge partial-wave cutoff
+            live = weight > 0.0
+            if not live.any():
+                return weight
+            coeffs = amp.coefficients(p0[live] ** 2 / (2.0 * m))
+            vander = legvander(1.0 - q * q / (2.0 * p0[live] ** 2), coeffs.shape[1] - 1)
+            return weight[live] * np.abs(np.sum(coeffs * vander, axis=1)) ** 2
 
-        radial = quad(integrand, 0.0, _SPEED_CUT, **_QUAD_OPTS)[0]
-        return 2.0 * math.pi * n / (m * q) * radial
+        return float(_settled(weighted_terms))
 
     m_in.grid = q_grid
     m_in.grid_values = np.array([m_in(q) for q in q_grid])
@@ -443,10 +450,9 @@ def energy_shifts(spec: ChannelSpec, gas: GasModel) -> np.ndarray:
     shifts = np.zeros(spec.n_channels)
     for alpha in range(spec.n_channels):
         amp = spec.amplitudes.get((alpha, alpha))
-        if amp is None:
-            continue
-        shifts[alpha] = -2.0 * math.pi * gas.n_gas / gas.m * _speed_average(
-            gas, lambda v: float(_row(amp, 0.5 * gas.m * v * v).sum().real))
+        if amp is not None:
+            shifts[alpha] = -2.0 * math.pi * gas.n_gas / gas.m * _maxwell_average(
+                gas, lambda energy, _: amp.coefficients(energy).sum(axis=1).real)
     return shifts
 
 
@@ -455,15 +461,13 @@ def _pair_rate(spec: ChannelSpec, gas: GasModel, alpha, beta, alpha0, beta0) -> 
     f_b = spec.amplitudes.get((beta, beta0))
     if f_a is None or f_b is None:
         return 0.0
-    delta_e = spec.energies[alpha] - spec.energies[alpha0]
-    s_lo = math.sqrt(max(delta_e, 0.0) / gas.temperature)
 
-    def per_speed(v):
-        energy = 0.5 * gas.m * v * v
-        v_out = math.sqrt(max(v * v - 2.0 * delta_e / gas.m, 0.0))
-        return v_out * 2.0 * math.pi * _overlap(_row(f_a, energy), _row(f_b, energy))
+    def per_speed(energy, v_out):
+        return v_out * 2.0 * math.pi * _overlap(f_a.coefficients(energy),
+                                                f_b.coefficients(energy))
 
-    return gas.n_gas * _speed_average(gas, per_speed, s_lo=s_lo, complex_valued=True)
+    gap = spec.energies[alpha] - spec.energies[alpha0]
+    return gas.n_gas * complex(_maxwell_average(gas, per_speed, gap))
 
 
 def dot_rate_tensor(spec: ChannelSpec, gas: GasModel) -> RateTensor:
@@ -477,24 +481,20 @@ def dot_rate_tensor(spec: ChannelSpec, gas: GasModel) -> RateTensor:
     energies = np.asarray(spec.energies, dtype=float)
     chi_tol = 1e-9 * max(1.0, float(np.max(np.abs(energies))))
     m = np.zeros((n, n, n, n), dtype=complex)
-    for alpha in range(n):
-        for beta in range(n):
-            for alpha0 in range(n):
-                for beta0 in range(n):
-                    cell = (alpha, beta, alpha0, beta0)
-                    mirror = (beta, alpha, beta0, alpha0)
-                    if mirror < cell:
-                        m[cell] = np.conj(m[mirror])
-                        continue
-                    gap = (energies[alpha] - energies[alpha0]) \
-                        - (energies[beta] - energies[beta0])
-                    if abs(gap) > chi_tol:
-                        continue
-                    rate = _pair_rate(spec, gas, *cell)
-                    # self-mirror cells integrate |f|^2, real up to complex
-                    # multiply roundoff; drop the residue so hermiticity and
-                    # the reality of population rates hold exactly
-                    m[cell] = rate.real if mirror == cell else rate
+    for cell in itertools.product(range(n), repeat=4):
+        alpha, beta, alpha0, beta0 = cell
+        mirror = (beta, alpha, beta0, alpha0)
+        if mirror < cell:
+            m[cell] = np.conj(m[mirror])
+            continue
+        gap = (energies[alpha] - energies[alpha0]) - (energies[beta] - energies[beta0])
+        if abs(gap) > chi_tol:
+            continue
+        rate = _pair_rate(spec, gas, *cell)
+        # self-mirror cells integrate |f|^2, real up to complex multiply
+        # roundoff; drop the residue so hermiticity and the reality of
+        # population rates hold exactly
+        m[cell] = rate.real if mirror == cell else rate
     return RateTensor(m=m, eps=energy_shifts(spec, gas))
 
 
@@ -504,15 +504,14 @@ def elastic_dephasing_rate(amp_a: IsotropicAmplitude, amp_b: IsotropicAmplitude,
     pi n <v int |f_a - f_b|^2 dcos> = 2 pi n <v sum_l |c_{a,l} - c_{b,l}|^2 / (2l+1)>.
     Vanishes only when the gas cannot distinguish the two channels."""
 
-    def per_speed(v):
-        energy = 0.5 * gas.m * v * v
-        c_a, c_b = _row(amp_a, energy), _row(amp_b, energy)
-        diff = np.zeros(max(c_a.size, c_b.size), dtype=complex)
-        diff[:c_a.size] += c_a
-        diff[:c_b.size] -= c_b
+    def per_speed(energy, v):
+        c_a, c_b = amp_a.coefficients(energy), amp_b.coefficients(energy)
+        diff = np.zeros((energy.size, max(c_a.shape[1], c_b.shape[1])), dtype=complex)
+        diff[:, :c_a.shape[1]] += c_a
+        diff[:, :c_b.shape[1]] -= c_b
         return v * math.pi * _overlap(diff, diff).real
 
-    return gas.n_gas * _speed_average(gas, per_speed)
+    return gas.n_gas * float(_maxwell_average(gas, per_speed))
 
 
 def dot_master_rhs(rho, spec: ChannelSpec, gas: GasModel,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decolab
-from decolab.cli import _PARAM_TABLES, ResultSeries, main, validate_config
+from decolab.cli import _AMP_KEY, _PARAM_TABLES, ResultSeries, main, validate_config
 from decolab.dephasing import SpectralDensity, classify_regime
 from decolab.errors import PhysicsError, SchemaError
 from decolab.lindblad import LindbladGenerator, cat_coherence_factor
@@ -124,6 +124,25 @@ class TestValidate:
         assert main(["validate", write_config(tmp_path, bad)]) == 2
         assert "params.pairs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("amplitudes, named", [
+        ({"\u00b2,0": [1.0, 0.0]}, ["\u00b2,0"]),
+        ({"0 ,1": [1.0, 0.0]}, ["0 ,1"]),
+        ({"0,0": [1.0, 0.0], "00,0": [0.2, 0.0]}, ["0,0", "00,0"]),
+    ])
+    def test_dot_amplitude_keys(self, tmp_path, capsys, amplitudes, named):
+        """Keys are ASCII "a,b" pairs as in the schema, and two keys may not
+        name the same (final, initial) pair: both exit 2, naming the keys."""
+        cfg = write_config(tmp_path, {"scenario": "dot", "params": {
+            "n_gas": 1.0, "mass": 1.0, "temperature": 1.0, "energies": [0.0, 0.5],
+            "amplitudes": amplitudes}})
+        assert main(["validate", cfg]) == 2
+        out = capsys.readouterr().out
+        assert "params.amplitudes" in out
+        assert all(repr(key) in out for key in named), out
+        assert main(["run", cfg, "--output", str(tmp_path / "dot.csv")]) == 2
+        assert "params.amplitudes" in capsys.readouterr().err
+        assert not (tmp_path / "dot.csv").exists()
+
     def test_booleans_are_not_numbers(self, tmp_path, capsys):
         bad = {"scenario": "dephase",
                "params": {"a": True, "omega_c": 10.0, "temperature": 0.1}}
@@ -166,6 +185,8 @@ class TestDocumentation:
                 if kind.startswith("choice:"):
                     enum = [str(v) for v in props[name]["enum"]]
                     assert enum == kind.split(":", 1)[1].split("|"), (key, name)
+        assert list(schema["dot"]["properties"]["amplitudes"]["patternProperties"]) \
+            == [_AMP_KEY.pattern]
 
 
 class TestRunOutputs:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss, legmul
+from numpy.polynomial.legendre import leggauss, legmul, legval
 from scipy.integrate import quad, solve_ivp
 from scipy.special import spherical_jn, spherical_yn
 
@@ -14,6 +14,7 @@ from decolab.collisional import (
     _SPEED_CUT,
     ChannelSpec,
     GasModel,
+    IsotropicAmplitude,
     constant_amplitude,
     dot_master_rhs,
     dot_rate_tensor,
@@ -26,7 +27,7 @@ from decolab.collisional import (
     saturation_rate,
     total_cross_section,
     _moment_rows,
-    _speed_average,
+    _pair_rate,
 )
 from decolab.errors import DimensionError, PhysicsError, QuadratureError
 
@@ -48,6 +49,23 @@ def _oracle_quad(func, lo, hi, **kwargs):
     return value
 
 
+def quad_speed_average(gas, g, s_lo=0.0, complex_valued=False):
+    """Thermal average int dv nu(v) g(v) over v >= s_lo v_th by adaptive
+    quadrature in the reduced speed s = v/v_th, one speed at a time, with
+    real and imaginary parts integrated separately: independent of the
+    library's Gauss-Legendre speed rule and its threshold substitution."""
+    pref = 4.0 / math.sqrt(math.pi)
+
+    def integrand(s):
+        return pref * s * s * math.exp(-s * s) * g(gas.thermal_speed * s)
+
+    s_hi = math.sqrt(s_lo * s_lo + _SPEED_CUT * _SPEED_CUT)
+    if complex_valued:
+        return complex(_oracle_quad(lambda s: integrand(s).real, s_lo, s_hi),
+                       _oracle_quad(lambda s: integrand(s).imag, s_lo, s_hi))
+    return _oracle_quad(integrand, s_lo, s_hi)
+
+
 def quad_localization_rate(amp, gas, x):
     """Localization rate by nested adaptive quadrature, independent of the
     Legendre-moment table. Below the phase m v_th x = 40 each speed gets
@@ -67,9 +85,9 @@ def quad_localization_rate(amp, gas, x):
                                weight="sin", wvar=a) / a
             return v * (total_cross_section(amp, energy) - 2.0 * math.pi * osc)
 
-        return gas.n_gas * _speed_average(gas, per_speed)
+        return gas.n_gas * quad_speed_average(gas, per_speed)
 
-    smooth = gas.n_gas * _speed_average(
+    smooth = gas.n_gas * quad_speed_average(
         gas, lambda v: v * total_cross_section(amp, 0.5 * gas.m * v * v))
 
     def inner(u):
@@ -318,7 +336,7 @@ class TestAgainstAngularLadder:
                 2.0 * math.pi * ladder, rel=1e-10)
 
     def test_elastic_dephasing_integrand(self):
-        ladder = GAS.n_gas * _speed_average(GAS, lambda v: ladder_per_speed(v)[3].real)
+        ladder = GAS.n_gas * quad_speed_average(GAS, lambda v: ladder_per_speed(v)[3].real)
         assert elastic_dephasing_rate(HARD_A, HARD_B, GAS) == pytest.approx(
             ladder, rel=1e-10)
 
@@ -327,13 +345,72 @@ class TestAgainstAngularLadder:
         different radii, and their forward-amplitude energy shifts."""
         tensor = dot_rate_tensor(two_channel_elastic(HARD_A, HARD_B), GAS)
         for i, cell in enumerate(((0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 0, 1))):
-            ladder = GAS.n_gas * _speed_average(
+            ladder = GAS.n_gas * quad_speed_average(
                 GAS, lambda v: ladder_per_speed(v)[i], complex_valued=True)
             assert tensor.m[cell] == pytest.approx(ladder, rel=1e-10)
         for alpha in (0, 1):
-            forward = _speed_average(GAS, lambda v: ladder_per_speed(v)[4 + alpha].real)
+            forward = quad_speed_average(GAS, lambda v: ladder_per_speed(v)[4 + alpha].real)
             assert tensor.eps[alpha] == pytest.approx(
                 -2.0 * math.pi * GAS.n_gas / GAS.m * forward, rel=1e-10)
+
+
+class TestAgainstSpeedOracle:
+    """Rates on the library's speed rule against `quad_speed_average` of
+    partial waves computed in the test, for hard spheres."""
+
+    @pytest.mark.parametrize("gap", [0.7, 5.0])
+    def test_inelastic_hard_sphere_pair_rates(self, gap):
+        """Two upward cells above the threshold s_lo = sqrt(gap/T), one of
+        them a complex cross term of two transitions, and a downward cell."""
+        energies = (0.0, gap, 2.0 * gap)
+        radii = {(1, 0): 0.5, (2, 1): 1.0, (0, 1): 1.0}
+        tensor = dot_rate_tensor(ChannelSpec(energies, {
+            pair: hard_sphere_amplitude(r, GAS.m) for pair, r in radii.items()}), GAS)
+        for cell in ((1, 1, 0, 0), (1, 2, 0, 1), (0, 0, 1, 1)):
+            alpha, beta, alpha0, beta0 = cell
+            delta = energies[alpha] - energies[alpha0]
+
+            def per_speed(v):
+                energy = 0.5 * GAS.m * v * v
+                c_a = hard_sphere_partial_waves(radii[alpha, alpha0], GAS.m, energy)
+                c_b = hard_sphere_partial_waves(radii[beta, beta0], GAS.m, energy)
+                width = min(c_a.size, c_b.size)
+                overlap = 2.0 * np.sum(
+                    c_a[:width] * c_b[:width].conj() / (2 * np.arange(width) + 1))
+                v_out = math.sqrt(max(v * v - 2.0 * delta / GAS.m, 0.0))
+                return v_out * 2.0 * math.pi * overlap
+
+            s_lo = math.sqrt(max(delta, 0.0) / GAS.temperature)
+            oracle = GAS.n_gas * quad_speed_average(GAS, per_speed, s_lo, complex_valued=True)
+            assert tensor.m[cell] == pytest.approx(oracle, rel=1e-10)
+
+    def test_energy_shifts_of_two_hard_spheres(self):
+        shifts = energy_shifts(two_channel_elastic(HARD_A, HARD_B), GAS)
+        for alpha, radius in enumerate((0.5, 1.0)):
+            forward = quad_speed_average(GAS, lambda v: hard_sphere_partial_waves(
+                radius, GAS.m, 0.5 * GAS.m * v * v).sum().real)
+            assert shifts[alpha] == pytest.approx(
+                -2.0 * math.pi * GAS.n_gas / GAS.m * forward, rel=1e-10)
+
+    @pytest.mark.parametrize("q_over_p_th", [0.05, 1.0, 4.0, 8.0])
+    def test_hard_sphere_momentum_gain(self, q_over_p_th):
+        """M_in(Q) = 2 pi n / (m Q) int ds p_th^2 s mu_0 e^{-s^2} |f|^2 over
+        s >= Q / (2 p_th), with cos theta = 1 - Q^2 / (2 p0^2) at p0 = p_th s:
+        the thermal average of p_th^2 mu_0 (sqrt(pi)/4) |f|^2 / s."""
+        p_th = math.sqrt(2.0 * GAS.m * GAS.temperature)
+        q = q_over_p_th * p_th
+        mu_0 = (2.0 * math.pi * GAS.m * GAS.temperature) ** -1.5
+
+        def per_speed(v):
+            p0 = GAS.m * v
+            c = hard_sphere_partial_waves(0.5, GAS.m, p0 * p0 / (2.0 * GAS.m))
+            f = legval(1.0 - q * q / (2.0 * p0 * p0), c)
+            return p_th**2 * mu_0 * math.sqrt(math.pi) / 4.0 * abs(f) ** 2 * p_th / p0
+
+        oracle = 2.0 * math.pi * GAS.n_gas / (GAS.m * q) \
+            * quad_speed_average(GAS, per_speed, s_lo=0.5 * q_over_p_th)
+        got = momentum_gain_rate(hard_sphere_amplitude(0.5, GAS.m), GAS, [q]).grid_values[0]
+        assert got == pytest.approx(oracle, rel=1e-10)
 
 
 class TestMomentumGain:
@@ -468,12 +545,23 @@ class TestElasticDephasing:
 
 
 class TestSpeedAverage:
-    def test_imaginary_part_error_is_checked(self):
-        """A rough imaginary part fails its own error-estimate check instead
-        of returning whatever the quadrature reached."""
-        with pytest.raises(QuadratureError):
-            _speed_average(GAS, lambda v: complex(1.0, math.sin(1e6 * v) / v),
-                           complex_valued=True)
+    def test_rough_amplitude_fails_to_settle_everywhere(self):
+        """c_0(E) = e^{1e5 iE} (1 + cos 3e4 E) oscillates far faster than the
+        finest speed rule resolves. Every rate averaging it raises with its
+        last finite estimate instead of returning it: the momentum-transfer
+        density, elastic dephasing, and a complex inelastic pair rate."""
+        rough = IsotropicAmplitude(
+            lambda e: (np.exp(1e5j * e) * (1.0 + np.cos(3e4 * e)))[:, None])
+        spec = ChannelSpec((0.0, 0.7, 1.4),
+                           {(1, 0): rough, (2, 1): constant_amplitude(0.3 + 0.1j)})
+        rates = (lambda: momentum_gain_rate(rough, GAS, [1.0]),
+                 lambda: elastic_dephasing_rate(rough, constant_amplitude(0.2), GAS),
+                 lambda: _pair_rate(spec, GAS, 1, 2, 0, 1),
+                 lambda: dot_rate_tensor(spec, GAS))
+        for rate in rates:
+            with pytest.raises(QuadratureError) as failure:
+                rate()
+            assert np.isfinite(failure.value.estimate)
 
 
 class TestEnergyShifts:
