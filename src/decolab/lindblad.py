@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DimensionError, PhysicsError
 from .operator_core import (
     TAU_HERM,
     TAU_POS,
+    _DormandPrince,
     as_operator,
     dag,
     expm_apply,
@@ -35,15 +35,26 @@ _RK_RTOL = 1e-9
 _FOCK_LEAK_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+def _read_only(a) -> np.ndarray:
+    """A read-only complex copy of a finite square matrix."""
+    a = as_operator(np.array(a, dtype=complex))
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class LindbladGenerator:
-    """Effective Hamiltonian plus weighted jump channels (rate, operator)."""
+    """Effective Hamiltonian plus weighted jump channels (rate, operator).
+
+    Holds read-only copies of its arrays and compares and hashes by
+    identity, so an instance can key a cache of what is derived from it.
+    """
 
     hamiltonian: np.ndarray
     channels: tuple = ()
 
     def __post_init__(self):
-        h = as_operator(self.hamiltonian)
+        h = _read_only(self.hamiltonian)
         if np.linalg.norm(h - dag(h)) > TAU_HERM * max(1.0, np.linalg.norm(h)):
             raise PhysicsError("Hamiltonian must be hermitian")
         object.__setattr__(self, "hamiltonian", h)
@@ -51,7 +62,7 @@ class LindbladGenerator:
         for rate, op in self.channels:
             if rate < 0:
                 raise PhysicsError(f"negative rate {rate}")
-            op = as_operator(op)
+            op = _read_only(op)
             if op.shape != h.shape:
                 raise DimensionError("channel operator dimension mismatch")
             clean.append((float(rate), op))
@@ -216,7 +227,8 @@ def mix_channels(gen: LindbladGenerator, u) -> LindbladGenerator:
 
 def evolve(gen: LindbladGenerator, rho: np.ndarray, t: float) -> np.ndarray:
     """Propagate rho for time t: exact exponential for small dimensions,
-    adaptive RK on the matrix-form right-hand side above _EXPM_DIM_MAX."""
+    adaptive RK45 on the matrix-form right-hand side above _EXPM_DIM_MAX
+    (QuadratureError, a PhysicsError, if its step underflows)."""
     if t < 0:
         raise PhysicsError("t must be nonnegative")
     rho = as_operator(rho)
@@ -225,19 +237,9 @@ def evolve(gen: LindbladGenerator, rho: np.ndarray, t: float) -> np.ndarray:
     if gen.dim <= _EXPM_DIM_MAX:
         return expm_apply(liouvillian(gen), rho, t)
     d = gen.dim
-    # scipy's solver sits in a reference cycle of its own closures; the
-    # right-hand side reaches gen through `held`, emptied on the way out, so
-    # the cycle does not keep gen alive until the cycle collector runs
-    held = [gen]
-    try:
-        sol = solve_ivp(lambda _, y: apply_generator(held[0], y.reshape(d, d)).ravel(),
-                        (0.0, t), rho.ravel().astype(complex),
-                        method="RK45", rtol=_RK_RTOL, atol=1e-12)
-    finally:
-        held.clear()
-    if not sol.success:
-        raise PhysicsError(f"propagation failed: {sol.message}")
-    return sol.y[:, -1].reshape(d, d)
+    return _DormandPrince(lambda y: apply_generator(gen, y.reshape(d, d)).ravel(),
+                          rho.ravel().astype(complex), t, _RK_RTOL, 1e-12
+                          ).run().reshape(d, d)
 
 
 def heisenberg_evolve(gen: LindbladGenerator, a: np.ndarray, t: float) -> np.ndarray:

@@ -11,10 +11,12 @@ to and from SI happens only at the CLI boundary.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DimensionError, PhysicsError
+from .errors import DimensionError, PhysicsError, QuadratureError
 
 # Double-precision dense algebra at dims up to a few hundred.
 TAU_HERM = 1e-10
@@ -144,6 +146,117 @@ def expm_apply(superop, rho, t) -> np.ndarray:
         return rho.copy()
     out = expm(superop * t) @ vectorize(rho)
     return devectorize(out, d)
+
+
+# -- adaptive Dormand-Prince 5(4) ------------------------------------------------
+#
+# Tableau of Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980), with the
+# step control of scipy's RK45 (the test oracle): the same floating-point
+# operations in the same order, so accepted steps agree bit for bit. The
+# right-hand sides here are autonomous, so the nodes c_i never enter.
+
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5
+_RTOL_MIN = 100 * np.finfo(float).eps
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class _DormandPrince:
+    """Adaptive explicit RK45 for the autonomous dy/dt = fun(y) on [0, t_bound].
+
+    `step` makes one accepted step; `t`, `y`, `f` = fun(y) and the next
+    trial step `h_abs` are plain attributes, and a caller may overwrite `y`
+    and `f` between steps. rtol below 100 eps is raised to 100 eps. The
+    stepper holds `fun` and arrays, nothing that refers back to it, so
+    reference counting frees it (and whatever `fun` keeps) once dropped.
+    """
+
+    def __init__(self, fun, y0, t_bound, rtol, atol, max_step=math.inf):
+        if not t_bound > 0:
+            raise PhysicsError(f"integration end {t_bound!r} must be positive")
+        if atol < 0:
+            raise PhysicsError(f"atol {atol!r} must be nonnegative")
+        if not max_step > 0:
+            raise PhysicsError(f"max_step {max_step!r} must be positive")
+        y0 = np.asarray(y0)
+        self.y = y0.astype(complex if np.iscomplexobj(y0) else float, copy=False)
+        if self.y.ndim != 1 or not np.all(np.isfinite(self.y)):
+            raise PhysicsError("initial state must be a finite 1-d array")
+        self.fun, self.t_bound, self.max_step = fun, float(t_bound), max_step
+        self.rtol, self.atol = max(rtol, _RTOL_MIN), atol
+        self.t = 0.0
+        self.f = fun(self.y)
+        self.h_abs = self._initial_step()
+        self._k = np.empty((7, self.y.size), dtype=self.y.dtype)
+
+    def _initial_step(self):
+        """Starting step of Hairer, Norsett & Wanner, Solving ODEs I, II.4."""
+        y0, f0 = self.y, self.f
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, self.t_bound)
+        d2 = _rms((self.fun(y0 + h0 * f0) - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        return min(100 * h0, h1, self.t_bound, self.max_step)
+
+    def step(self):
+        """One accepted step, clipped at t_bound. Raises QuadratureError
+        once the trial step falls below 10 ulp of t (a NaN step included)."""
+        t, y, k = self.t, self.y, self._k
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+        rejected, error_norm = False, math.nan
+        while True:
+            if not h_abs >= min_step:
+                raise QuadratureError(
+                    f"RK45 step size underflow at t = {float(t)!r}: step "
+                    f"{float(h_abs):.3e} under 10 ulp(t) = {float(min_step):.3e}, "
+                    f"last error norm {float(error_norm):.3e}", estimate=float(error_norm))
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            k[0] = self.f
+            for s in range(1, 6):
+                k[s] = self.fun(y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _DP_B)
+            f_new = k[-1] = self.fun(y_new)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = _rms(np.dot(k.T, _DP_E) * h / scale)
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else \
+                    min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+
+    def run(self):
+        """Step to t_bound and return the end state."""
+        while self.t < self.t_bound:
+            self.step()
+        return self.y
 
 
 def trace_distance(rho, sigma) -> float:

@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45
 from scipy.linalg import circulant
 
-from .errors import PhysicsError, QuadratureError
+from .errors import PhysicsError
 from .lindblad import LindbladGenerator, apply_generator
-from .operator_core import dag
+from .operator_core import _DormandPrince, dag
 from .units import HBAR, K_B
 
 _NORM_TOL = 1e-9
@@ -106,6 +105,7 @@ def evolve_robust(xi0, gen: LindbladGenerator, t_final: float,
 
     Returns the accepted-step snapshots as RobustStateFlow objects, initial
     state included, so purity holds exactly along the whole trajectory.
+    Raises QuadratureError, naming t and the step, if the step underflows.
     """
     xi0 = np.asarray(xi0, dtype=complex)
     if abs(np.linalg.norm(xi0) - 1.0) > _NORM_TOL:
@@ -116,25 +116,16 @@ def evolve_robust(xi0, gen: LindbladGenerator, t_final: float,
     if t_final == 0.0:
         return tuple(snapshots)
 
-    # scipy's solver sits in a reference cycle of its own closures, which
-    # would keep gen's dense matrices alive until the cycle collector runs;
-    # the compiled right-hand side sits in `held`, emptied on the way out
-    held = [_flow_rhs(gen)]
-    solver = RK45(lambda _, y: held[0](y), 0.0, xi0, t_final,
-                  rtol=rtol, atol=atol, max_step=max_step)
-    try:
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise QuadratureError(f"flow integrator failed: {message}")
-            solver.y /= np.linalg.norm(solver.y)
-            # the cached derivative predates the renormalization; refresh it
-            # so the FSAL stage of the next step sees the corrected state
-            solver.f = solver.fun(solver.t, solver.y)
-            snapshots.append(RobustStateFlow(xi=solver.y.copy(), gen=gen,
-                                             t=float(solver.t)))
-    finally:
-        held.clear()
+    rhs = _flow_rhs(gen)
+    stepper = _DormandPrince(rhs, xi0, t_final, rtol, atol, max_step)
+    while stepper.t < t_final:
+        stepper.step()
+        stepper.y /= np.linalg.norm(stepper.y)
+        # the cached derivative predates the renormalization; refresh it
+        # so the FSAL stage of the next step sees the corrected state
+        stepper.f = rhs(stepper.y)
+        snapshots.append(RobustStateFlow(xi=stepper.y.copy(), gen=gen,
+                                         t=float(stepper.t)))
     return tuple(snapshots)
 
 

@@ -9,16 +9,16 @@ deterministic master-equation solution.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import DimensionError, PhysicsError
 from .lindblad import LindbladGenerator
-from .operator_core import as_operator, dag
+from .operator_core import _DormandPrince, as_operator, dag
 
 _EXPM_DIM_MAX = 64
 # eigenbasis evaluation of exp(-i tau H_C) is O(dim^2) per tau instead of a
@@ -67,17 +67,9 @@ class _NoJumpPropagator:
                     ).reshape(psi.shape)
         if self.mode == "expm":
             return expm(-1j * tau * self.h_c) @ psi
-        # the right-hand side reaches H_C through `held`, emptied on the way
-        # out, so scipy's self-referencing solver does not keep it alive
-        held, dim = [self.h_c], self.dim
-        try:
-            sol = solve_ivp(lambda _, y: -1j * (held[0] @ y.reshape(dim, -1)).ravel(),
-                            (0.0, tau), psi.ravel(), method="RK45", rtol=1e-10, atol=1e-13)
-        finally:
-            held.clear()
-        if not sol.success:
-            raise PhysicsError(f"no-jump propagation failed: {sol.message}")
-        return sol.y[:, -1].reshape(psi.shape)
+        h_c, dim = self.h_c, self.dim
+        return _DormandPrince(lambda y: -1j * (h_c @ y.reshape(dim, -1)).ravel(),
+                              psi.ravel(), tau, 1e-10, 1e-13).run().reshape(psi.shape)
 
     def states(self, psi, taus) -> np.ndarray:
         """Rows exp(-i tau H_C) psi for each tau of a 1-d array."""
@@ -93,12 +85,25 @@ class _NoJumpPropagator:
         return out
 
 
+# one propagator per generator: generators are immutable and hash by
+# identity, and a propagator holds no reference to its generator, so an
+# entry lives exactly as long as the generator it was built from
+_PROPAGATORS = weakref.WeakKeyDictionary()
+
+
+def _propagator(gen: LindbladGenerator) -> _NoJumpPropagator:
+    prop = _PROPAGATORS.get(gen)
+    if prop is None:
+        prop = _PROPAGATORS[gen] = _NoJumpPropagator(gen)
+    return prop
+
+
 def no_jump_propagate(psi, gen: LindbladGenerator, tau: float) -> np.ndarray:
     """Unnormalized conditioned state exp(-i tau H_C) psi; its squared norm
     is the probability that no jump occurred up to tau."""
     if tau < 0:
         raise PhysicsError("tau must be nonnegative")
-    return _NoJumpPropagator(gen).apply(psi, tau)
+    return _propagator(gen).apply(psi, tau)
 
 
 def _norm_sq(rows) -> np.ndarray:
@@ -161,7 +166,7 @@ def sample_jump_times(psi, gen: LindbladGenerator, us, t_max: float) -> np.ndarr
         raise PhysicsError("u must lie in (0, 1)")
     if not t_max > 0:
         raise PhysicsError("t_max must be positive")
-    return _waiting_times(_NoJumpPropagator(gen), np.asarray(psi, dtype=complex),
+    return _waiting_times(_propagator(gen), np.asarray(psi, dtype=complex),
                           us.ravel(), float(t_max)).reshape(us.shape)
 
 
@@ -202,8 +207,8 @@ def _stream(base_seed: int, index: int) -> Generator:
     return Generator(Philox(key=np.array([base_seed, index], dtype=np.uint64)))
 
 
-def _run(psi0, gen, horizon, rng, prop=None):
-    prop = prop or _NoJumpPropagator(gen)
+def _run(psi0, gen, horizon, rng):
+    prop = _propagator(gen)
     psi, t, events = np.array(psi0, dtype=complex), 0.0, []
     while t < horizon:
         u = rng.random()
@@ -241,7 +246,7 @@ def run_trajectory(psi0, gen: LindbladGenerator, horizon: float, seed: int,
 def record_operator(record: JumpRecord, gen: LindbladGenerator) -> np.ndarray:
     """Compound conditioning operator M_R: no-jump stretches interleaved with
     the recorded jump operators, ending at the horizon."""
-    prop = _NoJumpPropagator(gen)
+    prop = _propagator(gen)
     m = np.eye(gen.dim, dtype=complex)
     t_prev = 0.0
     for t_i, k_i in record.events:
@@ -270,9 +275,8 @@ def ensemble_average(psi0, gen: LindbladGenerator, horizon: float,
     if n_traj < 1:
         raise PhysicsError("need at least one trajectory")
     psi0 = np.asarray(psi0, dtype=complex)
-    prop = _NoJumpPropagator(gen)
     acc = np.zeros((gen.dim, gen.dim), dtype=complex)
     for i in range(n_traj):
-        _, psi = _run(psi0, gen, float(horizon), _stream(base_seed, i), prop)
+        _, psi = _run(psi0, gen, float(horizon), _stream(base_seed, i))
         acc += np.outer(psi, psi.conj())
     return acc / n_traj

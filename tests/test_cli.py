@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,21 @@ def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+class TestImports:
+    def test_cli_leaves_heavy_scipy_subpackages_unloaded(self):
+        """`import decolab.cli` in a fresh interpreter loads no
+        scipy.integrate (whose package import pulls in optimize, sparse,
+        spatial and fft), scipy.optimize or scipy.sparse."""
+        src = str(Path(decolab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, decolab.cli; print(sorted(m for m in sys.modules if m in "
+                "('scipy.integrate', 'scipy.optimize', 'scipy.sparse')))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestValidate:

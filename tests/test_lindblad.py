@@ -48,6 +48,26 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
+class TestGeneratorContainer:
+    def test_holds_read_only_copies(self):
+        """Later writes to the caller's arrays cannot reach the generator,
+        and its own arrays refuse writes, so caches keyed on it stay valid."""
+        h = np.diag([1.0, -1.0]).astype(complex)
+        op = np.array([[0, 1], [0, 0]], dtype=complex)
+        gen = LindbladGenerator(h, ((0.5, op),))
+        h[0, 0], op[0, 1] = 5.0, 3.0
+        assert gen.hamiltonian[0, 0] == 1.0 and gen.channels[0][1][0, 1] == 1.0
+        for arr in (gen.hamiltonian, gen.channels[0][1]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1, 0] = 2.0
+
+    def test_compares_and_hashes_by_identity(self):
+        gen = LindbladGenerator(np.eye(2))
+        twin = LindbladGenerator(np.eye(2))
+        assert gen == gen and gen != twin
+        assert {gen: 1, twin: 2}[gen] == 1
+
+
 class TestStandardForms:
     def test_hermitian_basis_is_orthonormal_traceless(self):
         for dim in (2, 3, 4):
@@ -270,8 +290,8 @@ class TestDampedOscillator:
             assert fidelity(rho_t, target) >= 0.999
 
     def test_rk_path_frees_generator_without_cycle_collector(self, monkeypatch):
-        """Once evolve returns, nothing scipy's solver left behind keeps the
-        generator (and its dense matrices) alive."""
+        """Once evolve returns, nothing the RK45 stepper left behind keeps
+        the generator (and its dense matrices) alive."""
         monkeypatch.setattr(lindblad, "_EXPM_DIM_MAX", 0)
         gen = damped_oscillator_generator(1.0, 0.5, 6)
         rho0 = coherent_state(CoherentStateSpec(0.5, 6))

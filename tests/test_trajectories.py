@@ -1,6 +1,7 @@
 """Jump-unravelling tests: waiting-time law, record densities, ensemble limit."""
 
 import gc
+import json
 import math
 import weakref
 
@@ -19,6 +20,7 @@ from decolab.lindblad import (
     evolve,
 )
 from decolab import trajectories
+from decolab.cli import main
 from decolab.operator_core import trace_distance
 from decolab.trajectories import (
     JumpRecord,
@@ -206,8 +208,8 @@ class TestPropagatorModes:
             return batch, single, record_operator(record, gen)
 
     def test_rk_mode_frees_propagator_without_cycle_collector(self, monkeypatch):
-        """Once the caller drops an rk-mode propagator, nothing scipy's solver
-        left behind keeps it (and its dense H_C) alive."""
+        """Once the caller drops an rk-mode propagator, nothing the RK45
+        stepper left behind keeps it (and its dense H_C) alive."""
         self.force(monkeypatch, "rk")
         prop = trajectories._NoJumpPropagator(driven_decay_generator(1.3, 0.9))
         assert prop.mode == "rk"
@@ -229,6 +231,41 @@ class TestPropagatorModes:
                 times, [np.inf if t is None else t for t in single], rtol=1e-12)
             np.testing.assert_allclose(times, ref_times, rtol=1e-9)
             np.testing.assert_allclose(op, ref_op, rtol=0, atol=1e-9)
+
+
+class TestPropagatorCache:
+    def test_one_construction_for_a_cli_job(self, tmp_path, monkeypatch):
+        """A 200-trajectory `traject` job builds the no-jump propagator
+        (eig, cond and inv of H_C) once, not once per trajectory."""
+        built = []
+
+        class Counting(trajectories._NoJumpPropagator):
+            def __init__(self, gen):
+                built.append(gen.dim)
+                super().__init__(gen)
+
+        monkeypatch.setattr(trajectories, "_NoJumpPropagator", Counting)
+        config = tmp_path / "traject.json"
+        config.write_text(json.dumps({
+            "scenario": "traject", "seed": 5,
+            "params": {"gamma": 1.0, "omega": 1.0, "horizon": 3.0, "n_traj": 200}}))
+        out = tmp_path / "traject.csv"
+        assert main(["run", str(config), "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 201
+        assert built == [2]
+
+    def test_generator_and_propagator_die_without_cycle_collector(self):
+        gen = driven_decay_generator(1.3, 0.9)
+        gc.disable()
+        try:
+            run_trajectory(KET0, gen, 2.0, seed=3)
+            prop = trajectories._propagator(gen)
+            assert trajectories._propagator(gen) is prop
+            refs = [weakref.ref(gen), weakref.ref(prop)]
+            del gen, prop
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestJumps:
