@@ -17,6 +17,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -59,13 +60,17 @@ from .trajectories import run_trajectory
 from .units import HBAR
 from .weak_coupling import BathSpectrum, build_secular_generator, decompose_eigenoperators
 
-SCENARIOS = ("cat", "collide", "dephase", "dot", "lindblad", "nqubit",
-             "pointer", "qbm", "traject", "weakcoupling")
-_FORMATS = ("csv", "json")
-_UNITS = ("natural", "si")
-# "final,initial" keys of `dot` amplitudes, ASCII digits only; the schema's
-# patternProperties in docs/config_schema.json is this same pattern
-_AMP_KEY = re.compile(r"^([0-9]+), *([0-9]+)$")
+# config_schema.json beside this file is the one statement of the config
+# schema: names, kinds, bounds, defaults and enum values all come from it
+with open(Path(__file__).with_name("config_schema.json"), encoding="utf-8") as _fh:
+    _SCHEMA = json.load(_fh)
+_DEFINITIONS = _SCHEMA["definitions"]
+_OUTPUT = _SCHEMA["properties"]["output"]
+SCENARIOS = tuple(_SCHEMA["properties"]["scenario"]["enum"])
+_FORMATS = tuple(_OUTPUT["properties"]["format"]["enum"])
+# "final,initial" keys of `dot` amplitudes, ASCII digits only
+(_AMP_PATTERN,) = _DEFINITIONS["dot"]["properties"]["amplitudes"]["patternProperties"]
+_AMP_KEY = re.compile(_AMP_PATTERN)
 
 
 @dataclass(frozen=True)
@@ -106,108 +111,112 @@ class ResultSeries:
 # ---------------------------------------------------------------------------
 # config schema
 #
-# Parameter kinds: pos (finite > 0), nonneg, num, int, posint, complexpair
-# ([re, im]), numlist, pairlist ([[m, n], ...]), ampmap ({"a,b": [re, im]}),
-# choice:<opt|opt>. A row is (kind, required, default). Tables keyed by
-# (scenario, units) override the plain scenario table when a scenario takes
-# SI input with different parameters.
+# `_check` covers the keywords config_schema.json uses. A null object member
+# counts as absent, `enum` matches type as well as value, patterns match
+# whole keys, and a value failing a `$ref`'d definition is reported by that
+# definition's description. `params` is checked against
+# definitions[scenario], or definitions[scenario + "_si"] for SI input,
+# instead of following the file's allOf.
 
-_PARAM_TABLES = {
-    "dephase": {
-        "a": ("pos", True, None),
-        "omega_c": ("pos", True, None),
-        "temperature": ("pos", True, None),
-        "d": ("choice:1|2|3", False, 1),
-        "t_min": ("pos", False, 0.01),
-        "t_max": ("pos", False, 20.0),
-        "n_points": ("posint", False, 50),
-    },
-    "nqubit": {
-        "n_qubits": ("posint", True, None),
-        "pairs": ("pairlist", False, None),
-        "decay": ("pos", False, 1.0),
-    },
-    "lindblad": {
-        "energies": ("numlist", True, None),
-        "gamma": ("pos", True, None),
-        "t_max": ("pos", False, 5.0),
-        "n_points": ("posint", False, 50),
-    },
-    "cat": {
-        "alpha0": ("complexpair", True, None),
-        "beta0": ("complexpair", True, None),
-        "gamma": ("pos", True, None),
-        "t_max": ("pos", False, 1.0),
-        "n_points": ("posint", False, 50),
-    },
-    ("cat", "si"): {
-        "mass": ("pos", True, None),
-        "omega": ("pos", True, None),
-        "displacement": ("pos", True, None),
-        "momentum": ("num", False, 0.0),
-    },
-    "qbm": {
-        "mass": ("pos", True, None),
-        "gamma": ("pos", True, None),
-        "temperature": ("pos", True, None),
-        "t_max": ("pos", False, 10.0),
-        "n_points": ("posint", False, 50),
-        "x0": ("num", False, 0.0),
-        "p0": ("num", False, 0.0),
-        "var_x0": ("pos", False, 1.0),
-        "var_p0": ("pos", False, 1.0),
-        "cov0": ("num", False, 0.0),
-    },
-    "traject": {
-        "gamma": ("pos", True, None),
-        "horizon": ("pos", True, None),
-        "n_traj": ("posint", True, None),
-        "omega": ("nonneg", False, 0.0),
-    },
-    "weakcoupling": {
-        "omega0": ("pos", True, None),
-        "gamma0": ("pos", True, None),
-        "temperature": ("pos", True, None),
-    },
-    "collide": {
-        "n_gas": ("pos", True, None),
-        "mass": ("pos", True, None),
-        "temperature": ("pos", True, None),
-        "amp_re": ("num", False, None),
-        "amp_im": ("num", False, None),
-        "radius": ("pos", False, None),
-        "x_min": ("pos", False, 0.01),
-        "x_max": ("pos", False, 100.0),
-        "n_points": ("posint", False, 25),
-    },
-    "dot": {
-        "n_gas": ("pos", True, None),
-        "mass": ("pos", True, None),
-        "temperature": ("pos", True, None),
-        "energies": ("numlist", True, None),
-        "amplitudes": ("ampmap", True, None),
-    },
-    "pointer": {
-        "mass": ("pos", True, None),
-        "gamma": ("pos", True, None),
-        "temperature": ("pos", True, None),
-        "t_max": ("pos", False, 6.0),
-        "grid_points": ("posint", False, 256),
-        "span": ("pos", False, None),
-        "width0": ("pos", False, None),
-        "n_points": ("posint", False, 100),
-    },
-    ("pointer", "si"): {
-        "mass": ("pos", True, None),
-        "gamma": ("pos", True, None),
-        "temperature": ("pos", True, None),
-    },
-}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_num(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+    """A finite float, or an integer that converts to one."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
+
+
+# JSON Schema type: (test, how a message names it)
+_TYPES = {
+    "number": (_is_num, "a finite number"),
+    "integer": (_is_int, "an integer"),
+    "string": (lambda value: isinstance(value, str), "a string"),
+    "array": (lambda value: isinstance(value, list), "a list"),
+    "object": (lambda value: isinstance(value, dict), "a JSON object"),
+}
+# numeric bound keyword: (fails, how a message names it)
+_BOUNDS = {
+    "minimum": (lambda value, bound: value < bound, "at least"),
+    "exclusiveMinimum": (lambda value, bound: value <= bound, "above"),
+    "maximum": (lambda value, bound: value > bound, "at most"),
+}
+
+
+def _child(path: str, key: str) -> str:
+    if not key.isidentifier():
+        return f"{path}[{key!r}]"
+    return f"{path}.{key}" if path else key
+
+
+def _check(value, node: dict, path: str, bad: list):
+    """Append to `bad` the violation of schema `node` by `value` at `path`
+    (at most one), then those of its items and object members."""
+    where = path or "config"
+    if "$ref" in node:
+        target = _DEFINITIONS[node["$ref"].rsplit("/", 1)[1]]
+        before = len(bad)
+        _check(value, target, path, bad)
+        if len(bad) > before:
+            del bad[before:]
+            bad.append(f"{where}: must be a {target['description']}")
+            return
+    kind = node.get("type")
+    if kind is not None and not _TYPES[kind][0](value):
+        bad.append(f"{where}: must be {_TYPES[kind][1]}")
+        return
+    if "enum" in node and not any(type(value) is type(option) and value == option
+                                  for option in node["enum"]):
+        bad.append(f"{where}: must be one of {', '.join(map(str, node['enum']))}")
+        return
+    if _is_int(value) or isinstance(value, float):
+        for keyword, (fails, says) in _BOUNDS.items():
+            if keyword in node and fails(value, node[keyword]):
+                bad.append(f"{where}: must be {says} {node[keyword]}")
+                return
+    elif isinstance(value, list):
+        if len(value) < node.get("minItems", 0):
+            bad.append(f"{where}: must have at least {node['minItems']} item(s)")
+        elif len(value) > node.get("maxItems", len(value)):
+            bad.append(f"{where}: must have at most {node['maxItems']} item(s)")
+        elif "items" in node:
+            for i, item in enumerate(value):
+                _check(item, node["items"], f"{path}[{i}]", bad)
+    elif isinstance(value, dict):
+        if len(value) < node.get("minProperties", 0):
+            bad.append(f"{where}: must have at least {node['minProperties']} key(s)")
+        for name in node.get("required", ()):
+            if value.get(name) is None:
+                bad.append(f"{_child(path, name)}: required")
+        properties = node.get("properties", {})
+        patterns = node.get("patternProperties", {})
+        unknown = "key must match " + " or ".join(patterns) if patterns else "unknown key"
+        for key, member in value.items():
+            if key in properties:
+                if member is not None:
+                    _check(member, properties[key], _child(path, key), bad)
+                continue
+            matched = [p for p in patterns if re.fullmatch(p, key)]
+            for pattern in matched:
+                _check(member, patterns[pattern], _child(path, key), bad)
+            if not matched and node.get("additionalProperties") is False:
+                bad.append(f"{_child(path, key)}: {unknown}")
+
+
+def _with_defaults(node: dict, given: dict) -> dict:
+    """Every property of schema `node`, with its schema default (or None)
+    where `given` leaves it null or out."""
+    out = {}
+    for name, member in node["properties"].items():
+        value = given.get(name)
+        out[name] = member.get("default") if value is None else value
+    return out
+
+
+def _params_schema(scenario: str, units: str):
+    return _DEFINITIONS.get(f"{scenario}_si" if units == "si" else scenario)
 
 
 def _amp_pair(key):
@@ -216,195 +225,91 @@ def _amp_pair(key):
     return None if match is None else (int(match[1]), int(match[2]))
 
 
-def _check_kind(value, kind):
-    if kind == "num":
-        return None if _is_num(value) else "must be a finite number"
-    if kind == "pos":
-        return None if _is_num(value) and value > 0 else "must be a positive number"
-    if kind == "nonneg":
-        return None if _is_num(value) and value >= 0 else "must be a nonnegative number"
-    if kind == "int":
-        return None if isinstance(value, int) and not isinstance(value, bool) \
-            else "must be an integer"
-    if kind == "posint":
-        return None if isinstance(value, int) and not isinstance(value, bool) \
-            and value > 0 else "must be a positive integer"
-    if kind == "complexpair":
-        if isinstance(value, list) and len(value) == 2 and all(_is_num(v) for v in value):
-            return None
-        return "must be a [re, im] pair"
-    if kind == "numlist":
-        if isinstance(value, list) and value and all(_is_num(v) for v in value):
-            return None
-        return "must be a nonempty list of numbers"
-    if kind == "pairlist":
-        ok = isinstance(value, list) and value and all(
-            isinstance(p, list) and len(p) == 2
-            and all(isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in p)
-            for p in value)
-        return None if ok else "must be a list of [m, n] index pairs"
-    if kind == "ampmap":
-        if not isinstance(value, dict) or not value:
-            return "must be a nonempty map of \"a,b\" keys to [re, im] pairs"
-        named = {}
-        for key, pair in value.items():
-            indices = _amp_pair(key)
-            if indices is None:
-                return f"key {key!r} is not of the form \"a,b\""
-            if indices in named:
-                return (f"keys {named[indices]!r} and {key!r} name the same "
-                        f"(final, initial) pair {indices}")
-            named[indices] = key
-            if _check_kind(pair, "complexpair"):
-                return f"entry {key!r} must be a [re, im] pair"
-        return None
-    options = kind.split(":", 1)[1].split("|")
-    if str(value) in options:
-        return None
-    return f"must be one of {', '.join(options)}"
-
-
-def _scenario_table(scenario: str, units: str) -> dict:
-    return _PARAM_TABLES.get((scenario, units)) or _PARAM_TABLES[scenario]
-
-
-def _extra_violations(scenario: str, units: str, params: dict) -> list:
-    """Cross-field rules that a single-key check cannot express."""
+def _extra_violations(scenario: str, p: dict) -> list:
+    """Cross-field rules that a single-key check cannot express; `p` holds
+    every parameter, with its schema default where the config has none."""
     bad = []
     if scenario in ("dephase", "collide"):
         lo, hi = ("t_min", "t_max") if scenario == "dephase" else ("x_min", "x_max")
-        if _is_num(params.get(lo)) and _is_num(params.get(hi)) \
-                and params[hi] <= params[lo]:
+        if _is_num(p[lo]) and _is_num(p[hi]) and p[hi] <= p[lo]:
             bad.append(f"params.{hi}: must exceed {lo}")
-    if scenario == "dephase" and str(params.get("d", 1)) == "1" \
-            and _is_num(params.get("omega_c")) and params["omega_c"] > 0 \
-            and _is_num(params.get("temperature")) and params["temperature"] > 0 \
-            and params["omega_c"] <= 2.0 * math.pi * params["temperature"]:
+    if scenario == "dephase" and _is_int(p["d"]) and p["d"] == 1 \
+            and _is_num(p["omega_c"]) and p["omega_c"] > 0 \
+            and _is_num(p["temperature"]) and p["temperature"] > 0 \
+            and p["omega_c"] <= 2.0 * math.pi * p["temperature"]:
         bad.append("params.omega_c: must exceed 2 pi temperature so decay "
                    "regimes are separated (d = 1)")
-    if scenario == "nqubit":
-        n = params.get("n_qubits")
-        if isinstance(n, int) and n > 16:
-            bad.append("params.n_qubits: at most 16 supported")
-        elif isinstance(n, int) and isinstance(params.get("pairs"), list):
-            top = 2**n
-            for pair in params["pairs"]:
-                if isinstance(pair, list) and len(pair) == 2 \
-                        and any(isinstance(i, int) and i >= top for i in pair):
-                    bad.append(f"params.pairs: indices in {pair} exceed 2^n - 1")
-    if scenario == "lindblad" and isinstance(params.get("energies"), list) \
-            and len(params["energies"]) < 2:
-        bad.append("params.energies: need at least two levels")
-    if scenario == "collide" and units == "natural":
-        has_amp = params.get("amp_re") is not None or params.get("amp_im") is not None
-        if params.get("radius") is not None and has_amp:
+    if scenario == "nqubit" and _is_int(p["n_qubits"]) and p["n_qubits"] > 0 \
+            and isinstance(p["pairs"], list):
+        for pair in p["pairs"]:
+            # i >> n > 0 is i >= 2^n without forming 2^n
+            if isinstance(pair, list) and len(pair) == 2 \
+                    and any(_is_int(i) and i >> p["n_qubits"] > 0 for i in pair):
+                bad.append(f"params.pairs: indices in {pair} exceed 2^n - 1")
+    if scenario == "collide":
+        has_amp = p["amp_re"] is not None or p["amp_im"] is not None
+        if p["radius"] is not None and has_amp:
             bad.append("params: give either radius or amp_re/amp_im, not both")
-        if params.get("radius") is None and params.get("amp_re") is None:
+        if p["radius"] is None and p["amp_re"] is None:
             bad.append("params: give a constant amplitude (amp_re) or a "
                        "hard-sphere radius")
-        amp_im = params.get("amp_im")
-        if _is_num(params.get("amp_re")) and params["amp_re"] == 0 \
-                and (amp_im is None or (_is_num(amp_im) and amp_im == 0)):
+        if _is_num(p["amp_re"]) and p["amp_re"] == 0 \
+                and (p["amp_im"] is None or (_is_num(p["amp_im"]) and p["amp_im"] == 0)):
             bad.append("params.amp_re: the constant amplitude must be nonzero; "
                        "amp_re = amp_im = 0 scatters nothing")
-    if scenario == "dot" and isinstance(params.get("energies"), list) \
-            and isinstance(params.get("amplitudes"), dict):
-        top = len(params["energies"])
-        for key in params["amplitudes"]:
+    if scenario == "dot" and isinstance(p["amplitudes"], dict):
+        named = {}
+        for key in p["amplitudes"]:
             indices = _amp_pair(key)
-            if indices is not None and max(indices) >= top:
+            if indices is None:
+                continue
+            if indices in named:
+                bad.append(f"params.amplitudes: keys {named[indices]!r} and {key!r} "
+                           f"name the same (final, initial) pair {indices}")
+            named.setdefault(indices, key)
+            if isinstance(p["energies"], list) and max(indices) >= len(p["energies"]):
                 bad.append(f"params.amplitudes: key {key!r} outside the "
-                           f"{top}-channel range")
-    if scenario == "pointer" and units == "natural":
-        gp = params.get("grid_points")
-        if isinstance(gp, int) and not isinstance(gp, bool) and 0 < gp < 256:
-            bad.append("params.grid_points: need at least 256")
+                           f"{len(p['energies'])}-channel range")
     return bad
 
 
 def validate_config(raw) -> list:
     """All schema violations in a parsed config, without running physics."""
-    if not isinstance(raw, dict):
-        return ["config: must be a JSON object"]
     bad = []
-    unknown_top = set(raw) - {"scenario", "params", "units", "output", "seed"}
-    for key in sorted(unknown_top):
-        bad.append(f"{key}: unknown top-level key")
-
-    scenario = raw.get("scenario")
-    if scenario not in SCENARIOS:
-        bad.append(f"scenario: unknown scenario {scenario!r}; allowed: "
-                   + ", ".join(SCENARIOS))
+    _check(raw, _SCHEMA, "", bad)
+    if not isinstance(raw, dict) or raw.get("scenario") not in SCENARIOS:
         return bad
-
-    units = raw.get("units", "natural")
-    if units not in _UNITS:
-        bad.append(f"units: must be one of {', '.join(_UNITS)}")
-        units = "natural"
-    if units == "si" and (scenario, "si") not in _PARAM_TABLES:
+    scenario, units = raw["scenario"], _with_defaults(_SCHEMA, raw)["units"]
+    schema = _params_schema(scenario, units)
+    if schema is None:
         bad.append(f"units: scenario {scenario!r} supports natural units only")
         return bad
-
     params = raw.get("params")
-    if not isinstance(params, dict):
-        bad.append("params: must be an object")
-        return bad
-    table = _scenario_table(scenario, units)
-    for key in sorted(set(params) - set(table)):
-        bad.append(f"params.{key}: unknown key for scenario {scenario!r}")
-    for name, (kind, required, _) in table.items():
-        # null and absent are the same thing, so echoed configs
-        # (which spell out every default) revalidate cleanly
-        if params.get(name) is None:
-            if required:
-                bad.append(f"params.{name}: required")
-            continue
-        problem = _check_kind(params[name], kind)
-        if problem:
-            bad.append(f"params.{name}: {problem}")
-    bad.extend(_extra_violations(scenario, units, params))
-
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        bad.append("output: must be an object with path/format")
-    else:
-        for key in sorted(set(output) - {"path", "format"}):
-            bad.append(f"output.{key}: unknown key")
-        if "path" in output and not isinstance(output["path"], str):
-            bad.append("output.path: must be a string")
-        if "format" in output and output["format"] not in _FORMATS:
-            bad.append(f"output.format: must be one of {', '.join(_FORMATS)}")
-    seed = raw.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)
-                             or not 0 <= seed < 2**64):
-        bad.append("seed: must be an integer in [0, 2**64 - 1]")
+    if isinstance(params, dict):
+        _check(params, schema, "params", bad)
+        bad.extend(_extra_violations(scenario, _with_defaults(schema, params)))
     return bad
 
 
 def resolve_config(raw, output_override=None,
                    format_override=None) -> ScenarioConfig:
     """Apply defaults and command-line overrides to a validated config."""
-    scenario = raw["scenario"]
-    units = raw.get("units", "natural")
-    table = _scenario_table(scenario, units)
-    params = {}
-    for name, (_, _, default) in table.items():
-        given = raw["params"].get(name)
-        params[name] = default if given is None else given
+    top = _with_defaults(_SCHEMA, raw)
+    scenario, units = top["scenario"], top["units"]
+    params = _with_defaults(_params_schema(scenario, units), top["params"])
     if scenario == "nqubit" and params["pairs"] is None:
         params["pairs"] = [[0, 2 ** params["n_qubits"] - 1]]
     if scenario == "collide" and params["radius"] is None \
             and params["amp_im"] is None:
         params["amp_im"] = 0.0
 
-    seed = raw.get("seed")
+    seed = top["seed"]
     if seed is None and scenario == "traject":
         seed = 0
 
-    output = raw.get("output", {})
-    fmt = format_override or output.get("format") or "csv"
-    path = output_override or output.get("path") \
-        or f"decolab-{scenario}.{fmt}"
+    output = _with_defaults(_OUTPUT, top["output"] or {})
+    fmt = format_override or output["format"]
+    path = output_override or output["path"] or f"decolab-{scenario}.{fmt}"
     return ScenarioConfig(scenario=scenario, params=params, units=units,
                           seed=seed, output_path=path, output_format=fmt)
 
@@ -621,18 +526,8 @@ def _run_pointer(cfg):
                   f"final fitted width: {cols['width'][-1]:.6g}"]
 
 
-_RUNNERS = {
-    "cat": _run_cat,
-    "collide": _run_collide,
-    "dephase": _run_dephase,
-    "dot": _run_dot,
-    "lindblad": _run_lindblad,
-    "nqubit": _run_nqubit,
-    "pointer": _run_pointer,
-    "qbm": _run_qbm,
-    "traject": _run_traject,
-    "weakcoupling": _run_weakcoupling,
-}
+# one runner per scenario the schema names
+_RUNNERS = {name: globals()[f"_run_{name}"] for name in SCENARIOS}
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decolab",
         description="Decoherence-model scenario runner (natural units inside; "
-                    "config schema in docs/config_schema.json).")
+                    "config schema in src/decolab/config_schema.json).")
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a scenario config")
     run_p.add_argument("config", help="path to a JSON config")

@@ -387,16 +387,14 @@ def qbm_generator(x, p, m, gamma, temperature) -> LindbladGenerator:
     return LindbladGenerator(h, ((1.0, jump),))
 
 
-def qbm_moments(m, gamma, temperature, initial: PhaseSpaceMoments, t,
-                potential=None) -> PhaseSpaceMoments:
+def qbm_moments(m, gamma, temperature, initial: PhaseSpaceMoments,
+                t) -> PhaseSpaceMoments:
     """Closed-form moment flow of free Brownian motion.
 
     <p> damps at 2 gamma, <x> drifts by the integrated momentum, sigma_pp
     relaxes to mT at 4 gamma, and sigma_xx picks up the diffusive slope
     T/(gamma m) plus the momentum-channel floor gamma/(4mT).
     """
-    if potential is not None:
-        raise PhysicsError("closed forms hold for the free particle only")
     if m <= 0 or gamma <= 0 or temperature <= 0:
         raise PhysicsError("m, gamma, temperature must be positive")
     if t < 0:

@@ -46,15 +46,16 @@ class _NoJumpPropagator:
         # decay operator sum_k gamma_k L_k†L_k = i (H_C - H_C†): the survival
         # |psi(tau)|^2 falls at the rate <psi(tau)| Gamma |psi(tau)>
         self.gamma = 1j * (self.h_c - self.h_c.conj().T)
-        self.mode = "rk"
-        if self.dim <= _EXPM_DIM_MAX:
-            self.mode = "expm"
+        # a nonfinite drift skips the eigenbasis, so rk reports it
+        if np.isfinite(self.h_c).all():
             vals, vecs = np.linalg.eig(self.h_c)
             if np.linalg.cond(vecs) < _EIG_COND_MAX:
                 self.mode = "eig"
                 self._vals = vals
                 self._vecs = vecs
                 self._inv = np.linalg.inv(vecs)
+                return
+        self.mode = "expm" if self.dim <= _EXPM_DIM_MAX else "rk"
 
     def apply(self, psi, tau: float) -> np.ndarray:
         """exp(-i tau H_C) applied to a vector or to each column of a matrix."""

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decolab
-from decolab.cli import _AMP_KEY, _PARAM_TABLES, ResultSeries, main, validate_config
+from decolab import cli
+from decolab.cli import ResultSeries, main, resolve_config, validate_config
 from decolab.dephasing import SpectralDensity, classify_regime
 from decolab.errors import PhysicsError, SchemaError
 from decolab.lindblad import LindbladGenerator, cat_coherence_factor
@@ -177,6 +178,122 @@ class TestValidate:
         assert capsys.readouterr().out == ""
 
 
+class TestSchemaChecker:
+    """`validate_config` checks against config_schema.json, one failing case
+    per construct; each message names its `params.` or top-level path."""
+
+    NQUBIT = {"scenario": "nqubit", "params": {"n_qubits": 3}}
+    POINTER = {"scenario": "pointer",
+               "params": {"mass": 1.0, "gamma": 1.0, "temperature": 1.0}}
+    LINDBLAD = {"scenario": "lindblad", "params": {"energies": [0.0, 1.0], "gamma": 0.2}}
+    DOT = {"scenario": "dot", "params": {
+        "n_gas": 1.0, "mass": 1.0, "temperature": 1.0, "energies": [0.0, 0.5],
+        "amplitudes": {"0,1": [1.0, 0.0]}}}
+
+    @staticmethod
+    def changed(config, **params):
+        return dict(config, params=dict(config["params"], **params))
+
+    @pytest.mark.parametrize("case, path", [
+        (changed(DEPHASE, d="2"), "params.d"),          # enum matches type too
+        (changed(DEPHASE, d=True), "params.d"),
+        (changed(DEPHASE, d=2.0), "params.d"),
+        (changed(NQUBIT, n_qubits=17), "params.n_qubits"),  # maximum beside $ref
+        (changed(POINTER, grid_points=100), "params.grid_points"),  # minimum
+        (changed(LINDBLAD, energies=[0.0]), "params.energies"),     # minItems
+        (changed(NQUBIT, pairs=[]), "params.pairs"),
+        (changed(NQUBIT, pairs=[[0, -1]]), "params.pairs[0][1]"),   # nested items
+        (changed(NQUBIT, pairs=[[0]]), "params.pairs[0]"),
+        (changed(DOT, amplitudes={"0 ,1": [1.0, 0.0]}), "params.amplitudes['0 ,1']"),
+        (changed(DOT, amplitudes={}), "params.amplitudes"),         # minProperties
+        (changed(DOT, amplitudes={"0,1": None}), "params.amplitudes['0,1']"),
+        (dict(TRAJECT, seed=2**64), "seed"),
+        (dict(TRAJECT, seed=10**400), "seed"),
+        (changed(DEPHASE, a=10**400), "params.a"),                  # beyond float range
+        (dict(DEPHASE, units="metric"), "units"),
+        (dict(DEPHASE, output={"format": "xml"}), "output.format"),
+        (dict(DEPHASE, extra=1), "extra"),                           # additionalProperties
+    ])
+    def test_one_violation_per_construct(self, case, path):
+        assert [line.split(": ", 1)[0] for line in validate_config(case)] == [path]
+
+    def test_ref_failures_read_the_definition_description(self):
+        bad = validate_config(self.changed(TRAJECT, gamma=0, omega=-1, n_traj=0.5))
+        assert sorted(bad) == ["params.gamma: must be a positive number",
+                               "params.n_traj: must be a positive integer",
+                               "params.omega: must be a nonnegative number"]
+        cat = {"scenario": "cat", "params": {"alpha0": [1.0], "beta0": [0.0, 0.0],
+                                             "gamma": 1.0}}
+        assert validate_config(cat) == ["params.alpha0: must be a [re, im] pair"]
+
+    def test_null_members_count_as_absent(self):
+        config = dict(DEPHASE, units=None, output=None, seed=None,
+                      params=dict(DEPHASE["params"], d=None))
+        assert validate_config(config) == []
+        resolved = resolve_config(config)
+        assert (resolved.units, resolved.output_format, resolved.params["d"]) \
+            == ("natural", "csv", 1)
+        assert validate_config(dict(DEPHASE, params=dict(DEPHASE["params"], a=None))) \
+            == ["params.a: required"]
+
+    def test_null_d_keeps_the_d1_regime_rule(self, tmp_path, capsys):
+        """`"d": null` is d = 1, so omega_c <= 2 pi T is refused before any
+        physics runs, by validate and run alike."""
+        params = {"a": 1.0, "omega_c": 0.5, "temperature": 0.1, "n_points": 3}
+        for d in ({}, {"d": None}):
+            cfg = write_config(tmp_path, {"scenario": "dephase",
+                                          "params": dict(params, **d)})
+            assert main(["validate", cfg]) == 2
+            assert capsys.readouterr().out.startswith("params.omega_c:")
+            assert main(["run", cfg, "--output", str(tmp_path / "d.csv")]) == 2
+            assert "params.omega_c:" in capsys.readouterr().err
+            assert not (tmp_path / "d.csv").exists()
+
+    # keywords `_check` implements, and those it knowingly leaves alone
+    CHECKED = {"$ref", "type", "enum", "minimum", "exclusiveMinimum", "maximum",
+               "items", "minItems", "maxItems", "properties", "required",
+               "additionalProperties", "patternProperties", "minProperties"}
+    IGNORED = {"$schema", "title", "description", "default", "definitions",
+               "allOf", "if", "then", "else", "const"}
+
+    def test_every_schema_keyword_is_checked_or_knowingly_ignored(self):
+        seen = set()
+
+        def walk(node):
+            seen.update(node)
+            assert node.get("$ref", "#/definitions/").startswith("#/definitions/")
+            assert node.get("type", "object") in cli._TYPES
+            assert node.get("additionalProperties", False) is False
+            assert all(p.startswith("^") and p.endswith("$")
+                       for p in node.get("patternProperties", {}))
+            for key in ("properties", "patternProperties", "definitions"):
+                for member in node.get(key, {}).values():
+                    walk(member)
+            if "items" in node:
+                walk(node["items"])
+
+        walk(cli._SCHEMA)
+        assert seen - self.CHECKED - self.IGNORED == set()
+        assert self.CHECKED <= seen
+
+    def test_allof_names_the_definitions_the_checker_uses(self):
+        """The file's allOf, for standard validators, maps each scenario to
+        definitions[scenario], and SI input to definitions[scenario_si]."""
+        mapped = {}
+        for rule in cli._SCHEMA["allOf"]:
+            scenario = rule["if"]["properties"]["scenario"]["const"]
+            then = rule["then"]
+            branches = [("natural", then)] if "if" not in then else \
+                [("si", then["then"]), ("natural", then["else"])]
+            for units, branch in branches:
+                ref = branch["properties"]["params"]["$ref"]
+                mapped[scenario, units] = ref.rsplit("/", 1)[1]
+        want = {(name.removesuffix("_si"), "si" if name.endswith("_si") else "natural"): name
+                for name, node in cli._DEFINITIONS.items() if "properties" in node}
+        assert mapped == want
+        assert sorted({scenario for scenario, _ in mapped}) == list(cli.SCENARIOS)
+
+
 class TestDocumentation:
     def test_readme_json_examples_validate_and_run(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -189,22 +306,17 @@ class TestDocumentation:
             assert validate_config(config) == []
             assert main(["run", write_config(tmp_path, config, f"readme{i}.json")]) == 0
 
-    def test_schema_matches_parameter_tables(self):
-        schema = json.loads((ROOT / "docs" / "config_schema.json").read_text(
-            encoding="utf-8"))["definitions"]
-        for key, table in _PARAM_TABLES.items():
-            definition = schema[key if isinstance(key, str) else "_".join(key)]
-            props = definition["properties"]
-            assert set(props) == set(table), key
-            assert set(definition.get("required", [])) == {
-                name for name, (_, required, _) in table.items() if required}, key
-            for name, (kind, _, default) in table.items():
-                assert props[name].get("default") == default, (key, name)
-                if kind.startswith("choice:"):
-                    enum = [str(v) for v in props[name]["enum"]]
-                    assert enum == kind.split(":", 1)[1].split("|"), (key, name)
-        assert list(schema["dot"]["properties"]["amplitudes"]["patternProperties"]) \
-            == [_AMP_KEY.pattern]
+    def test_schema_ships_beside_cli(self, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        schema = Path(cli.__file__).with_name("config_schema.json")
+        assert schema.is_file()
+        pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        assert schema.name in pyproject["tool"]["setuptools"]["package-data"]["decolab"]
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        assert "src/decolab/config_schema.json" in readme
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "src/decolab/config_schema.json" in capsys.readouterr().out
 
 
 class TestRunOutputs:

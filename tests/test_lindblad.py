@@ -426,11 +426,6 @@ class TestBrownianMotion:
                 [out.x, out.p, out.sigma_xx, out.sigma_pp, out.cross],
                 sol.y[:, -1], rtol=1e-6, atol=1e-9)
 
-    def test_potential_unsupported(self):
-        init = PhaseSpaceMoments(0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(PhysicsError, match="free particle"):
-            qbm_moments(1.0, 0.1, 1.0, init, 1.0, potential=lambda x: x ** 2)
-
     def test_coherence_ratio_identities(self):
         assert qbm_coherence_ratio(0.3, 0.3, 1.0, 1.0) == 0.0
         r1 = qbm_coherence_ratio(0.0, 1.0, 2.0, 3.0)

@@ -176,7 +176,8 @@ class TestEndStates:
         want = sol.y[:, -1].reshape(d, d)
         assert evolve(gen, rho0, t).tobytes() == want.tobytes()
 
-    def test_rk_mode_no_jump_propagation_dim_70(self):
+    def test_rk_mode_no_jump_propagation_dim_70(self, monkeypatch):
+        monkeypatch.setattr(trajectories, "_EIG_COND_MAX", 0.0)
         gen = damped_oscillator_generator(1.0, 0.3, 70)
         assert trajectories._NoJumpPropagator(gen).mode == "rk"
         psi = coherent_vector(CoherentStateSpec(2.0, 70))

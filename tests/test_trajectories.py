@@ -107,9 +107,10 @@ class TestNoJumpPropagation:
             direct = expm(-1j * tau * h_c) @ psi
             assert np.allclose(no_jump_propagate(psi, gen, tau), direct, atol=1e-10)
 
-    def test_large_dimension_rk_route(self, rng):
-        # above the dense-exponential cutoff; diagonal generator keeps an
-        # exact reference available componentwise
+    def test_large_dimension_rk_route(self, rng, monkeypatch):
+        # above the dense-exponential cutoff, with the eigenbasis refused;
+        # diagonal generator keeps an exact reference available componentwise
+        monkeypatch.setattr(trajectories, "_EIG_COND_MAX", 0.0)
         dim = 70
         h_diag = rng.normal(size=dim)
         l_diag = rng.normal(size=dim)
@@ -231,6 +232,21 @@ class TestPropagatorModes:
                 times, [np.inf if t is None else t for t in single], rtol=1e-12)
             np.testing.assert_allclose(times, ref_times, rtol=1e-9)
             np.testing.assert_allclose(op, ref_op, rtol=0, atol=1e-9)
+
+    def test_eigenbasis_above_the_expm_cutoff(self, monkeypatch):
+        """A well-conditioned dim-70 drift takes the eigenbasis, not one RK45
+        run per grid interval, and its waiting times match rk mode's."""
+        gen = damped_oscillator_generator(1.0, 0.5, 70)
+        psi = coherent_vector(CoherentStateSpec(2.0, 70))
+        us = np.array([0.05, 0.3, 0.8])
+        assert trajectories._NoJumpPropagator(gen).mode == "eig"
+        eig_times = sample_jump_times(psi, gen, us, 3.0)
+        self.force(monkeypatch, "rk")
+        rk_gen = damped_oscillator_generator(1.0, 0.5, 70)
+        assert trajectories._NoJumpPropagator(rk_gen).mode == "rk"
+        assert np.isfinite(eig_times).all()
+        np.testing.assert_allclose(sample_jump_times(psi, rk_gen, us, 3.0),
+                                   eig_times, rtol=1e-9)
 
 
 class TestPropagatorCache:
