@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legval, legvander
-from scipy.special import spherical_jn, spherical_yn
 
 from .errors import DimensionError, PhysicsError, QuadratureError
 
@@ -51,6 +50,9 @@ _PANEL_ORDER = 16
 _PANEL_START = 4
 # array elements per chunk of oscillation panels, so memory stays bounded in x
 _CHUNK = 1 << 16
+# partial waves of one hard sphere: the moment table's Legendre-Vandermonde
+# matrix alone holds (2 l_max)^2 doubles, 3.2 GB at this cutoff
+_PARTIAL_WAVE_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -105,13 +107,65 @@ def constant_amplitude(value) -> IsotropicAmplitude:
     return IsotropicAmplitude(lambda e: np.full((len(e), 1), value, dtype=complex))
 
 
+def _upward(f_prev, f_0, z, l_max: int) -> np.ndarray:
+    """f_0..f_{l_max} from f_{l+1} = (2l+1) f_l / z - f_{l-1}, given f_{-1}, f_0."""
+    rows = [f_prev, f_0]
+    for l in range(l_max):
+        rows.append((2 * l + 1) * rows[-1] / z - rows[-2])
+    return np.array(rows[1:])
+
+
+def _spherical_j(l_max: int, z) -> np.ndarray:
+    """Spherical Bessel functions j_l(z), l = 0..l_max, as rows over a 1-d
+    array of z >= 0: upward recurrence where z > l_max, and Miller's
+    downward recurrence in ratio form elsewhere,
+    rho_l = j_l/j_{l-1} = z/(2l+1 - z rho_{l+1}) from rho = 0 at
+    N = l_max + 20 + sqrt(40(l_max+1)), which cannot overflow; the products
+    of the rho_l are normalised by whichever of j_0 = sin z/z and j_1 is
+    larger in magnitude (Gautschi, SIAM Rev. 9, 24 (1967)).
+    """
+    j = np.empty((l_max + 1, z.size))
+    up = z > l_max
+    zu, zd = z[up], z[~up]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j[:, up] = _upward(np.cos(zu) / zu, np.sin(zu) / zu, zu, l_max)
+        j0 = np.where(zd > 0, np.sin(zd) / zd, 1.0)
+        j1 = np.where(zd > 0, (j0 - np.cos(zd)) / zd, 0.0)
+    rho = np.zeros((l_max + 1, zd.size))
+    cur = rho[0]
+    for l in range(int(l_max + 20 + math.sqrt(40 * (l_max + 1))) if zd.size else 0, 0, -1):
+        den = 2 * l + 1 - zd * cur
+        if not den.all():
+            # only at a zero of j_{l-1}; any tiny value keeps j_l finite
+            den[den == 0.0] = 1e-300
+        cur = zd / den
+        if l <= l_max:
+            rho[l] = cur
+    rho[0] = j0
+    if l_max:
+        rho[1] = np.where(np.abs(j1) > np.abs(j0), j1, j0 * rho[1])
+        np.cumprod(rho[1:], axis=0, out=rho[1:])
+    j[:, ~up] = rho
+    return j
+
+
+def _spherical_jy(l_max: int, z):
+    """(j_l(z), y_l(z)), l = 0..l_max, as rows over a 1-d array of z >= 0;
+    y_l, the growing solution, by upward recurrence (-inf past overflow)."""
+    with np.errstate(all="ignore"):
+        y = _upward(np.sin(z) / z, -np.cos(z) / z, z, l_max)
+    y[np.isnan(y)] = -np.inf
+    return _spherical_j(l_max, z), y
+
+
 def hard_sphere_amplitude(radius: float, mass: float) -> IsotropicAmplitude:
     """Hard-sphere partial waves c_l = (2l+1) t_l / k with
     t_l = tan(delta_l) / (1 - i tan(delta_l)) and tan(delta_l) = j_l(kr) / y_l(kr).
 
     Every energy shares the cutoff l_max = kr + 8 (kr)^(1/3) + 12 of the
     largest kr, where the phase shifts are negligible; a row whose last
-    coefficient exceeds 1e-8 of its summed magnitudes raises. Below
+    coefficient exceeds 1e-8 of its summed magnitudes raises, and so does
+    l_max beyond _PARTIAL_WAVE_MAX. Below
     kr = 1e-8 a row is the s-wave limit c_0 = -r (scattering length = radius).
     """
     if radius <= 0 or mass <= 0:
@@ -121,12 +175,17 @@ def hard_sphere_amplitude(radius: float, mass: float) -> IsotropicAmplitude:
         k = np.sqrt(np.maximum(2.0 * mass * np.asarray(energies, dtype=float), 0.0))
         x = k * radius
         top = float(x.max())
-        ells = np.arange(int(top + 8.0 * top ** (1.0 / 3.0) + 12.0) + 1)
+        cut = top + 8.0 * top ** (1.0 / 3.0) + 12.0
+        if not cut < _PARTIAL_WAVE_MAX + 1:
+            raise PhysicsError(
+                f"hard sphere at k r = {top:.6g} needs l_max = {cut:.6g} partial "
+                f"waves, more than the {_PARTIAL_WAVE_MAX} the moment table can hold")
+        ells = np.arange(int(cut) + 1)
         coeffs = np.zeros((x.size, ells.size), dtype=complex)
         coeffs[:, 0] = -radius
         wave = x >= 1e-8
-        xw = x[wave, None]
-        tan_delta = spherical_jn(ells, xw) / spherical_yn(ells, xw)
+        j, y = _spherical_jy(ells[-1], x[wave])
+        tan_delta = (j / y).T
         coeffs[wave] = (2 * ells + 1) * tan_delta / (1.0 - 1j * tan_delta) / k[wave, None]
         tail = np.abs(coeffs[:, -1])
         if np.any(tail > 1e-8 * np.maximum(np.abs(coeffs).sum(axis=1), 1e-300)):
@@ -256,6 +315,7 @@ def saturation_rate(amp: IsotropicAmplitude, gas: GasModel) -> float:
     return _settled_rate(amp, gas, _saturation_integral)
 
 
+@functools.cache
 def _riccati_bessel_bound(n: int) -> np.ndarray:
     """mu_L >= max_z (z j_L(z))^2 for L < n.
 
@@ -265,8 +325,11 @@ def _riccati_bessel_bound(n: int) -> np.ndarray:
     """
     ells = np.arange(1, n)
     z = np.sqrt(ells * (ells + 1.0))
-    modulus = z * z * (spherical_jn(ells, z) ** 2 + spherical_yn(ells, z) ** 2)
-    return np.concatenate(([1.0], modulus))
+    j, y = _spherical_jy(n - 1, z)
+    modulus = z * z * (j[ells, ells - 1] ** 2 + y[ells, ells - 1] ** 2)
+    mu = np.concatenate(([1.0], modulus))
+    mu.flags.writeable = False
+    return mu
 
 
 # direct tail terms beyond the table at z <= 1: each further term there is
@@ -285,11 +348,11 @@ def _bracket(a, z) -> np.ndarray:
     width = a.shape[1]
     ells = np.arange(width + _DIRECT_TAIL)
     degen = 2 * ells + 1
-    jl2 = spherical_jn(ells[:width, None], z) ** 2
+    jl2 = _spherical_j(width - 1, z) ** 2
     tail = 1.0 - degen[:width] @ jl2
     small = z <= 1.0
     if small.any():
-        tail[small] = degen[width:] @ spherical_jn(ells[width:, None], z[small]) ** 2
+        tail[small] = degen[width:] @ _spherical_j(ells[-1], z[small])[width:] ** 2
     inner = np.sum((degen[1:width] * a[:, :1] - a[:, 1:]) * jl2[1:].T, axis=1)
     return inner + a[:, 0] * tail
 

@@ -29,18 +29,18 @@ to k = 16 instead (psi^(-1) = lnGamma):
 
     F_th = 2a c^(d-1) (-1)^(d+1) sum_k (-1)^(k+1) y^(2k)/(2k)! psi^(d-2+2k)(w).
 
-Against 40-digit references both routes are within 2e-13 for T/omega_c <= 30.
+Against 40-digit references both routes are within 1.4e-13 for T/omega_c <= 30.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma, polygamma, psi
 
 from .errors import PhysicsError
 
@@ -54,9 +54,19 @@ _FLOAT_MAX = sys.float_info.max
 _SQRT_MAX = math.sqrt(_FLOAT_MAX)
 _SERIES_K = np.arange(1, 17)
 _SERIES_COEF = np.array([(-1.0) ** (k + 1) / math.factorial(2 * k) for k in _SERIES_K])
-# the trigamma asymptotic tail is used from here; its first omitted term,
-# 691/2730 x^-13, is below 3e-14 of psi'(x) for |x| >= 12
-_TRIGAMMA_SHIFT = 12.0
+# the lnGamma, psi and psi' asymptotic tails are used from |x| = 15 on; their
+# first omitted terms, x^-13/156, x^-14/12 and 7/6 x^-15, are below 4e-18 there
+_GAMMA_SHIFT = 15.0
+# psi^(n)(w) = (-1)^(n+1) n! zeta(n+1, w) for the series orders n = 1..33,
+# tabulated by s = n + 1: 20 direct terms of the Hurwitz zeta, then the
+# Euler-Maclaurin tail, whose B_2j/(2j)! (s)_(2j-1) a^(1-s-2j) terms for
+# j = 1..8 at a = w + 20 >= 21 leave below 1e-16 of the series sum
+_ZETA_S = np.arange(2, 35)
+_ZETA_SIGNED = np.array([(-1.0) ** s * math.factorial(s - 1) for s in _ZETA_S])
+_EM_COEF = np.array([[b / math.factorial(2 * j) * math.prod(range(s, s + 2 * j - 1))
+                      for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
+                                             -691 / 2730, 7 / 6, -3617 / 510), 1)]
+                     for s in _ZETA_S])
 
 
 @dataclass(frozen=True)
@@ -188,7 +198,13 @@ def F_vac(j: SpectralDensity, t) -> float:
 def _series_derivs(d: int, w: float) -> np.ndarray:
     """psi^(d-2+2k)(w), k = 1..16: the small-y series' derivatives, which a
     t-grid at fixed bath and temperature shares."""
-    derivs = polygamma(d - 2 + 2 * _SERIES_K, w)
+    rows = slice(d - 1, d + 31, 2)
+    s = _ZETA_S[rows]
+    a = w + 20.0
+    zeta = (((w + np.arange(20.0))[:, None] ** -s).sum(axis=0)
+            + a ** (1 - s) / (s - 1) + 0.5 * a ** -s
+            + a ** -s * (_EM_COEF[rows] @ a ** (1.0 - 2 * np.arange(1, 9))))
+    derivs = _ZETA_SIGNED[rows] * zeta
     derivs.flags.writeable = False
     return derivs
 
@@ -211,27 +227,69 @@ def F_th(j: SpectralDensity, temperature, t) -> float:
                      * np.dot(_SERIES_COEF * y ** (2 * _SERIES_K), _series_derivs(j.d, w)))
     z = complex(w, y)
     if j.d == 1:
-        return float(scale * (loggamma(w) - loggamma(z).real))
+        return float(scale * _loggamma_drop(w, y))
     if j.d == 2:
-        return float(scale * (psi(z).real - psi(w)))
+        return float(scale * (_psi(z).real - _psi(complex(w)).real))
     return float(scale * (trigamma(w) - trigamma(z).real))
+
+
+def _log_modulus(r: float) -> float:
+    """ln|1 + ir| = log1p(r^2)/2, without overflow at large r."""
+    return 0.5 * math.log1p(r * r) if r < 1e150 else math.log(r)
+
+
+def _stirling_tail(z):
+    """lnGamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2 for |z| >= _GAMMA_SHIFT
+    (A&S 6.1.41)."""
+    inv = 1.0 / z
+    inv2 = inv * inv
+    return inv * (1.0 / 12.0 + inv2 * (-1.0 / 360.0 + inv2 * (1.0 / 1260.0 + inv2 * (
+        -1.0 / 1680.0 + inv2 * (1.0 / 1188.0 + inv2 * -691.0 / 360360.0)))))
+
+
+def _loggamma_drop(w: float, y: float) -> float:
+    """lnGamma(w) - Re lnGamma(w + iy) for w > 0 and y >= 0 without
+    differencing two lnGamma values: each shift lnGamma(z) = lnGamma(z+1) - ln z
+    up to w >= _GAMMA_SHIFT adds ln|1 + iy/w|, and Stirling's series leaves
+    y arg(w + iy) - (w - 1/2) ln|1 + iy/w| plus the difference of its tails,
+    which cancels only where y << w, below the series switch of F_th."""
+    acc = 0.0
+    while w < _GAMMA_SHIFT:
+        acc += _log_modulus(y / w)
+        w += 1.0
+    return (acc + y * math.atan2(y, w) - (w - 0.5) * _log_modulus(y / w)
+            + _stirling_tail(w) - _stirling_tail(complex(w, y)).real)
+
+
+def _psi(z: complex) -> complex:
+    """psi(z) for Re z > 0, via psi(z) = psi(z+1) - 1/z up to
+    |z| >= _GAMMA_SHIFT plus the asymptotic series (A&S 6.3.18)."""
+    acc = 0.0
+    while abs(z) < _GAMMA_SHIFT:
+        acc -= 1.0 / z
+        z += 1.0
+    inv = 1.0 / z
+    inv2 = inv * inv
+    tail = inv2 * (-1.0 / 12.0 + inv2 * (1.0 / 120.0 + inv2 * (-1.0 / 252.0 + inv2 * (
+        1.0 / 240.0 + inv2 * (-1.0 / 132.0 + inv2 * 691.0 / 32760.0)))))
+    return acc + cmath.log(z) - 0.5 * inv + tail
 
 
 def trigamma(x) -> float | complex:
     """psi'(x) for real x > 0 or complex x with Re x > 0, via the recurrence
-    psi'(x) = psi'(x+1) + 1/x^2 up to Re x >= 12 plus an asymptotic tail;
-    relative error below 3e-14."""
+    psi'(x) = psi'(x+1) + 1/x^2 up to |x| >= _GAMMA_SHIFT plus an asymptotic
+    tail (A&S 6.4.12); relative error below 1e-16 in the tail."""
     if x.real <= 0:
         raise PhysicsError("trigamma implemented for Re x > 0 only")
     acc = 0.0
-    while x.real < _TRIGAMMA_SHIFT:
+    while abs(x) < _GAMMA_SHIFT:
         acc += 1.0 / (x * x)
         x += 1.0
     inv = 1.0 / x
     inv2 = inv * inv
-    # 1/x + 1/2x^2 + 1/6x^3 - 1/30x^5 + 1/42x^7 - 1/30x^9 + 5/66x^11
-    tail = inv * (1.0 + inv * (0.5 + inv * (1.0 / 6.0 + inv2 * (
-        -1.0 / 30.0 + inv2 * (1.0 / 42.0 + inv2 * (-1.0 / 30.0 + inv2 * 5.0 / 66.0))))))
+    # 1/x + 1/2x^2 + 1/6x^3 - 1/30x^5 + 1/42x^7 - 1/30x^9 + 5/66x^11 - 691/2730x^13
+    tail = inv * (1.0 + inv * (0.5 + inv * (1.0 / 6.0 + inv2 * (-1.0 / 30.0 + inv2 * (
+        1.0 / 42.0 + inv2 * (-1.0 / 30.0 + inv2 * (5.0 / 66.0 + inv2 * -691.0 / 2730.0)))))))
     return acc + tail
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import circulant
 
 from .errors import PhysicsError
 from .lindblad import LindbladGenerator, apply_generator
@@ -165,7 +164,9 @@ def qbm_pointer_generator(m: float, gamma: float, temperature: float,
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     column = np.fft.ifft(k**2 / (2.0 * m)).real
     # symmetrize c[j] and c[-j] so the circulant is exactly symmetric
-    kinetic = circulant(0.5 * (column + np.roll(column[::-1], 1)))
+    column = 0.5 * (column + np.roll(column[::-1], 1))
+    # circulant: kinetic[i, j] = column[(i - j) % n]
+    kinetic = column[(np.arange(n)[:, None] - np.arange(n)) % n]
     monitor = 2.0 * math.sqrt(m * temperature) * np.diag(grid).astype(complex)
     return LindbladGenerator(hamiltonian=kinetic, channels=((gamma, monitor),))
 

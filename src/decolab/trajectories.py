@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg import expm
 
 from .errors import DimensionError, PhysicsError
 from .lindblad import LindbladGenerator
-from .operator_core import _DormandPrince, as_operator, dag
+from .operator_core import _DormandPrince, _expm, as_operator, dag
 
 _EXPM_DIM_MAX = 64
 # eigenbasis evaluation of exp(-i tau H_C) is O(dim^2) per tau instead of a
@@ -67,7 +66,7 @@ class _NoJumpPropagator:
             return (self._vecs @ (np.exp(-1j * tau * self._vals)[:, None] * cols)
                     ).reshape(psi.shape)
         if self.mode == "expm":
-            return expm(-1j * tau * self.h_c) @ psi
+            return _expm(-1j * tau * self.h_c) @ psi
         h_c, dim = self.h_c, self.dim
         return _DormandPrince(lambda y: -1j * (h_c @ y.reshape(dim, -1)).ravel(),
                               psi.ravel(), tau, 1e-10, 1e-13).run().reshape(psi.shape)

@@ -51,18 +51,28 @@ def read_csv(path):
 
 
 class TestImports:
-    def test_cli_leaves_heavy_scipy_subpackages_unloaded(self):
-        """`import decolab.cli` in a fresh interpreter loads no
-        scipy.integrate (whose package import pulls in optimize, sparse,
-        spatial and fft), scipy.optimize or scipy.sparse."""
+    """The package runs on numpy alone: scipy is a test oracle only."""
+
+    @staticmethod
+    def fresh_env():
         src = str(Path(decolab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys, decolab.cli; print(sorted(m for m in sys.modules if m in "
-                "('scipy.integrate', 'scipy.optimize', 'scipy.sparse')))")
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
+
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, decolab.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        done = subprocess.run([sys.executable, "-c", code], env=self.fresh_env(),
+                              capture_output=True, text=True, timeout=120, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_validate_process_loads_no_scipy(self, tmp_path):
+        cfg = write_config(tmp_path, DEPHASE)
+        code = ("import sys\nfrom decolab.cli import main\ncode = main(['validate', sys.argv[1]])\n"
+                "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
+        done = subprocess.run([sys.executable, "-c", code, cfg], env=self.fresh_env(),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "0 []"
 
 
 class TestValidate:
@@ -198,7 +208,7 @@ class TestSchemaChecker:
         (changed(DEPHASE, d="2"), "params.d"),          # enum matches type too
         (changed(DEPHASE, d=True), "params.d"),
         (changed(DEPHASE, d=2.0), "params.d"),
-        (changed(NQUBIT, n_qubits=17), "params.n_qubits"),  # maximum beside $ref
+        (changed(NQUBIT, n_qubits=17), "params.n_qubits"),  # maximum
         (changed(POINTER, grid_points=100), "params.grid_points"),  # minimum
         (changed(LINDBLAD, energies=[0.0]), "params.energies"),     # minItems
         (changed(NQUBIT, pairs=[]), "params.pairs"),
@@ -213,9 +223,22 @@ class TestSchemaChecker:
         (dict(DEPHASE, units="metric"), "units"),
         (dict(DEPHASE, output={"format": "xml"}), "output.format"),
         (dict(DEPHASE, extra=1), "extra"),                           # additionalProperties
+        (changed(NQUBIT, n_qubits=0), "params.n_qubits"),           # minimum
     ])
     def test_one_violation_per_construct(self, case, path):
         assert [line.split(": ", 1)[0] for line in validate_config(case)] == [path]
+
+    def test_standard_validator_agrees_on_n_qubits(self):
+        """A draft-07 validator reading the shipped schema accepts exactly
+        the n_qubits that `decolab validate` accepts: no bound sits beside a
+        `$ref`, where such validators ignore it."""
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(Path(cli.__file__).with_name("config_schema.json").read_text())
+        validator = jsonschema.Draft7Validator(schema)
+        for n, valid in ((0, False), (1, True), (16, True), (17, False)):
+            config = self.changed(self.NQUBIT, n_qubits=n)
+            assert validator.is_valid(config) is valid
+            assert (validate_config(config) == []) is valid
 
     def test_ref_failures_read_the_definition_description(self):
         bad = validate_config(self.changed(TRAJECT, gamma=0, omega=-1, n_traj=0.5))
@@ -541,6 +564,19 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "saturation rate" in err and "|f|^2 = 0" in err
         assert "|f| = 1e-200" in err
+        assert not out.exists()
+
+    def test_collide_huge_hard_sphere_exits_3(self, tmp_path, capsys):
+        # l_max grows with k r; at r = 1.7e157 it cannot even be allocated
+        params = {"n_gas": 1.0, "mass": 1.0, "temperature": 1.0,
+                  "radius": 1.7e157, "n_points": 2}
+        cfg = write_config(tmp_path, {"scenario": "collide", "params": params})
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "huge.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "k r = " in err and "l_max = " in err
         assert not out.exists()
 
     def test_physics_failure_exits_3(self, tmp_path, capsys):

@@ -26,8 +26,10 @@ from decolab.collisional import (
     momentum_gain_rate,
     saturation_rate,
     total_cross_section,
+    _PARTIAL_WAVE_MAX,
     _moment_rows,
     _pair_rate,
+    _spherical_jy,
 )
 from decolab.errors import DimensionError, PhysicsError, QuadratureError
 
@@ -200,6 +202,79 @@ class TestAmplitudes:
         with pytest.raises(PhysicsError):
             hard_sphere_amplitude(-1.0, 1.0)
 
+    @pytest.mark.parametrize("radius", [1e4, 1.7e157, 1e300])
+    def test_partial_wave_count_beyond_the_table_raises(self, radius):
+        """k r that needs more than _PARTIAL_WAVE_MAX partial waves is a
+        PhysicsError naming k r and l_max, raised before any allocation."""
+        amp = hard_sphere_amplitude(radius, 1.0)
+        with pytest.raises(PhysicsError, match=r"k r = .* l_max = .*partial waves"):
+            amp.coefficients(np.array([0.5, 2.0]))
+
+
+def bessel_arguments(l_max):
+    """The arguments the rate kernels reach (kr in the amplitudes, beta s up
+    to 1e6 in the bracket, the turning points sqrt(L(L+1)) of the Riccati
+    bound), plus zeros of j_0 and both sides of the recurrences' switch."""
+    turning = np.sqrt(np.arange(1, l_max + 2) * np.arange(2, l_max + 3.0))
+    return np.concatenate([np.geomspace(1e-6, 1e6, 37), turning[::max(1, l_max // 8)],
+                           [math.pi, 2 * math.pi, l_max, l_max * (1 + 1e-12) + 1e-12]])
+
+
+def bessel_scale(j_ref, y_ref, ell, z):
+    """|value| where l >= z, the modulus sqrt(j^2 + y^2) where l < z, where
+    the functions oscillate through zeros."""
+    return np.where(ell >= z, np.abs(j_ref), np.hypot(j_ref, y_ref))
+
+
+class TestSphericalBessel:
+    """The in-repo recurrences against 40-digit mpmath and against scipy's
+    spherical_jn/spherical_yn, the route they replaced."""
+
+    @pytest.mark.parametrize("l_max", [1, 11, 41, 80])
+    def test_against_mpmath(self, l_max):
+        mpmath = pytest.importorskip("mpmath")
+        z = bessel_arguments(l_max)
+        j, y = _spherical_jy(l_max, z)
+        with mpmath.workdps(40):
+            for ell in sorted({0, 1, min(2, l_max), l_max // 2, l_max - 1, l_max}):
+                for zi, x in enumerate(z):
+                    xm = mpmath.mpf(float(x))
+                    half = mpmath.sqrt(mpmath.pi / (2 * xm))
+                    j_ref = float(half * mpmath.besselj(ell + mpmath.mpf(0.5), xm))
+                    y_ref = float(half * mpmath.bessely(ell + mpmath.mpf(0.5), xm))
+                    scale = abs(j_ref) if ell >= x else math.hypot(j_ref, y_ref)
+                    if scale > 1e-280:
+                        assert abs(j[ell, zi] - j_ref) <= 2e-14 * scale, (ell, x)
+                    else:
+                        assert abs(j[ell, zi]) <= 1e-270, (ell, x)
+                    if math.isfinite(y_ref):
+                        y_scale = abs(y_ref) if ell >= x else math.hypot(j_ref, y_ref)
+                        assert abs(y[ell, zi] - y_ref) <= 2e-14 * y_scale, (ell, x)
+                    else:
+                        assert y[ell, zi] == -math.inf, (ell, x)
+
+    @pytest.mark.parametrize("l_max", [0, 1, 11, 41, 80, 130])
+    def test_against_scipy(self, l_max):
+        z = bessel_arguments(l_max)
+        ell = np.arange(l_max + 1)[:, None]
+        j, y = _spherical_jy(l_max, z)
+        j_ref, y_ref = spherical_jn(ell, z), spherical_yn(ell, z)
+        scale = bessel_scale(j_ref, y_ref, ell, z)
+        kept = scale > 1e-280
+        assert np.all(np.abs(j - j_ref)[kept] <= 2e-13 * scale[kept])
+        finite = np.isfinite(y_ref)
+        assert np.all(y[~finite] == -np.inf)
+        y_scale = np.where(ell >= z, np.abs(y_ref), scale)[finite]
+        assert np.all(np.abs(y[finite] - y_ref[finite]) <= 2e-13 * y_scale)
+
+    def test_zero_argument_and_shape(self):
+        j, y = _spherical_jy(3, np.zeros(2))
+        assert j.shape == y.shape == (4, 2)
+        np.testing.assert_array_equal(j[:, 0], [1.0, 0.0, 0.0, 0.0])
+        assert np.all(y == -np.inf)
+        j, y = _spherical_jy(0, np.array([]))
+        assert j.shape == y.shape == (1, 0)
+
 
 class TestLocalizationRate:
     def test_zero_separation_is_exactly_zero(self):
@@ -293,14 +368,16 @@ class TestAgainstQuadratureOracle:
     def test_coefficients_over_energies_are_the_per_energy_rows(self):
         """One call over an energy array gives each energy's partial waves,
         zero-padded to the largest energy's cutoff, and the s-wave limit
-        c_0 = -r below kr = 1e-8."""
+        c_0 = -r below kr = 1e-8. The rows come from the in-repo Bessel
+        recurrences, the reference from scipy's, so they agree at the
+        recurrences' bar against scipy rather than bit for bit."""
         energies = np.array([1e-20, 1e-3, 0.5, 8.0, 40.0])
         table = hard_sphere_amplitude(0.5, 1.0).coefficients(energies)
         assert table.shape == (5, hard_sphere_partial_waves(0.5, 1.0, 40.0).size)
         np.testing.assert_array_equal(table[0], -0.5 * np.eye(1, table.shape[1])[0])
         for row, energy in zip(table[1:], energies[1:]):
             c = hard_sphere_partial_waves(0.5, 1.0, energy)
-            np.testing.assert_array_equal(row[:c.size], c)
+            assert np.all(np.abs(row[:c.size] - c) <= 2e-13 * np.abs(c))
             assert np.all(np.abs(row[c.size:]) <= 1e-8 * np.abs(c).sum())
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import polygamma
+from scipy.special import loggamma, polygamma, psi
 
 from decolab.dephasing import (
     BathModes,
@@ -13,6 +13,8 @@ from decolab.dephasing import (
     F_superohmic_limit,
     F_th,
     F_vac,
+    _loggamma_drop,
+    _psi,
     _series_derivs,
     alpha_k,
     chi_thermal_discrete,
@@ -334,8 +336,9 @@ class TestThermalDecay:
         values = [F_th(j, temp, t) for t in np.geomspace(1e-3, 1.0, 20)]
         info = _series_derivs.cache_info()
         assert (info.misses, info.hits) == (1, 19)
+        assert np.array_equal(_series_derivs(2, w), _series_derivs.__wrapped__(2, w))
         derivs = polygamma(2 * np.arange(1, 17), w)
-        assert np.array_equal(_series_derivs(2, w), derivs)
+        np.testing.assert_allclose(_series_derivs(2, w), derivs, rtol=4e-15, atol=0.0)
         assert all(v > 0.0 for v in values)
 
 
@@ -385,6 +388,89 @@ class TestClosedFormOracles:
             ts = np.geomspace(1e-4 / omega_c, 1e5, 7)
             got = [F_vac(j, t) for t in ts]
             assert max(relative_errors(got, [quad_decay(j, 0.0, t) for t in ts])) <= 1e-9
+
+
+# (w, y) pairs of the gamma-function forms: w = 1 + T/omega_c up to
+# T/omega_c = 30, y = T t from 1e-7 to 1e3
+GAMMA_W = (1.0, 1.0025, 1.1, 2.0, 7.3, 31.0)
+GAMMA_Y = tuple(np.geomspace(1e-7, 1e3, 11))
+
+
+class TestGammaKernels:
+    """The in-repo lnGamma, psi and polygamma kernels against 40-digit
+    mpmath, and against scipy's loggamma, psi and polygamma, the route
+    they replaced."""
+
+    def test_loggamma_drop(self):
+        """lnGamma(w) - Re lnGamma(w + iy) where F_th uses it, y >= w/4 (the
+        Taylor series takes smaller y). scipy's difference of two loggamma
+        values cancels there, to 2.4e-14."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for w in GAMMA_W:
+                for y in [y for y in GAMMA_Y if y >= 0.25 * w] + [0.25 * w, 0.3 * w]:
+                    want = float(mpmath.loggamma(w)
+                                 - mpmath.re(mpmath.loggamma(mpmath.mpc(w, y))))
+                    assert _loggamma_drop(w, y) == pytest.approx(want, rel=2e-15, abs=0.0)
+                    scipy_drop = float(loggamma(w) - loggamma(complex(w, y)).real)
+                    assert scipy_drop == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_psi(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for w in GAMMA_W:
+                for y in (0.0,) + GAMMA_Y:
+                    z = complex(w, y)
+                    want = complex(mpmath.digamma(mpmath.mpc(w, y)))
+                    assert abs(_psi(z) - want) <= 4e-15 * max(1.0, abs(want))
+                    assert abs(_psi(z) - complex(psi(z))) <= 8e-15 * max(1.0, abs(want))
+
+    def test_trigamma(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for w in GAMMA_W:
+                for y in (0.0,) + GAMMA_Y:
+                    want = complex(mpmath.psi(1, mpmath.mpc(w, y)))
+                    assert abs(trigamma(complex(w, y)) - want) <= 2e-15 * abs(want)
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_series_polygammas(self, d):
+        mpmath = pytest.importorskip("mpmath")
+        orders = d - 2 + 2 * np.arange(1, 17)
+        with mpmath.workdps(40):
+            for w in GAMMA_W:
+                got = _series_derivs(d, w)
+                want = np.array([float(mpmath.polygamma(int(n), w)) for n in orders])
+                np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+                np.testing.assert_allclose(got, polygamma(orders, w), rtol=4e-15, atol=0.0)
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_decay_functions_within_bar_of_mpmath(self, d):
+        """F_vac and F_th within 1.4e-13 of their closed forms evaluated at 40
+        digits, over T/omega_c <= 30 and y from 1e-7 to 1e3, both sides of
+        the series switch."""
+        mpmath = pytest.importorskip("mpmath")
+        a, omega_c = 0.7, 1.0
+        j = SpectralDensity(a=a, omega_c=omega_c, d=d)
+        with mpmath.workdps(40):
+            for ratio in (0.0025, 0.01, 0.5, 3.0, 30.0):
+                temp = ratio * omega_c
+                c = mpmath.mpf(temp) / omega_c
+                w = 1 + c
+                for y in GAMMA_Y + (0.2 * (1 + ratio), 0.3 * (1 + ratio)):
+                    t = y / temp
+                    z = mpmath.mpc(w, y)
+                    if d == 1:
+                        th = 2 * a * (mpmath.loggamma(w) - mpmath.re(mpmath.loggamma(z)))
+                    elif d == 2:
+                        th = 2 * a * c * (mpmath.re(mpmath.digamma(z)) - mpmath.digamma(w))
+                    else:
+                        th = 2 * a * c ** 2 * (mpmath.psi(1, w) - mpmath.re(mpmath.psi(1, z)))
+                    x = (omega_c * mpmath.mpf(t)) ** 2
+                    vac = [a / 2 * mpmath.log1p(x), a * x / (1 + x),
+                           a * (3 * x + x * x) / (1 + x) ** 2][d - 1]
+                    assert F_th(j, temp, t) == pytest.approx(float(th), rel=1.4e-13, abs=0.0)
+                    assert F_vac(j, t) == pytest.approx(float(vac), rel=1.4e-13, abs=0.0)
 
 
 class TestBeyondQuadratureWindow:

@@ -321,6 +321,16 @@ class TestQbmPointerModel:
         assert np.array_equal(h, h.T)
         assert np.array_equal(h, circulant(h[:, 0]))
 
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_kinetic_is_the_scipy_circulant_bit_for_bit(self, n):
+        """The index-arithmetic circulant equals scipy.linalg.circulant of the
+        symmetrized column, the matrix the generator was built from before."""
+        grid = np.linspace(-10.0, 10.0, n)
+        h = qbm_pointer_generator(1.3, 1.0 / 8.0, 1.0, grid).hamiltonian
+        k = 2.0 * math.pi * np.fft.fftfreq(n, d=grid[1] - grid[0])
+        column = np.fft.ifft(k**2 / (2.0 * 1.3)).real
+        assert np.array_equal(h, circulant(0.5 * (column + np.roll(column[::-1], 1))))
+
     def test_kinetic_term_is_spectral(self):
         grid = np.linspace(-10.0, 10.0, 256)
         gen = qbm_pointer_generator(1.0, 1.0 / 8.0, 1.0, grid)
