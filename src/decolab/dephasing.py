@@ -196,14 +196,17 @@ def F_vac(j: SpectralDensity, t) -> float:
 
 @lru_cache(maxsize=64)
 def _series_derivs(d: int, w: float) -> np.ndarray:
-    """psi^(d-2+2k)(w), k = 1..16: the small-y series' derivatives, which a
-    t-grid at fixed bath and temperature shares."""
+    """w^(2k) psi^(d-2+2k)(w), k = 1..16: the small-y series' derivatives,
+    which a t-grid at fixed bath and temperature shares. The scaling keeps
+    them, and the powers (y/w)^(2k) they multiply, inside the float range:
+    each zeta term w^(2k) x^-s is (w/x)^(2k) x^(1-d)."""
     rows = slice(d - 1, d + 31, 2)
-    s = _ZETA_S[rows]
+    s, e = _ZETA_S[rows], 2 * _SERIES_K
+    x = w + np.arange(20.0)
     a = w + 20.0
-    zeta = (((w + np.arange(20.0))[:, None] ** -s).sum(axis=0)
-            + a ** (1 - s) / (s - 1) + 0.5 * a ** -s
-            + a ** -s * (_EM_COEF[rows] @ a ** (1.0 - 2 * np.arange(1, 9))))
+    zeta = (((w / x)[:, None] ** e) * x[:, None] ** (1 - d)).sum(axis=0) \
+        + (w / a) ** e * (a ** (2 - d) / (s - 1) + a ** (1 - d) * (
+            0.5 + _EM_COEF[rows] @ a ** (1.0 - 2 * np.arange(1, 9))))
     derivs = _ZETA_SIGNED[rows] * zeta
     derivs.flags.writeable = False
     return derivs
@@ -224,7 +227,8 @@ def F_th(j: SpectralDensity, temperature, t) -> float:
     scale = 2.0 * j.a * c ** (j.d - 1)
     if y < _SMALL_Y * w:
         return float(scale * (-1) ** (j.d + 1)
-                     * np.dot(_SERIES_COEF * y ** (2 * _SERIES_K), _series_derivs(j.d, w)))
+                     * np.dot(_SERIES_COEF * (y / w) ** (2 * _SERIES_K),
+                              _series_derivs(j.d, w)))
     z = complex(w, y)
     if j.d == 1:
         return float(scale * _loggamma_drop(w, y))

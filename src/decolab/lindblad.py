@@ -19,20 +19,23 @@ from .errors import DimensionError, PhysicsError
 from .operator_core import (
     TAU_HERM,
     TAU_POS,
-    _DormandPrince,
+    Propagator,
     as_operator,
     dag,
-    expm_apply,
+    devectorize,
     sandwich,
     spost,
     spre,
+    vectorize,
 )
 
-# superoperator exponentials are exact but scale as dim^6; above this the
-# propagator falls back to adaptive RK on the matrix-form right-hand side
-_EXPM_DIM_MAX = 12
+# the dense superoperator has order dim^2, so its eigenbasis or exponential
+# costs dim^6; above this, RK45 steps the matrix-form right-hand side
+_DENSE_DIM_MAX = 12
 _RK_RTOL = 1e-9
 _FOCK_LEAK_TOL = 1e-6
+# amplitude parts up to this keep |alpha0 - beta0|^2 and alpha0 conj(beta0) finite
+_AMPLITUDE_MAX = 2.0 ** 509
 
 
 def _read_only(a) -> np.ndarray:
@@ -226,27 +229,22 @@ def mix_channels(gen: LindbladGenerator, u) -> LindbladGenerator:
 
 
 def evolve(gen: LindbladGenerator, rho: np.ndarray, t: float) -> np.ndarray:
-    """Propagate rho for time t: exact exponential for small dimensions,
-    adaptive RK45 on the matrix-form right-hand side above _EXPM_DIM_MAX
+    """Propagate rho for time t: exp(t L) from the dense superoperator up to
+    _DENSE_DIM_MAX, adaptive RK45 on the matrix-form right-hand side above
     (QuadratureError, a PhysicsError, if its step underflows)."""
-    if t < 0:
-        raise PhysicsError("t must be nonnegative")
-    rho = as_operator(rho)
-    if t == 0.0:
-        return rho.copy()
-    if gen.dim <= _EXPM_DIM_MAX:
-        return expm_apply(liouvillian(gen), rho, t)
-    d = gen.dim
-    return _DormandPrince(lambda y: apply_generator(gen, y.reshape(d, d)).ravel(),
-                          rho.ravel().astype(complex), t, _RK_RTOL, 1e-12
-                          ).run().reshape(d, d)
+    rho, d = as_operator(rho), gen.dim
+    if d <= _DENSE_DIM_MAX:
+        return devectorize(Propagator(1j * liouvillian(gen)).apply(vectorize(rho), t), d)
+    return Propagator(derivative=lambda y: apply_generator(gen, y.reshape(d, d)).ravel(),
+                      rtol=_RK_RTOL, atol=1e-12).apply(rho, t)
 
 
 def heisenberg_evolve(gen: LindbladGenerator, a: np.ndarray, t: float) -> np.ndarray:
     """Dual-evolved observable exp(L# t) A (small dimensions only)."""
-    if gen.dim > _EXPM_DIM_MAX:
-        raise DimensionError("dual propagation uses the exact exponential: dim too large")
-    return expm_apply(dual_liouvillian(gen), as_operator(a), t)
+    if gen.dim > _DENSE_DIM_MAX:
+        raise DimensionError("dual propagation needs the dense superoperator: dim too large")
+    k = 1j * dual_liouvillian(gen)
+    return devectorize(Propagator(k).apply(vectorize(as_operator(a)), t), gen.dim)
 
 
 def dephasing_solution(energies, gamma, rho0, t) -> np.ndarray:
@@ -262,6 +260,9 @@ def dephasing_solution(energies, gamma, rho0, t) -> np.ndarray:
     rho0 = as_operator(rho0)
     if rho0.shape[0] != e.size:
         raise DimensionError("energy list does not match state dimension")
+    spread = float(e.max() - e.min())
+    if not 0.5 * gamma * (spread * spread) < math.inf:
+        raise PhysicsError(f"dephasing rate overflows: gamma {gamma!r}, energy spread {spread!r}")
     diff = e[:, None] - e[None, :]
     return rho0 * np.exp((-1j * diff - 0.5 * gamma * diff ** 2) * t)
 
@@ -327,20 +328,23 @@ def cat_coherence_factor(alpha0, beta0, gamma, t) -> complex:
     if t < 0:
         raise PhysicsError("t must be nonnegative")
     a, b = complex(alpha0), complex(beta0)
-    exponent = -0.5 * abs(a - b) ** 2 + 1j * (a * np.conj(b)).imag
+    exponent = -cat_decoherence_ratio(a, b) + 1j * (a * np.conj(b)).imag
     return complex(np.exp(exponent * -math.expm1(-gamma * t)))
 
 
 def cat_decoherence_ratio(alpha0, beta0) -> float:
     """Initial decoherence rate over damping rate: |alpha_0 - beta_0|^2 / 2."""
-    return 0.5 * abs(complex(alpha0) - complex(beta0)) ** 2
+    a, b = complex(alpha0), complex(beta0)
+    if not max(map(abs, (a.real, a.imag, b.real, b.imag))) <= _AMPLITUDE_MAX:
+        raise PhysicsError(f"amplitudes {a}, {b}: parts beyond {_AMPLITUDE_MAX:.3g} overflow")
+    return 0.5 * abs(a - b) ** 2
 
 
 def alpha_from_phase_space(x, p, m, omega, hbar=1.0) -> complex:
     """Coherent amplitude of a phase-space point:
     alpha = sqrt(m omega/(2 hbar)) (x + i p/(m omega))."""
-    if m <= 0 or omega <= 0 or hbar <= 0:
-        raise PhysicsError("m, omega, hbar must be positive")
+    if m <= 0 or omega <= 0 or hbar <= 0 or m * omega == 0.0:
+        raise PhysicsError(f"m = {m!r}, omega = {omega!r}, hbar = {hbar!r}: need m omega > 0")
     return math.sqrt(m * omega / (2.0 * hbar)) * (x + 1j * p / (m * omega))
 
 
@@ -401,6 +405,8 @@ def qbm_moments(m, gamma, temperature, initial: PhaseSpaceMoments,
         raise PhysicsError("t must be nonnegative")
     if t == 0.0:
         return initial
+    if (gamma * gamma) * (m * m) == 0.0 or m * temperature == 0.0:
+        raise PhysicsError(f"gamma m = {gamma * m!r} or m T = {m * temperature!r} underflows")
     e2 = math.exp(-2.0 * gamma * t)
     e4 = e2 * e2
     p_t = initial.p * e2
@@ -413,7 +419,9 @@ def qbm_moments(m, gamma, temperature, initial: PhaseSpaceMoments,
     sxx_t = (initial.sigma_xx
              + (temperature / (gamma * m) + gamma / (4.0 * m * temperature)) * t
              + d * (1.0 - e2) / (2.0 * gamma * m)
-             - a * (1.0 - e4) / (4.0 * gamma ** 2 * m ** 2))
+             - a * (1.0 - e4) / (4.0 * (gamma * gamma) * (m * m)))
+    if not all(map(math.isfinite, (x_t, p_t, sxx_t, spp_t, cross_t))):
+        raise PhysicsError(f"moment overflow: m {m!r}, gamma {gamma!r}, T {temperature!r}")
     return PhaseSpaceMoments(x_t, p_t, sxx_t, spp_t, cross_t)
 
 

@@ -136,6 +136,10 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 4.25
 _C27 = math.factorial(26) * math.factorial(27) / math.factorial(13) ** 2
 _ELL_FREE = (_C27 * 2.0 ** -53) ** (1.0 / 26.0)
+# Propagator modes: an eigenbasis with cond < _EIG_COND_MAX costs O(n^2) per
+# t; without one, a Pade exponential per t up to order _EXPM_MAX, RK45 above
+_EIG_COND_MAX = 1e8
+_EXPM_MAX = 64
 
 
 def _expm(a) -> np.ndarray:
@@ -174,26 +178,6 @@ def _expm(a) -> np.ndarray:
     for _ in range(s):
         x = x @ x
     return x
-
-
-def expm_apply(superop, rho, t) -> np.ndarray:
-    """Apply exp(superop * t) to a vectorized operator and reshape back.
-
-    Scaling-and-squaring Pade exponential; exact semigroup step for any
-    time-independent generator.
-    """
-    superop = as_operator(superop)
-    rho = as_operator(rho)
-    if t < 0:
-        raise PhysicsError(f"propagation time must be nonnegative, got {t}")
-    d = rho.shape[0]
-    if superop.shape[0] != d * d:
-        raise DimensionError(
-            f"superoperator dim {superop.shape[0]} does not match operator dim {d}")
-    if t == 0:
-        return rho.copy()
-    out = _expm(superop * t) @ vectorize(rho)
-    return devectorize(out, d)
 
 
 # -- adaptive Dormand-Prince 5(4) ------------------------------------------------
@@ -305,6 +289,64 @@ class _DormandPrince:
         while self.t < self.t_bound:
             self.step()
         return self.y
+
+
+class Propagator:
+    """exp(-i t K) for a time-independent K, such as i L for the semigroup
+    exp(t L) or H_C for the no-jump evolution. From the dense K (PhysicsError
+    if nonfinite) the mode is picked once: "eig" if the eigenvectors have
+    cond < _EIG_COND_MAX, else "expm" up to order _EXPM_MAX, else "rk" on
+    y -> -i K y. From `derivative` (that map on flat arrays) it is "rk";
+    `rtol` and `atol` serve rk mode only. Nothing held refers back to it."""
+
+    def __init__(self, k=None, derivative=None, rtol=1e-10, atol=1e-13):
+        self.rtol, self.atol, self._fun, self.n = rtol, atol, derivative, None
+        if k is None:
+            self.mode = "rk"
+            return
+        k = as_operator(k)
+        n = self.n = k.shape[0]
+        vals, vecs = np.linalg.eig(k)
+        if np.linalg.cond(vecs) < _EIG_COND_MAX:
+            self.mode, self._vals, self._vecs = "eig", vals, vecs
+            self._inv = np.linalg.inv(vecs)
+        elif n <= _EXPM_MAX:
+            self.mode, self._k = "expm", k
+        else:
+            self.mode = "rk"
+            self._fun = lambda y: -1j * (k @ y.reshape(n, -1)).ravel()
+
+    def apply(self, x, t: float) -> np.ndarray:
+        """exp(-i t K) applied to a vector or to each column of a matrix; a
+        derivative-built propagator steps x.ravel() as one state."""
+        if t < 0:
+            raise PhysicsError(f"propagation time must be nonnegative, got {t}")
+        x = np.asarray(x, dtype=complex)
+        if self.n is not None and x.shape[0] != self.n:
+            raise DimensionError(f"state of length {x.shape[0]} for K of order {self.n}")
+        if t == 0.0:
+            return x.copy()
+        if self.mode == "eig":
+            cols = self._inv @ x.reshape(self.n, -1)
+            return (self._vecs @ (np.exp(-1j * t * self._vals)[:, None] * cols)
+                    ).reshape(x.shape)
+        if self.mode == "expm":
+            return _expm(-1j * t * self._k) @ x
+        return _DormandPrince(self._fun, x.ravel(), t, self.rtol, self.atol
+                              ).run().reshape(x.shape)
+
+    def states(self, x, ts) -> np.ndarray:
+        """Rows exp(-i t K) x of a vector x, one for each t of a 1-d array."""
+        if self.mode == "eig":
+            phases = np.exp(-1j * ts[:, None] * self._vals[None, :])
+            return (phases * (self._inv @ x)[None, :]) @ self._vecs.T
+        # step through the times in order, so each propagation is short
+        out = np.empty((ts.size,) + np.shape(x), dtype=complex)
+        t, cur = 0.0, x
+        for i in np.argsort(ts):
+            out[i] = cur = self.apply(cur, ts[i] - t)
+            t = ts[i]
+        return out
 
 
 def trace_distance(rho, sigma) -> float:

@@ -17,12 +17,8 @@ from numpy.random import Generator, Philox
 
 from .errors import DimensionError, PhysicsError
 from .lindblad import LindbladGenerator
-from .operator_core import _DormandPrince, _expm, as_operator, dag
+from .operator_core import Propagator, as_operator, dag
 
-_EXPM_DIM_MAX = 64
-# eigenbasis evaluation of exp(-i tau H_C) is O(dim^2) per tau instead of a
-# fresh matrix exponential, but only trustworthy away from defective spectra
-_EIG_COND_MAX = 1e8
 _GRID_POINTS = 256
 _BISECT_REL = 1e-10
 _DARK_WEIGHT = 1e-14
@@ -36,86 +32,37 @@ def effective_hamiltonian(gen: LindbladGenerator) -> np.ndarray:
     return h_c
 
 
-class _NoJumpPropagator:
-    """Caches whatever makes exp(-i tau H_C) psi cheapest at this dimension."""
-
-    def __init__(self, gen: LindbladGenerator):
-        self.h_c = effective_hamiltonian(gen)
-        self.dim = self.h_c.shape[0]
-        # decay operator sum_k gamma_k L_k†L_k = i (H_C - H_C†): the survival
-        # |psi(tau)|^2 falls at the rate <psi(tau)| Gamma |psi(tau)>
-        self.gamma = 1j * (self.h_c - self.h_c.conj().T)
-        # a nonfinite drift skips the eigenbasis, so rk reports it
-        if np.isfinite(self.h_c).all():
-            vals, vecs = np.linalg.eig(self.h_c)
-            if np.linalg.cond(vecs) < _EIG_COND_MAX:
-                self.mode = "eig"
-                self._vals = vals
-                self._vecs = vecs
-                self._inv = np.linalg.inv(vecs)
-                return
-        self.mode = "expm" if self.dim <= _EXPM_DIM_MAX else "rk"
-
-    def apply(self, psi, tau: float) -> np.ndarray:
-        """exp(-i tau H_C) applied to a vector or to each column of a matrix."""
-        psi = np.asarray(psi, dtype=complex)
-        if tau == 0.0:
-            return psi.copy()
-        if self.mode == "eig":
-            cols = self._inv @ psi.reshape(self.dim, -1)
-            return (self._vecs @ (np.exp(-1j * tau * self._vals)[:, None] * cols)
-                    ).reshape(psi.shape)
-        if self.mode == "expm":
-            return _expm(-1j * tau * self.h_c) @ psi
-        h_c, dim = self.h_c, self.dim
-        return _DormandPrince(lambda y: -1j * (h_c @ y.reshape(dim, -1)).ravel(),
-                              psi.ravel(), tau, 1e-10, 1e-13).run().reshape(psi.shape)
-
-    def states(self, psi, taus) -> np.ndarray:
-        """Rows exp(-i tau H_C) psi for each tau of a 1-d array."""
-        if self.mode == "eig":
-            phases = np.exp(-1j * taus[:, None] * self._vals[None, :])
-            return (phases * (self._inv @ psi)[None, :]) @ self._vecs.T
-        # step through the times in order, so each propagation is short
-        out = np.empty((taus.size, self.dim), dtype=complex)
-        t, cur = 0.0, psi
-        for k in np.argsort(taus):
-            out[k] = cur = self.apply(cur, taus[k] - t)
-            t = taus[k]
-        return out
-
-
-# one propagator per generator: generators are immutable and hash by
-# identity, and a propagator holds no reference to its generator, so an
-# entry lives exactly as long as the generator it was built from
+# one (Propagator of H_C, decay operator) per generator: generators are
+# immutable and hash by identity, and an entry holds no reference to its
+# generator, so it lives exactly as long as the generator it was built from
 _PROPAGATORS = weakref.WeakKeyDictionary()
 
 
-def _propagator(gen: LindbladGenerator) -> _NoJumpPropagator:
-    prop = _PROPAGATORS.get(gen)
-    if prop is None:
-        prop = _PROPAGATORS[gen] = _NoJumpPropagator(gen)
-    return prop
+def _propagator(gen: LindbladGenerator):
+    entry = _PROPAGATORS.get(gen)
+    if entry is None:
+        h_c = effective_hamiltonian(gen)
+        # decay = sum_k gamma_k L_k†L_k = i (H_C - H_C†); -d|psi|^2/dtau = <psi|decay|psi>
+        entry = _PROPAGATORS[gen] = Propagator(h_c), 1j * (h_c - h_c.conj().T)
+    return entry
 
 
 def no_jump_propagate(psi, gen: LindbladGenerator, tau: float) -> np.ndarray:
     """Unnormalized conditioned state exp(-i tau H_C) psi; its squared norm
     is the probability that no jump occurred up to tau."""
-    if tau < 0:
-        raise PhysicsError("tau must be nonnegative")
-    return _propagator(gen).apply(psi, tau)
+    return _propagator(gen)[0].apply(psi, tau)
 
 
 def _norm_sq(rows) -> np.ndarray:
     return np.einsum("ij,ij->i", rows.conj(), rows).real
 
 
-def _waiting_times(prop: _NoJumpPropagator, psi, us, t_max: float) -> np.ndarray:
+def _waiting_times(prop: Propagator, decay, psi, us, t_max: float) -> np.ndarray:
     """First tau with survival(tau) = u for each u; inf where survival(t_max) > u.
 
     A uniform grid brackets each crossing at the first point where the
     running minimum of the survival is <= u. Inside the bracket, Newton on
-    f = log survival - log u, with f' = -<psi|Gamma|psi>/survival exact,
+    f = log survival - log u, with f' = -<psi|decay|psi>/survival exact,
     takes the crossing; a step that leaves the bracket or fails to halve the
     previous one is replaced by bisection.
     """
@@ -135,7 +82,7 @@ def _waiting_times(prop: _NoJumpPropagator, psi, us, t_max: float) -> np.ndarray
         while work.size:
             rows = prop.states(psi, tau)
             s = _norm_sq(rows)
-            rate = np.einsum("ij,ij->i", rows.conj(), rows @ prop.gamma.T).real
+            rate = np.einsum("ij,ij->i", rows.conj(), rows @ decay.T).real
             f = np.log(s) - log_u
             hi = np.where(f <= 0.0, tau, hi)
             lo = np.where(f <= 0.0, lo, tau)
@@ -166,7 +113,7 @@ def sample_jump_times(psi, gen: LindbladGenerator, us, t_max: float) -> np.ndarr
         raise PhysicsError("u must lie in (0, 1)")
     if not t_max > 0:
         raise PhysicsError("t_max must be positive")
-    return _waiting_times(_propagator(gen), np.asarray(psi, dtype=complex),
+    return _waiting_times(*_propagator(gen), np.asarray(psi, dtype=complex),
                           us.ravel(), float(t_max)).reshape(us.shape)
 
 
@@ -208,13 +155,13 @@ def _stream(base_seed: int, index: int) -> Generator:
 
 
 def _run(psi0, gen, horizon, rng):
-    prop = _propagator(gen)
+    prop, decay = _propagator(gen)
     psi, t, events = np.array(psi0, dtype=complex), 0.0, []
     while t < horizon:
         u = rng.random()
         while u == 0.0:
             u = rng.random()
-        tau = float(_waiting_times(prop, psi, np.array([u]), horizon - t)[0])
+        tau = float(_waiting_times(prop, decay, psi, np.array([u]), horizon - t)[0])
         # a crossing rounded onto the horizon itself counts as no jump: the
         # record invariant keeps click times strictly inside the window
         jump = t + tau < horizon
@@ -246,7 +193,7 @@ def run_trajectory(psi0, gen: LindbladGenerator, horizon: float, seed: int,
 def record_operator(record: JumpRecord, gen: LindbladGenerator) -> np.ndarray:
     """Compound conditioning operator M_R: no-jump stretches interleaved with
     the recorded jump operators, ending at the horizon."""
-    prop = _propagator(gen)
+    prop = _propagator(gen)[0]
     m = np.eye(gen.dim, dtype=complex)
     t_prev = 0.0
     for t_i, k_i in record.events:

@@ -579,6 +579,52 @@ class TestExitCodes:
         assert "k r = " in err and "l_max = " in err
         assert not out.exists()
 
+    def test_hot_bath_dephase_is_finite(self, tmp_path, capsys):
+        # y = T t up to 1e11 sits in F_th's small-y series
+        params = {"a": 1.0, "omega_c": 1.0, "temperature": 1e12, "d": 2,
+                  "t_min": 0.01, "t_max": 0.1, "n_points": 4}
+        cfg = write_config(tmp_path, {"scenario": "dephase", "params": params})
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "hot.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert len(rows) == 4
+        cols = [header.index(k) for k in ("f_vac", "f_th", "visibility")]
+        assert all(math.isfinite(float(row[i])) for row in rows for i in cols)
+
+    @pytest.mark.parametrize("config, message", [
+        ({"scenario": "cat", "params": {"alpha0": [1e200, 0.0], "beta0": [0.0, 0.0],
+                                        "gamma": 1.0}},
+         "amplitudes (1e+200+0j), 0j"),
+        ({"scenario": "cat", "units": "si",
+          "params": {"mass": 1e-200, "omega": 1e-200, "displacement": 1.0}},
+         "m = 1e-200, omega = 1e-200"),
+        ({"scenario": "qbm", "params": {"mass": 1e-200, "gamma": 1e-200,
+                                        "temperature": 1.0}},
+         "gamma m = 0.0"),
+        ({"scenario": "lindblad", "params": {"energies": [0.0, 1e200], "gamma": 1.0}},
+         "energy spread 1e+200"),
+    ], ids=["cat", "cat-si", "qbm", "lindblad"])
+    def test_closed_form_overflow_exits_3(self, tmp_path, capsys, config, message):
+        cfg = write_config(tmp_path, config)
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "huge.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
+        assert not out.exists()
+
+    def test_qbm_fast_damping_is_finite(self, tmp_path, capsys):
+        # (gamma m)^2 overflows to inf, so its term of var_x is exactly 0
+        params = {"mass": 1.0, "gamma": 1e200, "temperature": 1.0, "n_points": 5}
+        cfg = write_config(tmp_path, {"scenario": "qbm", "params": params})
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "fast.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert len(rows) == 5
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
     def test_physics_failure_exits_3(self, tmp_path, capsys):
         # span far below the 10 sigma0 floor trips the grid validation
         bad = {"scenario": "pointer",

@@ -328,7 +328,8 @@ class TestThermalDecay:
 
     def test_series_derivatives_computed_once_per_bath(self):
         """A small-y t-grid at fixed (d, T/omega_c) evaluates the 16
-        polygamma values once, and reuses them unchanged."""
+        scaled polygamma values w^(2k) psi^(2k)(w) once, and reuses them
+        unchanged."""
         j = SpectralDensity(a=1.0, omega_c=10.0, d=2)
         temp = 0.2
         w = 1.0 + temp / j.omega_c
@@ -337,7 +338,8 @@ class TestThermalDecay:
         info = _series_derivs.cache_info()
         assert (info.misses, info.hits) == (1, 19)
         assert np.array_equal(_series_derivs(2, w), _series_derivs.__wrapped__(2, w))
-        derivs = polygamma(2 * np.arange(1, 17), w)
+        ks = 2 * np.arange(1, 17)
+        derivs = polygamma(ks, w) * w ** ks
         np.testing.assert_allclose(_series_derivs(2, w), derivs, rtol=4e-15, atol=0.0)
         assert all(v > 0.0 for v in values)
 
@@ -435,14 +437,18 @@ class TestGammaKernels:
 
     @pytest.mark.parametrize("d", (1, 2, 3))
     def test_series_polygammas(self, d):
+        """The series' derivatives come scaled, w^(2k) psi^(d-2+2k)(w)."""
         mpmath = pytest.importorskip("mpmath")
-        orders = d - 2 + 2 * np.arange(1, 17)
+        ks = 2 * np.arange(1, 17)
+        orders = d - 2 + ks
         with mpmath.workdps(40):
             for w in GAMMA_W:
                 got = _series_derivs(d, w)
-                want = np.array([float(mpmath.polygamma(int(n), w)) for n in orders])
+                want = np.array([float(mpmath.polygamma(int(n), w) * mpmath.mpf(w) ** int(k))
+                                 for n, k in zip(orders, ks)])
                 np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
-                np.testing.assert_allclose(got, polygamma(orders, w), rtol=4e-15, atol=0.0)
+                np.testing.assert_allclose(got, polygamma(orders, w) * w ** ks,
+                                           rtol=4e-15, atol=0.0)
 
     @pytest.mark.parametrize("d", (1, 2, 3))
     def test_decay_functions_within_bar_of_mpmath(self, d):
@@ -487,6 +493,27 @@ class TestBeyondQuadratureWindow:
         series = matsubara_decay(j, temp, [t])[1][0]
         assert series == pytest.approx(reference, rel=1e-10)
         assert F_th(j, temp, t) == pytest.approx(series, rel=1e-10)
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_hot_bath_small_y_series_is_finite(self, d):
+        """T = 1e12 omega_c puts y = T t up to 1e11, still inside the series
+        switch y < w/4, where y^32 once overflowed and the polygammas
+        underflowed to NaN."""
+        mpmath = pytest.importorskip("mpmath")
+        a, temp = 0.5, 1e12
+        j = SpectralDensity(a=a, omega_c=1.0, d=d)
+        with mpmath.workdps(40):
+            c = mpmath.mpf(temp)
+            w = 1 + c
+            for t in (0.01, 0.03, 0.1):
+                z = mpmath.mpc(w, c * mpmath.mpf(t))
+                if d == 1:
+                    th = 2 * a * (mpmath.loggamma(w) - mpmath.re(mpmath.loggamma(z)))
+                elif d == 2:
+                    th = 2 * a * c * (mpmath.re(mpmath.digamma(z)) - mpmath.digamma(w))
+                else:
+                    th = 2 * a * c ** 2 * (mpmath.psi(1, w) - mpmath.re(mpmath.psi(1, z)))
+                assert F_th(j, temp, t) == pytest.approx(float(th), rel=1e-12, abs=0.0)
 
 
 class TestTrigamma:

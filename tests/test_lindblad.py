@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from conftest import random_density, random_generator, random_hermitian, random_state
 from decolab import lindblad
@@ -41,7 +42,7 @@ from decolab.lindblad import (
     to_first_standard_form,
     to_lindblad_form,
 )
-from decolab.operator_core import dag, devectorize, expm_apply, fidelity, vectorize
+from decolab.operator_core import Propagator, dag, devectorize, fidelity, vectorize
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -256,9 +257,9 @@ class TestDephasingSolution:
         gen = LindbladGenerator(h, ((gamma, h),))
         rho0 = random_density(rng, 4)
         for t in (0.3, 1.0, 4.0):
-            via_expm = expm_apply(liouvillian(gen), rho0, t)
             np.testing.assert_allclose(
-                dephasing_solution(energies, gamma, rho0, t), via_expm, atol=1e-10)
+                dephasing_solution(energies, gamma, rho0, t), evolve(gen, rho0, t),
+                atol=1e-10)
 
 
 class TestDampedOscillator:
@@ -292,7 +293,7 @@ class TestDampedOscillator:
     def test_rk_path_frees_generator_without_cycle_collector(self, monkeypatch):
         """Once evolve returns, nothing the RK45 stepper left behind keeps
         the generator (and its dense matrices) alive."""
-        monkeypatch.setattr(lindblad, "_EXPM_DIM_MAX", 0)
+        monkeypatch.setattr(lindblad, "_DENSE_DIM_MAX", 0)
         gen = damped_oscillator_generator(1.0, 0.5, 6)
         rho0 = coherent_state(CoherentStateSpec(0.5, 6))
         ref = weakref.ref(gen)
@@ -304,6 +305,24 @@ class TestDampedOscillator:
             assert ref() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("n_max", [4, 8, 12])
+    def test_eig_mode_matches_scipy_expm(self, n_max):
+        """Up to dim 12 `evolve` applies exp(t L) from the eigenbasis of the
+        dense Liouvillian: the whole map and one state within 1e-12
+        (Frobenius, relative) of scipy.linalg.expm."""
+        gen = damped_oscillator_generator(1.0, 0.3, n_max)
+        liou = liouvillian(gen)
+        prop = Propagator(1j * liou)
+        assert prop.mode == "eig"
+        rho0 = coherent_state(CoherentStateSpec(0.8 + 0.3j, n_max))
+        for t in (0.01, 0.7, 5.0):
+            want = expm(liou * t)
+            got = prop.apply(np.eye(n_max ** 2), t)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            want = devectorize(want @ vectorize(rho0))
+            got = evolve(gen, rho0, t)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_coherent_vector_amplitudes(self):
         alpha, n_max = 1.3 + 0.4j, 25

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,16 +96,23 @@ class TestPartialTrace:
             oc.partial_trace(np.eye(4) / 4, [2, 2], keep=2)
 
 
+def semigroup(superop, rho, t):
+    """exp(t superop) rho through the propagator of K = i superop."""
+    return oc.devectorize(oc.Propagator(1j * superop).apply(oc.vectorize(rho), t))
+
+
 class TestExpmApply:
+    """The semigroup exp(t L) applied to an operator by Propagator."""
+
     def test_zero_generator_is_identity(self, rng):
         rho = random_density(rng, 3)
-        out = oc.expm_apply(np.zeros((9, 9)), rho, 2.7)
+        out = semigroup(np.zeros((9, 9)), rho, 2.7)
         assert np.max(np.abs(out - rho)) < 1e-12
 
     def test_t_zero_exact(self, rng):
         rho = random_density(rng, 2)
         l = rng.normal(size=(4, 4))
-        assert np.array_equal(oc.expm_apply(l, rho, 0.0), rho)
+        assert np.array_equal(semigroup(l, rho, 0.0), rho)
 
     def test_dephasing_closed_form(self):
         # qubit energy dephasing: rho_mn(t) = rho_mn(0) exp(-i(Em-En)t - (g/2)(Em-En)^2 t)
@@ -116,7 +126,7 @@ class TestExpmApply:
                 - 0.5 * oc.spost(l_op.conj().T @ l_op))
         rho0 = np.array([[0.6, 0.5j], [-0.5j, 0.4]], dtype=complex)
         t = 0.9
-        out = oc.expm_apply(liou, rho0, t)
+        out = semigroup(liou, rho0, t)
         de = e[0] - e[1]
         expected01 = rho0[0, 1] * np.exp(-1j * de * t - 0.5 * g * de * de * t)
         assert abs(out[0, 1] - expected01) < 1e-10
@@ -124,7 +134,7 @@ class TestExpmApply:
 
     def test_negative_time_rejected(self, rng):
         with pytest.raises(PhysicsError):
-            oc.expm_apply(np.zeros((4, 4)), random_density(rng, 2), -1.0)
+            semigroup(np.zeros((4, 4)), random_density(rng, 2), -1.0)
 
     def test_semigroup_law(self, rng):
         # random Lindblad-type generator, trace-preserving
@@ -136,8 +146,8 @@ class TestExpmApply:
                 + oc.sandwich(l_op, l_op.conj().T)
                 - 0.5 * oc.spre(ldl) - 0.5 * oc.spost(ldl))
         rho = random_density(rng, 3)
-        one = oc.expm_apply(liou, rho, 0.8 + 0.5)
-        two = oc.expm_apply(liou, oc.expm_apply(liou, rho, 0.8), 0.5)
+        one = semigroup(liou, rho, 0.8 + 0.5)
+        two = semigroup(liou, semigroup(liou, rho, 0.8), 0.5)
         assert np.max(np.abs(one - two)) < 1e-9
 
 
@@ -176,6 +186,62 @@ class TestExpm:
             a[1, 2] = bad
             with np.errstate(invalid="ignore"):
                 assert np.isnan(oc._expm(a)).all()
+
+
+class TestPropagator:
+    """One exp(-i t K) for every time-independent generator: the mode rule,
+    agreement between modes, and refusal of a nonfinite K."""
+
+    @staticmethod
+    def force(monkeypatch, mode):
+        if mode != "eig":
+            monkeypatch.setattr(oc, "_EIG_COND_MAX", 0.0)
+        if mode == "rk":
+            monkeypatch.setattr(oc, "_EXPM_MAX", 0)
+
+    @pytest.mark.parametrize("mode", ["eig", "expm", "rk"])
+    def test_modes_match_scipy(self, rng, monkeypatch, mode):
+        self.force(monkeypatch, mode)
+        drift = effective_hamiltonian(random_generator(rng, 6))
+        prop = oc.Propagator(drift)
+        assert prop.mode == mode
+        psi = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        ts = np.array([0.9, 0.0, 0.3])
+        rows = prop.states(psi[:, 0], ts)
+        for t, row in zip(ts, rows):
+            want = expm(-1j * t * drift) @ psi
+            np.testing.assert_allclose(prop.apply(psi, t), want, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(row, want[:, 0], rtol=0, atol=1e-9)
+
+    def test_derivative_route(self, rng):
+        drift = effective_hamiltonian(random_generator(rng, 4))
+        prop = oc.Propagator(derivative=lambda y: -1j * drift @ y)
+        assert prop.mode == "rk"
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        np.testing.assert_allclose(prop.apply(psi, 0.7), expm(-0.7j * drift) @ psi,
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["eig", "expm", "rk"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_generator_raises(self, monkeypatch, mode, bad):
+        self.force(monkeypatch, mode)
+        k = np.eye(3, dtype=complex)
+        k[0, 2] = bad
+        with pytest.raises(PhysicsError, match="non-finite"):
+            oc.Propagator(k)
+
+    def test_only_operator_core_reaches_the_kernels(self):
+        """Every other module propagates through Propagator; only the
+        nonlinear pointer flow steps _DormandPrince itself."""
+        binds = {"_expm": set(), "_DormandPrince": set()}
+        for path in pathlib.Path(oc.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) \
+                    or getattr(node, "name", None)
+                if name in binds:
+                    binds[name].add(path.stem)
+        assert binds == {"_expm": {"operator_core"},
+                         "_DormandPrince": {"operator_core", "pointer_states"}}
 
 
 class TestMetrics:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import RK45, solve_ivp
 
-from decolab import lindblad, pointer_states, trajectories
+from decolab import lindblad, operator_core, pointer_states, trajectories
 from decolab.errors import PhysicsError, QuadratureError
 from decolab.lindblad import (
     CoherentStateSpec,
@@ -24,7 +24,7 @@ from decolab.lindblad import (
     damped_oscillator_generator,
     evolve,
 )
-from decolab.operator_core import _DormandPrince
+from decolab.operator_core import Propagator, _DormandPrince
 from decolab.pointer_states import (
     _flow_rhs,
     evolve_robust,
@@ -177,11 +177,11 @@ class TestEndStates:
         assert evolve(gen, rho0, t).tobytes() == want.tobytes()
 
     def test_rk_mode_no_jump_propagation_dim_70(self, monkeypatch):
-        monkeypatch.setattr(trajectories, "_EIG_COND_MAX", 0.0)
+        monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
         gen = damped_oscillator_generator(1.0, 0.3, 70)
-        assert trajectories._NoJumpPropagator(gen).mode == "rk"
-        psi = coherent_vector(CoherentStateSpec(2.0, 70))
         h_c = effective_hamiltonian(gen)
+        assert Propagator(h_c).mode == "rk"
+        psi = coherent_vector(CoherentStateSpec(2.0, 70))
         sol = solve_ivp(lambda _, y: -1j * (h_c @ y.reshape(70, -1)).ravel(),
                         (0.0, 0.5), psi, method="RK45", rtol=1e-10, atol=1e-13)
         assert sol.success and sol.t.size > 100
@@ -215,7 +215,7 @@ class TestFailurePaths:
             evolve_robust(xi0, gen, 0.5)
 
     def test_lindblad_evolve_raises_physics_error(self, monkeypatch):
-        monkeypatch.setattr(lindblad, "_EXPM_DIM_MAX", 0)
+        monkeypatch.setattr(lindblad, "_DENSE_DIM_MAX", 0)
         monkeypatch.setattr(lindblad, "apply_generator",
                             Counted(apply_generator, nan_after=30))
         gen = damped_oscillator_generator(1.0, 0.5, 6)
@@ -230,7 +230,8 @@ class TestFailurePaths:
         monkeypatch.setattr(trajectories, "effective_hamiltonian", nan_drift)
         gen = damped_oscillator_generator(1.0, 0.3, 70)
         psi = coherent_vector(CoherentStateSpec(2.0, 70))
-        with pytest.raises(PhysicsError, match=r"at t = 0\.0: step nan"):
+        # refused when the propagator is built, before any RK45 step
+        with pytest.raises(PhysicsError, match="non-finite"):
             no_jump_propagate(psi, gen, 0.5)
 
 

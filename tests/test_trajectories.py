@@ -19,7 +19,7 @@ from decolab.lindblad import (
     destroy,
     evolve,
 )
-from decolab import trajectories
+from decolab import operator_core, trajectories
 from decolab.cli import main
 from decolab.operator_core import trace_distance
 from decolab.trajectories import (
@@ -110,7 +110,7 @@ class TestNoJumpPropagation:
     def test_large_dimension_rk_route(self, rng, monkeypatch):
         # above the dense-exponential cutoff, with the eigenbasis refused;
         # diagonal generator keeps an exact reference available componentwise
-        monkeypatch.setattr(trajectories, "_EIG_COND_MAX", 0.0)
+        monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
         dim = 70
         h_diag = rng.normal(size=dim)
         l_diag = rng.normal(size=dim)
@@ -131,6 +131,16 @@ class TestNoJumpPropagation:
     def test_negative_time_rejected(self, rng):
         with pytest.raises(PhysicsError):
             no_jump_propagate(KET0, decay_generator(1.0), -0.1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_drift_raises(self):
+        """A valid generator whose H_C overflows is refused, where a NaN
+        survival once gave the waiting time 0.00390625 without an error."""
+        gen = LindbladGenerator(np.zeros((2, 2)), ((1e300, 1e10 * SM),))
+        with pytest.raises(PhysicsError, match="non-finite"):
+            no_jump_propagate(KET1, gen, 0.5)
+        with pytest.raises(PhysicsError, match="non-finite"):
+            sample_jump_times(KET1, gen, [0.5], 1.0)
 
 
 class TestWaitingTimes:
@@ -193,15 +203,15 @@ class TestPropagatorModes:
     @staticmethod
     def force(monkeypatch, mode):
         if mode != "eig":
-            monkeypatch.setattr(trajectories, "_EIG_COND_MAX", 0.0)
+            monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
         if mode == "rk":
-            monkeypatch.setattr(trajectories, "_EXPM_DIM_MAX", 0)
+            monkeypatch.setattr(operator_core, "_EXPM_MAX", 0)
 
     def results(self, monkeypatch, mode):
         gen = driven_decay_generator(1.3, 0.9)
         with monkeypatch.context() as patch:
             self.force(patch, mode)
-            assert trajectories._NoJumpPropagator(gen).mode == mode
+            assert trajectories._propagator(gen)[0].mode == mode
             psi = (KET0 + 0.5j * KET1) / math.sqrt(1.25)
             batch = sample_jump_times(psi, gen, self.US, 4.0)
             single = [sample_jump_time(psi, gen, u, 4.0) for u in self.US]
@@ -212,7 +222,8 @@ class TestPropagatorModes:
         """Once the caller drops an rk-mode propagator, nothing the RK45
         stepper left behind keeps it (and its dense H_C) alive."""
         self.force(monkeypatch, "rk")
-        prop = trajectories._NoJumpPropagator(driven_decay_generator(1.3, 0.9))
+        prop = operator_core.Propagator(
+            effective_hamiltonian(driven_decay_generator(1.3, 0.9)))
         assert prop.mode == "rk"
         ref = weakref.ref(prop)
         gc.disable()
@@ -239,11 +250,11 @@ class TestPropagatorModes:
         gen = damped_oscillator_generator(1.0, 0.5, 70)
         psi = coherent_vector(CoherentStateSpec(2.0, 70))
         us = np.array([0.05, 0.3, 0.8])
-        assert trajectories._NoJumpPropagator(gen).mode == "eig"
+        assert trajectories._propagator(gen)[0].mode == "eig"
         eig_times = sample_jump_times(psi, gen, us, 3.0)
         self.force(monkeypatch, "rk")
         rk_gen = damped_oscillator_generator(1.0, 0.5, 70)
-        assert trajectories._NoJumpPropagator(rk_gen).mode == "rk"
+        assert trajectories._propagator(rk_gen)[0].mode == "rk"
         assert np.isfinite(eig_times).all()
         np.testing.assert_allclose(sample_jump_times(psi, rk_gen, us, 3.0),
                                    eig_times, rtol=1e-9)
@@ -255,12 +266,12 @@ class TestPropagatorCache:
         (eig, cond and inv of H_C) once, not once per trajectory."""
         built = []
 
-        class Counting(trajectories._NoJumpPropagator):
-            def __init__(self, gen):
-                built.append(gen.dim)
-                super().__init__(gen)
+        class Counting(operator_core.Propagator):
+            def __init__(self, k):
+                built.append(k.shape[0])
+                super().__init__(k)
 
-        monkeypatch.setattr(trajectories, "_NoJumpPropagator", Counting)
+        monkeypatch.setattr(trajectories, "Propagator", Counting)
         config = tmp_path / "traject.json"
         config.write_text(json.dumps({
             "scenario": "traject", "seed": 5,
@@ -275,8 +286,10 @@ class TestPropagatorCache:
         gc.disable()
         try:
             run_trajectory(KET0, gen, 2.0, seed=3)
-            prop = trajectories._propagator(gen)
-            assert trajectories._propagator(gen) is prop
+            entry = trajectories._propagator(gen)
+            assert trajectories._propagator(gen) is entry
+            prop = entry[0]
+            del entry
             refs = [weakref.ref(gen), weakref.ref(prop)]
             del gen, prop
             assert [ref() for ref in refs] == [None, None]
