@@ -17,28 +17,31 @@ The decay functions are
 so the total coherence factor is chi(t) = exp(-F_vac) * exp(-F_th); F_th is
 the thermal excess on top of the vacuum contribution.
 
-Both are evaluated in closed form. With x = (omega_c t)^2, c = T/omega_c,
-w = 1 + c and y = T t (coth - 1 = 2 sum_n exp(-n w/T) resums F_th):
+F_vac is closed-form in x = (omega_c t)^2: (a/2) log(1 + x), a x/(1 + x)
+and a (3x + x^2)/(1 + x)^2 for d = 1, 2, 3. F_th is the series that
+coth - 1 = 2 sum_n exp(-n w/T) gives; with c = T/omega_c, y = T t,
+x_n = 1 + c + n, L = log|1 + iy/x| and theta = arg(x + iy),
 
-    d = 1: F_vac = (a/2) log(1 + x),          F_th = 2a [lnGamma(w) - Re lnGamma(w + iy)]
-    d = 2: F_vac = a x/(1 + x),               F_th = 2a c [Re psi(w + iy) - psi(w)]
-    d = 3: F_vac = a (3x + x^2)/(1 + x)^2,    F_th = 2a c^2 [psi'(w) - Re psi'(w + iy)]
+    F_th = 2a sum_n c^(d-1) f_d(x_n),   f_1 = L,   f_d = x^(1-d) g_(d-1),
+    g_k = 1 - cos(k theta) cos^k(theta) = -expm1(-kL) + 2 e^(-kL) sin^2(k theta/2),
 
-For y < w/4 the F_th differences cancel, so their Taylor series is summed
-to k = 16 instead (psi^(-1) = lnGamma):
+so every term is exact and nonnegative. (The sums are lnGamma(w) - Re
+lnGamma(w + iy), Re psi(w + iy) - psi(w) and psi'(w) - Re psi'(w + iy) at
+w = 1 + c.) Terms with x_n < 15 are summed directly, the rest by
+Euler-Maclaurin at the first x = x_n >= 15,
 
-    F_th = 2a c^(d-1) (-1)^(d+1) sum_k (-1)^(k+1) y^(2k)/(2k)! psi^(d-2+2k)(w).
+    int_x^inf f_d + f_d(x)/2 - sum_(k=1..8) B_2k/(2k)! f_d^(2k-1)(x),
 
-Against 40-digit references both routes are within 1.4e-13 for T/omega_c <= 30.
+with f_d^(m) = (-1)^m (m+d-2)! x^-(m+d-1) g_(m+d-1) and the integrals
+y theta - x L, L and g_1/x for d = 1, 2, 3. Against 40-digit references
+F_th is within 1e-14 and F_vac within 1.4e-13 for T/omega_c <= 30.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,27 +49,16 @@ from .errors import PhysicsError
 
 # coth(x) is 1 to better than 1e-26 beyond this argument; avoids overflow.
 _COTH_CUT = 30.0
-# Below y = T t = 0.25 w the gamma-function differences in F_th lose digits
-# to cancellation; the terms of their Taylor series in y fall off like
-# (y/w)^(2k) there, so 16 terms leave a remainder below 1e-19.
-_SMALL_Y = 0.25
 _FLOAT_MAX = sys.float_info.max
 _SQRT_MAX = math.sqrt(_FLOAT_MAX)
-_SERIES_K = np.arange(1, 17)
-_SERIES_COEF = np.array([(-1.0) ** (k + 1) / math.factorial(2 * k) for k in _SERIES_K])
-# the lnGamma, psi and psi' asymptotic tails are used from |x| = 15 on; their
-# first omitted terms, x^-13/156, x^-14/12 and 7/6 x^-15, are below 4e-18 there
-_GAMMA_SHIFT = 15.0
-# psi^(n)(w) = (-1)^(n+1) n! zeta(n+1, w) for the series orders n = 1..33,
-# tabulated by s = n + 1: 20 direct terms of the Hurwitz zeta, then the
-# Euler-Maclaurin tail, whose B_2j/(2j)! (s)_(2j-1) a^(1-s-2j) terms for
-# j = 1..8 at a = w + 20 >= 21 leave below 1e-16 of the series sum
-_ZETA_S = np.arange(2, 35)
-_ZETA_SIGNED = np.array([(-1.0) ** s * math.factorial(s - 1) for s in _ZETA_S])
-_EM_COEF = np.array([[b / math.factorial(2 * j) * math.prod(range(s, s + 2 * j - 1))
-                      for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
-                                             -691 / 2730, 7 / 6, -3617 / 510), 1)]
-                     for s in _ZETA_S])
+# F_th's series goes over to Euler-Maclaurin at x = 15. By d, the pairs
+# (2k+d-2, B_2k/(2k)! (2k+d-3)!) for k = 1..8 give the terms coef x^-(2k-1)
+# g_(2k+d-2); the first omitted one, k = 9, is below 1e-17 of the sum there.
+_EM_START = 15.0
+_EM_TERMS = {d: tuple((2 * k + d - 2, b / math.factorial(2 * k) * math.factorial(2 * k + d - 3))
+                      for k, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
+                                             -691 / 2730, 7 / 6, -3617 / 510), 1))
+             for d in (1, 2, 3)}
 
 
 @dataclass(frozen=True)
@@ -169,8 +161,10 @@ def F_vac(j: SpectralDensity, t) -> float:
     """Vacuum decay function int J(w)(1 - cos wt)/w^2 dw, in closed form.
 
     The forms in x = (omega_c t)^2 hold while x (d = 1), a x (d = 2) or
-    a x^2 (d = 3) stays finite; beyond, the same forms in r = 1/x are used.
+    a x^2 (d = 3) stays finite and no numerator overflows; beyond, the same
+    forms in r = 1/x are used. A value beyond the float range raises.
     """
+    t = float(t)
     if t < 0:
         raise PhysicsError("t must be nonnegative")
     u = j.omega_c * t
@@ -178,43 +172,69 @@ def F_vac(j: SpectralDensity, t) -> float:
         limit = _SQRT_MAX
     else:
         limit = (_FLOAT_MAX / max(j.a, 1.0)) ** (0.5 if j.d == 2 else 0.25)
+    vac = math.inf
     if u < limit:
         x = u ** 2
         if j.d == 1:
-            return 0.5 * j.a * math.log1p(x)
-        if j.d == 2:
-            return float(j.a * x / (1.0 + x))
-        # cancellation-free form of a [1 - (1 - x)/(1 + x)^2]
-        return float(j.a * (3.0 * x + x * x) / (1.0 + x) ** 2)
-    r = (1.0 / u) ** 2
-    if j.d == 1:
-        return float(j.a * math.log(u) + 0.5 * j.a * math.log1p(r))
-    if j.d == 2:
-        return float(j.a / (1.0 + r))
-    return float(j.a * (1.0 + 3.0 * r) / (1.0 + r) ** 2)
+            vac = 0.5 * j.a * math.log1p(x)
+        elif j.d == 2:
+            vac = j.a * x / (1.0 + x)
+        else:
+            # cancellation-free form of a [1 - (1 - x)/(1 + x)^2]
+            vac = j.a * (3.0 * x + x * x) / (1.0 + x) ** 2
+    if vac == math.inf:
+        r = (1.0 / u) ** 2
+        if j.d == 1:
+            # log(omega_c) + log(t) stays finite where omega_c t overflows
+            vac = j.a * (math.log(j.omega_c) + math.log(t)) + 0.5 * j.a * math.log1p(r)
+        elif j.d == 2:
+            vac = j.a / (1.0 + r)
+        else:
+            vac = j.a * ((1.0 + 3.0 * r) / (1.0 + r) ** 2)
+    if not math.isfinite(vac):
+        raise PhysicsError(f"F_vac overflows: a = {j.a!r}, omega_c t = {u!r}")
+    return vac
 
 
-@lru_cache(maxsize=64)
-def _series_derivs(d: int, w: float) -> np.ndarray:
-    """w^(2k) psi^(d-2+2k)(w), k = 1..16: the small-y series' derivatives,
-    which a t-grid at fixed bath and temperature shares. The scaling keeps
-    them, and the powers (y/w)^(2k) they multiply, inside the float range:
-    each zeta term w^(2k) x^-s is (w/x)^(2k) x^(1-d)."""
-    rows = slice(d - 1, d + 31, 2)
-    s, e = _ZETA_S[rows], 2 * _SERIES_K
-    x = w + np.arange(20.0)
-    a = w + 20.0
-    zeta = (((w / x)[:, None] ** e) * x[:, None] ** (1 - d)).sum(axis=0) \
-        + (w / a) ** e * (a ** (2 - d) / (s - 1) + a ** (1 - d) * (
-            0.5 + _EM_COEF[rows] @ a ** (1.0 - 2 * np.arange(1, 9))))
-    derivs = _ZETA_SIGNED[rows] * zeta
-    derivs.flags.writeable = False
-    return derivs
+def _low_orders(x: float, y: float) -> tuple:
+    """(L, g_1, g_2) at x > 0, y >= 0: log1p(X)/2, X/(1 + X) and g_1 (1 + 2q)
+    with X = (y/x)^2 and q = 1/(1 + X) = cos^2(theta), in 1/X where X > 1."""
+    if y <= x:
+        X = (y / x) ** 2
+        q = 1.0 / (1.0 + X)
+        return 0.5 * math.log1p(X), X * q, X * q * (1.0 + 2.0 * q)
+    R = (x / y) ** 2
+    g1 = 1.0 / (1.0 + R)
+    return math.log(y / x) + 0.5 * math.log1p(R), g1, g1 * (1.0 + 2.0 * R * g1)
+
+
+def _matsubara_sum(d: int, c: float, w: float, y: float) -> float:
+    """sum_{n>=0} c^(d-1) f_d(w + n) of the module docstring: directly below
+    x = _EM_START, then the Euler-Maclaurin tail. c^(d-1) enters as powers of
+    c/x, at most 1 where c < w."""
+    total = 0.0
+    x = w
+    while x < _EM_START:
+        total += (c / x) ** (d - 1) * _low_orders(x, y)[d - 1]
+        x += 1.0
+    low = _low_orders(x, y)
+    L, theta, inv = low[0], math.atan2(y, x), 1.0 / x
+    em, inv_power = 0.0, inv
+    for k, coef in _EM_TERMS[d]:
+        em += coef * inv_power * (2.0 * math.exp(-k * L) * math.sin(0.5 * k * theta) ** 2
+                                  - math.expm1(-k * L))
+        inv_power *= inv * inv
+    if d == 1:
+        return total + (y * theta - x * L) + (0.5 * L + em)
+    s = c / x
+    return total + s ** (d - 2) * (c * low[d - 2] + s * (0.5 * low[d - 1] + em))
 
 
 def F_th(j: SpectralDensity, temperature, t) -> float:
     """Thermal excess decay function, weight coth(w/2T) - 1 on top of J/w^2,
-    from the gamma-function forms or, for y < w/4, their series in y."""
+    as the series of the module docstring. A value beyond the float range
+    raises, naming a, T/omega_c and T t."""
+    temperature, t = float(temperature), float(t)
     if temperature < 0:
         raise PhysicsError("temperature must be nonnegative")
     if t < 0:
@@ -222,79 +242,19 @@ def F_th(j: SpectralDensity, temperature, t) -> float:
     if t == 0.0 or temperature == 0.0:
         return 0.0
     c = temperature / j.omega_c
-    w = 1.0 + c
     y = temperature * t
-    scale = 2.0 * j.a * c ** (j.d - 1)
-    if y < _SMALL_Y * w:
-        return float(scale * (-1) ** (j.d + 1)
-                     * np.dot(_SERIES_COEF * (y / w) ** (2 * _SERIES_K),
-                              _series_derivs(j.d, w)))
-    z = complex(w, y)
-    if j.d == 1:
-        return float(scale * _loggamma_drop(w, y))
-    if j.d == 2:
-        return float(scale * (_psi(z).real - _psi(complex(w)).real))
-    return float(scale * (trigamma(w) - trigamma(z).real))
+    th = j.a * (2.0 * _matsubara_sum(j.d, c, 1.0 + c, y))
+    if not math.isfinite(th):
+        raise PhysicsError(f"F_th overflows: a = {j.a!r}, T/omega_c = {c!r}, T t = {y!r}")
+    return th
 
 
-def _log_modulus(r: float) -> float:
-    """ln|1 + ir| = log1p(r^2)/2, without overflow at large r."""
-    return 0.5 * math.log1p(r * r) if r < 1e150 else math.log(r)
-
-
-def _stirling_tail(z):
-    """lnGamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2 for |z| >= _GAMMA_SHIFT
-    (A&S 6.1.41)."""
-    inv = 1.0 / z
-    inv2 = inv * inv
-    return inv * (1.0 / 12.0 + inv2 * (-1.0 / 360.0 + inv2 * (1.0 / 1260.0 + inv2 * (
-        -1.0 / 1680.0 + inv2 * (1.0 / 1188.0 + inv2 * -691.0 / 360360.0)))))
-
-
-def _loggamma_drop(w: float, y: float) -> float:
-    """lnGamma(w) - Re lnGamma(w + iy) for w > 0 and y >= 0 without
-    differencing two lnGamma values: each shift lnGamma(z) = lnGamma(z+1) - ln z
-    up to w >= _GAMMA_SHIFT adds ln|1 + iy/w|, and Stirling's series leaves
-    y arg(w + iy) - (w - 1/2) ln|1 + iy/w| plus the difference of its tails,
-    which cancels only where y << w, below the series switch of F_th."""
-    acc = 0.0
-    while w < _GAMMA_SHIFT:
-        acc += _log_modulus(y / w)
-        w += 1.0
-    return (acc + y * math.atan2(y, w) - (w - 0.5) * _log_modulus(y / w)
-            + _stirling_tail(w) - _stirling_tail(complex(w, y)).real)
-
-
-def _psi(z: complex) -> complex:
-    """psi(z) for Re z > 0, via psi(z) = psi(z+1) - 1/z up to
-    |z| >= _GAMMA_SHIFT plus the asymptotic series (A&S 6.3.18)."""
-    acc = 0.0
-    while abs(z) < _GAMMA_SHIFT:
-        acc -= 1.0 / z
-        z += 1.0
-    inv = 1.0 / z
-    inv2 = inv * inv
-    tail = inv2 * (-1.0 / 12.0 + inv2 * (1.0 / 120.0 + inv2 * (-1.0 / 252.0 + inv2 * (
-        1.0 / 240.0 + inv2 * (-1.0 / 132.0 + inv2 * 691.0 / 32760.0)))))
-    return acc + cmath.log(z) - 0.5 * inv + tail
-
-
-def trigamma(x) -> float | complex:
-    """psi'(x) for real x > 0 or complex x with Re x > 0, via the recurrence
-    psi'(x) = psi'(x+1) + 1/x^2 up to |x| >= _GAMMA_SHIFT plus an asymptotic
-    tail (A&S 6.4.12); relative error below 1e-16 in the tail."""
-    if x.real <= 0:
-        raise PhysicsError("trigamma implemented for Re x > 0 only")
-    acc = 0.0
-    while abs(x) < _GAMMA_SHIFT:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    # 1/x + 1/2x^2 + 1/6x^3 - 1/30x^5 + 1/42x^7 - 1/30x^9 + 5/66x^11 - 691/2730x^13
-    tail = inv * (1.0 + inv * (0.5 + inv * (1.0 / 6.0 + inv2 * (-1.0 / 30.0 + inv2 * (
-        1.0 / 42.0 + inv2 * (-1.0 / 30.0 + inv2 * (5.0 / 66.0 + inv2 * -691.0 / 2730.0)))))))
-    return acc + tail
+def trigamma(x) -> float:
+    """psi'(x) = sum_n (x + n)^-2 for real x > 0: the d = 3 series of F_th
+    at c = 1 and y = inf, where every g_k is 1."""
+    if isinstance(x, complex) or not x > 0:
+        raise PhysicsError("trigamma implemented for real x > 0 only")
+    return _matsubara_sum(3, 1.0, float(x), math.inf)
 
 
 def F_superohmic_limit(j: SpectralDensity, temperature) -> float:
@@ -309,7 +269,7 @@ def F_superohmic_limit(j: SpectralDensity, temperature) -> float:
     if temperature == 0.0:
         return 0.0
     r = temperature / j.omega_c
-    return 2.0 * j.a * r * r * trigamma(1.0 + r)
+    return j.a * (2.0 * _matsubara_sum(3, r, 1.0 + r, math.inf))
 
 
 def matsubara_time(temperature) -> float:

@@ -391,6 +391,12 @@ def qbm_generator(x, p, m, gamma, temperature) -> LindbladGenerator:
     return LindbladGenerator(h, ((1.0, jump),))
 
 
+# psi(u) = sum_k c_k u^k of qbm_moments for k = 3..26; at u < 1/2 the first
+# omitted term is below 1e-17 of the sum
+_PSI_SERIES = tuple((k, ((-2.0) ** k - (-4.0) ** k / 4.0) / math.factorial(k))
+                    for k in range(3, 27))
+
+
 def qbm_moments(m, gamma, temperature, initial: PhaseSpaceMoments,
                 t) -> PhaseSpaceMoments:
     """Closed-form moment flow of free Brownian motion.
@@ -398,6 +404,16 @@ def qbm_moments(m, gamma, temperature, initial: PhaseSpaceMoments,
     <p> damps at 2 gamma, <x> drifts by the integrated momentum, sigma_pp
     relaxes to mT at 4 gamma, and sigma_xx picks up the diffusive slope
     T/(gamma m) plus the momentum-channel floor gamma/(4mT).
+
+    With u = gamma t, E = 1 - e^(-2u) and h = E/(2 gamma m) (h -> t/m as
+    u -> 0), every term is nonnegative apart from the initial cross moment:
+
+        cross = cross_0 e^(-2u) + 2h (mT E + sigma_pp,0 e^(-2u))
+        sigma_xx = sigma_xx,0 + gamma t/(4mT) + cross_0 h + sigma_pp,0 h^2
+                   + T psi(u)/(gamma^2 m),
+
+    psi(u) = u - 3/4 + e^(-2u) - e^(-4u)/4 = sum_(k>=3) ((-2u)^k - (-4u)^k/4)/k!,
+    summed as its series below u = 1/2, where the closed form cancels.
     """
     if m <= 0 or gamma <= 0 or temperature <= 0:
         raise PhysicsError("m, gamma, temperature must be positive")
@@ -407,19 +423,24 @@ def qbm_moments(m, gamma, temperature, initial: PhaseSpaceMoments,
         return initial
     if (gamma * gamma) * (m * m) == 0.0 or m * temperature == 0.0:
         raise PhysicsError(f"gamma m = {gamma * m!r} or m T = {m * temperature!r} underflows")
-    e2 = math.exp(-2.0 * gamma * t)
+    u = gamma * t
+    e2 = math.exp(-2.0 * u)
     e4 = e2 * e2
+    one_minus_e2 = -math.expm1(-2.0 * u)
+    h = one_minus_e2 / (2.0 * gamma * m)
     p_t = initial.p * e2
-    x_t = initial.x + initial.p * (1.0 - e2) / (2.0 * gamma * m)
+    x_t = initial.x + initial.p * h
 
-    a = initial.sigma_pp - m * temperature
-    spp_t = m * temperature + a * e4
-    d = initial.cross - temperature / gamma + a / (gamma * m)
-    cross_t = temperature / gamma - (a / (gamma * m)) * e4 + d * e2
-    sxx_t = (initial.sigma_xx
-             + (temperature / (gamma * m) + gamma / (4.0 * m * temperature)) * t
-             + d * (1.0 - e2) / (2.0 * gamma * m)
-             - a * (1.0 - e4) / (4.0 * (gamma * gamma) * (m * m)))
+    spp_t = m * temperature + (initial.sigma_pp - m * temperature) * e4
+    cross_t = initial.cross * e2 + 2.0 * h * (m * temperature * one_minus_e2
+                                              + initial.sigma_pp * e2)
+    if u < 0.5:
+        psi_over_gamma = sum(c * u ** k for k, c in _PSI_SERIES) / gamma
+    else:
+        psi_over_gamma = t - (0.75 - e2 + 0.25 * e4) / gamma
+    sxx_t = (initial.sigma_xx + gamma / (4.0 * m * temperature) * t
+             + initial.cross * h + initial.sigma_pp * h * h
+             + temperature / (gamma * m) * psi_over_gamma)
     if not all(map(math.isfinite, (x_t, p_t, sxx_t, spp_t, cross_t))):
         raise PhysicsError(f"moment overflow: m {m!r}, gamma {gamma!r}, T {temperature!r}")
     return PhaseSpaceMoments(x_t, p_t, sxx_t, spp_t, cross_t)

@@ -580,7 +580,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_hot_bath_dephase_is_finite(self, tmp_path, capsys):
-        # y = T t up to 1e11 sits in F_th's small-y series
+        # y = T t up to 1e11, below (1 + T/omega_c)/4
         params = {"a": 1.0, "omega_c": 1.0, "temperature": 1e12, "d": 2,
                   "t_min": 0.01, "t_max": 0.1, "n_points": 4}
         cfg = write_config(tmp_path, {"scenario": "dephase", "params": params})
@@ -589,6 +589,23 @@ class TestExitCodes:
         assert main(["run", cfg, "--output", str(out)]) == 0
         header, rows = read_csv(out)
         assert len(rows) == 4
+        cols = [header.index(k) for k in ("f_vac", "f_th", "visibility")]
+        assert all(math.isfinite(float(row[i])) for row in rows for i in cols)
+
+    @pytest.mark.parametrize("params", [
+        # (T/omega_c)^2 = 1e400 is beyond the float range
+        {"a": 1.0, "omega_c": 1.0, "temperature": 1e200, "d": 3},
+        # 2a (T/omega_c)^2 is beyond the float range and the sum underflows
+        {"d": 3, "a": 10.228925681404194, "omega_c": 6.015337525697142e-129,
+         "temperature": 3.617154774257854e25, "t_min": 4.708103317027069e-81,
+         "t_max": 1e-80, "n_points": 2},
+    ], ids=["hot", "nan"])
+    def test_extreme_bath_dephase_is_finite(self, tmp_path, capsys, params):
+        cfg = write_config(tmp_path, {"scenario": "dephase", "params": params})
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "extreme.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        header, rows = read_csv(out)
         cols = [header.index(k) for k in ("f_vac", "f_th", "visibility")]
         assert all(math.isfinite(float(row[i])) for row in rows for i in cols)
 
@@ -604,7 +621,10 @@ class TestExitCodes:
          "gamma m = 0.0"),
         ({"scenario": "lindblad", "params": {"energies": [0.0, 1e200], "gamma": 1.0}},
          "energy spread 1e+200"),
-    ], ids=["cat", "cat-si", "qbm", "lindblad"])
+        ({"scenario": "dephase", "params": {"a": 1.0, "omega_c": 1.0, "d": 2,
+                                            "temperature": 1e300, "t_max": 1e10}},
+         "a = 1.0, T/omega_c = 1e+300, T t = inf"),
+    ], ids=["cat", "cat-si", "qbm", "lindblad", "dephase"])
     def test_closed_form_overflow_exits_3(self, tmp_path, capsys, config, message):
         cfg = write_config(tmp_path, config)
         assert main(["validate", cfg]) == 0
@@ -624,6 +644,18 @@ class TestExitCodes:
         header, rows = read_csv(out)
         assert len(rows) == 5
         assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+    def test_qbm_slow_damping_is_finite(self, tmp_path, capsys):
+        # var_x is a sum of terms of order 1/gamma = 1e10 that cancel
+        params = {"mass": 1, "gamma": 1e-10, "temperature": 1}
+        cfg = write_config(tmp_path, {"scenario": "qbm", "params": params})
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "slow.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert len(rows) == 50
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        assert all(float(row[header.index("var_x")]) >= 1.0 for row in rows)
 
     def test_physics_failure_exits_3(self, tmp_path, capsys):
         # span far below the 10 sigma0 floor trips the grid validation

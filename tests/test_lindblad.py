@@ -445,6 +445,29 @@ class TestBrownianMotion:
                 [out.x, out.p, out.sigma_xx, out.sigma_pp, out.cross],
                 sol.y[:, -1], rtol=1e-6, atol=1e-9)
 
+    def test_small_damping_matches_mpmath(self):
+        """The closed form, evaluated as written at 60 digits: its terms of
+        order 1/gamma cancel, so in double precision var_x once came out
+        9.1% off at gamma = 1e-8 and negative at 1e-10."""
+        mpmath = pytest.importorskip("mpmath")
+        m, temp, t = 1.0, 1.0, 1.0
+        init = PhaseSpaceMoments(0.3, 0.5, 1.0, 2.0, 0.4)
+        with mpmath.workdps(60):
+            for gamma in np.geomspace(1e-2, 1e-12, 11):
+                g = mpmath.mpf(gamma)
+                e2 = mpmath.exp(-2 * g * t)
+                e4 = e2 * e2
+                a = init.sigma_pp - m * temp
+                d = init.cross - temp / g + a / (g * m)
+                x = init.x + init.p * (1 - e2) / (2 * g * m)
+                cross = temp / g - (a / (g * m)) * e4 + d * e2
+                sxx = (init.sigma_xx + (temp / (g * m) + g / (4 * m * temp)) * t
+                       + d * (1 - e2) / (2 * g * m) - a * (1 - e4) / (4 * g * g * m * m))
+                out = qbm_moments(m, gamma, temp, init, t)
+                assert out.sigma_xx == pytest.approx(float(sxx), rel=1e-12, abs=0.0)
+                assert out.cross == pytest.approx(float(cross), rel=1e-12, abs=0.0)
+                assert out.x == pytest.approx(float(x), rel=1e-12, abs=0.0)
+
     def test_coherence_ratio_identities(self):
         assert qbm_coherence_ratio(0.3, 0.3, 1.0, 1.0) == 0.0
         r1 = qbm_coherence_ratio(0.0, 1.0, 2.0, 3.0)
