@@ -31,7 +31,7 @@ def _check_unitary(u, what="operator"):
     return u
 
 
-def check_kraus(kraus_ops, tol=_COMPLETENESS_TOL):
+def check_kraus(kraus_ops):
     """Validate the completeness relation sum_k W_k^dag W_k = I."""
     ops = [as_operator(w) for w in kraus_ops]
     if not ops:
@@ -43,8 +43,8 @@ def check_kraus(kraus_ops, tol=_COMPLETENESS_TOL):
             raise DimensionError("Kraus operators of mixed dimension")
         acc += dag(w) @ w
     defect = np.max(np.abs(acc - np.eye(d)))
-    if defect > tol:
-        raise PhysicsError(f"Kraus completeness defect {defect:.2e} > {tol:.0e}")
+    if defect > _COMPLETENESS_TOL:
+        raise PhysicsError(f"Kraus completeness defect {defect:.2e} > {_COMPLETENESS_TOL:.0e}")
     return ops
 
 
@@ -144,14 +144,14 @@ def born_probability(effect, rho) -> float:
     return float(np.real(np.trace(effect @ rho)))
 
 
-def check_povm(effects, tol=_COMPLETENESS_TOL):
+def check_povm(effects):
     ops = [as_operator(f) for f in effects]
     d = ops[0].shape[0]
     for f in ops:
         if np.linalg.eigvalsh(0.5 * (f + dag(f))).min() < -1e-8:
             raise PhysicsError("POVM effect is not positive")
     defect = np.max(np.abs(sum(ops) - np.eye(d)))
-    if defect > tol:
+    if defect > _COMPLETENESS_TOL:
         raise PhysicsError(f"POVM does not resolve the identity, defect {defect:.2e}")
     return ops
 

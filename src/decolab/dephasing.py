@@ -51,10 +51,15 @@ from .errors import PhysicsError
 _COTH_CUT = 30.0
 _FLOAT_MAX = sys.float_info.max
 _SQRT_MAX = math.sqrt(_FLOAT_MAX)
+# discrete baths span (0, 50 omega_c); J carries exp(-50) = 2e-22 at the top
+_DISCRETE_CUTOFFS = 50.0
 # F_th's series goes over to Euler-Maclaurin at x = 15. By d, the pairs
 # (2k+d-2, B_2k/(2k)! (2k+d-3)!) for k = 1..8 give the terms coef x^-(2k-1)
 # g_(2k+d-2); the first omitted one, k = 9, is below 1e-17 of the sum there.
 _EM_START = 15.0
+# below this y/x the d = 1 tail integral is its leading term, exact to
+# (y/x)^2/6 < 1e-300, while (y/x)^2 itself nears underflow
+_TINY_RATIO = 1e-150
 _EM_TERMS = {d: tuple((2 * k + d - 2, b / math.factorial(2 * k) * math.factorial(2 * k + d - 3))
                       for k, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
                                              -691 / 2730, 7 / 6, -3617 / 510), 1))
@@ -120,17 +125,10 @@ def _one_minus_cos_over_w2(w: float, t: float) -> float:
 
 
 def chi_vacuum_discrete(bath: BathModes, t) -> complex:
-    """Zero-temperature coherence factor of a discrete bath.
-
-    Product over modes of exp(-|alpha_k(t)|^2 / 2), which equals
-    exp(-sum_k 4|g_k|^2 (1 - cos omega_k t)/omega_k^2).
-    """
-    if t < 0:
-        raise PhysicsError("t must be nonnegative")
-    total = 0.0
-    for g, w in bath.modes:
-        total += 4.0 * abs(g) ** 2 * _one_minus_cos_over_w2(w, t)
-    return complex(math.exp(-total))
+    """Zero-temperature coherence factor of a discrete bath: the thermal one
+    with every coth weight 1, exp(-sum_k 4|g_k|^2 (1 - cos omega_k t)/omega_k^2),
+    which is the product over modes of exp(-|alpha_k(t)|^2 / 2)."""
+    return chi_thermal_discrete(bath, 0.0, t)
 
 
 def chi_thermal_discrete(bath: BathModes, temperature, t) -> complex:
@@ -146,11 +144,10 @@ def chi_thermal_discrete(bath: BathModes, temperature, t) -> complex:
     return complex(math.exp(-total))
 
 
-def discretize_spectral_density(j: SpectralDensity, n_modes, omega_max=None) -> BathModes:
-    """Linear-grid discretization with 4|g_i|^2 = J(omega_i) * d_omega."""
-    if omega_max is None:
-        omega_max = 50.0 * j.omega_c
-    edges = np.linspace(0.0, omega_max, n_modes + 1)
+def discretize_spectral_density(j: SpectralDensity, n_modes) -> BathModes:
+    """Linear-grid discretization with 4|g_i|^2 = J(omega_i) * d_omega on
+    (0, _DISCRETE_CUTOFFS omega_c)."""
+    edges = np.linspace(0.0, _DISCRETE_CUTOFFS * j.omega_c, n_modes + 1)
     centers = 0.5 * (edges[1:] + edges[:-1])
     dw = edges[1] - edges[0]
     gs = 0.5 * np.sqrt(j(centers) * dw)
@@ -225,7 +222,11 @@ def _matsubara_sum(d: int, c: float, w: float, y: float) -> float:
                                   - math.expm1(-k * L))
         inv_power *= inv * inv
     if d == 1:
-        return total + (y * theta - x * L) + (0.5 * L + em)
+        # y theta - x L = y r/2 (1 - r^2/6 + ...) with r = y/x; x L is lost
+        # once r^2 underflows, so below _TINY_RATIO the leading term is taken
+        r = y / x
+        integral = 0.5 * y * r if r < _TINY_RATIO else y * theta - x * L
+        return total + integral + (0.5 * L + em)
     s = c / x
     return total + s ** (d - 2) * (c * low[d - 2] + s * (0.5 * low[d - 1] + em))
 

@@ -11,6 +11,7 @@ coherence decay). Natural units hbar = k_B = 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,13 +178,9 @@ def liouvillian(gen: LindbladGenerator) -> np.ndarray:
 
 
 def dual_liouvillian(gen: LindbladGenerator) -> np.ndarray:
-    """Heisenberg-picture adjoint: tr(A L(rho)) = tr(L#(A) rho); L#(I) = 0."""
-    h = gen.hamiltonian
-    out = 1j * (spre(h) - spost(h))
-    for rate, op in gen.channels:
-        opd_op = dag(op) @ op
-        out += rate * (sandwich(dag(op), op) - 0.5 * spre(opd_op) - 0.5 * spost(opd_op))
-    return out
+    """Heisenberg-picture generator L#, the Hilbert-Schmidt adjoint of L:
+    tr(A† L(rho)) = tr(L#(A)† rho); L#(I) = 0."""
+    return dag(liouvillian(gen))
 
 
 def apply_generator(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
@@ -234,7 +231,7 @@ def evolve(gen: LindbladGenerator, rho: np.ndarray, t: float) -> np.ndarray:
     (QuadratureError, a PhysicsError, if its step underflows)."""
     rho, d = as_operator(rho), gen.dim
     if d <= _DENSE_DIM_MAX:
-        return devectorize(Propagator(1j * liouvillian(gen)).apply(vectorize(rho), t), d)
+        return devectorize(Propagator(1j * liouvillian(gen)).apply(vectorize(rho), t))
     return Propagator(derivative=lambda y: apply_generator(gen, y.reshape(d, d)).ravel(),
                       rtol=_RK_RTOL, atol=1e-12).apply(rho, t)
 
@@ -244,7 +241,7 @@ def heisenberg_evolve(gen: LindbladGenerator, a: np.ndarray, t: float) -> np.nda
     if gen.dim > _DENSE_DIM_MAX:
         raise DimensionError("dual propagation needs the dense superoperator: dim too large")
     k = 1j * dual_liouvillian(gen)
-    return devectorize(Propagator(k).apply(vectorize(as_operator(a)), t), gen.dim)
+    return devectorize(Propagator(k).apply(vectorize(as_operator(a)), t))
 
 
 def dephasing_solution(energies, gamma, rho0, t) -> np.ndarray:
@@ -313,12 +310,12 @@ def coherent_state(spec: CoherentStateSpec) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def check_fock_leakage(rho: np.ndarray, tol: float = _FOCK_LEAK_TOL):
+def check_fock_leakage(rho: np.ndarray):
     """Error out once the top two Fock levels carry visible population."""
     pops = np.real(np.diag(as_operator(rho)))
     leak = float(pops[-2:].sum())
-    if leak >= tol:
-        raise PhysicsError(f"Fock truncation leakage {leak:.2e} >= {tol:.0e}")
+    if leak >= _FOCK_LEAK_TOL:
+        raise PhysicsError(f"Fock truncation leakage {leak:.2e} >= {_FOCK_LEAK_TOL:.0e}")
     return leak
 
 
@@ -421,13 +418,14 @@ def qbm_moments(m, gamma, temperature, initial: PhaseSpaceMoments,
         raise PhysicsError("t must be nonnegative")
     if t == 0.0:
         return initial
-    if (gamma * gamma) * (m * m) == 0.0 or m * temperature == 0.0:
+    if gamma * m == 0.0 or m * temperature == 0.0:
         raise PhysicsError(f"gamma m = {gamma * m!r} or m T = {m * temperature!r} underflows")
     u = gamma * t
     e2 = math.exp(-2.0 * u)
     e4 = e2 * e2
     one_minus_e2 = -math.expm1(-2.0 * u)
-    h = one_minus_e2 / (2.0 * gamma * m)
+    # h = (t/m) E/(2u), and E/(2u) rounds to 1 where E is subnormal or 0
+    h = one_minus_e2 / (2.0 * gamma * m) if one_minus_e2 >= sys.float_info.min else t / m
     p_t = initial.p * e2
     x_t = initial.x + initial.p * h
 

@@ -41,22 +41,22 @@ def herm_part(a) -> np.ndarray:
     return 0.5 * (a + dag(a))
 
 
-def check_density(rho, tau_herm=TAU_HERM, tau_trace=TAU_TRACE, tau_pos=TAU_POS) -> np.ndarray:
+def check_density(rho) -> np.ndarray:
     """Validate a density operator and return it unchanged.
 
-    Raises PhysicsError if hermiticity, unit trace, or positivity (smallest
-    eigenvalue >= -tau_pos) fails.
+    Raises PhysicsError if hermiticity (TAU_HERM), unit trace (TAU_TRACE),
+    or positivity (smallest eigenvalue >= -TAU_POS) fails.
     """
     rho = as_operator(rho)
     herm_defect = np.max(np.abs(rho - dag(rho)))
-    if herm_defect > tau_herm:
-        raise PhysicsError(f"not hermitian: defect {herm_defect:.2e} > {tau_herm:.0e}")
+    if herm_defect > TAU_HERM:
+        raise PhysicsError(f"not hermitian: defect {herm_defect:.2e} > {TAU_HERM:.0e}")
     tr_defect = abs(rho.trace() - 1.0)
-    if tr_defect > tau_trace:
-        raise PhysicsError(f"trace off unity by {tr_defect:.2e} > {tau_trace:.0e}")
+    if tr_defect > TAU_TRACE:
+        raise PhysicsError(f"trace off unity by {tr_defect:.2e} > {TAU_TRACE:.0e}")
     wmin = np.linalg.eigvalsh(herm_part(rho)).min()
-    if wmin < -tau_pos:
-        raise PhysicsError(f"negative eigenvalue {wmin:.2e} below -{tau_pos:.0e}")
+    if wmin < -TAU_POS:
+        raise PhysicsError(f"negative eigenvalue {wmin:.2e} below -{TAU_POS:.0e}")
     return rho
 
 
@@ -70,10 +70,9 @@ def vectorize(a) -> np.ndarray:
     return a.reshape(-1, order="F")
 
 
-def devectorize(v, dim=None) -> np.ndarray:
+def devectorize(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
+    dim = int(round(np.sqrt(v.size)))
     if dim * dim != v.size:
         raise DimensionError(f"vector of length {v.size} is not dim^2")
     return v.reshape(dim, dim, order="F")
@@ -215,18 +214,16 @@ class _DormandPrince:
     reference counting frees it (and whatever `fun` keeps) once dropped.
     """
 
-    def __init__(self, fun, y0, t_bound, rtol, atol, max_step=math.inf):
+    def __init__(self, fun, y0, t_bound, rtol, atol):
         if not t_bound > 0:
             raise PhysicsError(f"integration end {t_bound!r} must be positive")
         if atol < 0:
             raise PhysicsError(f"atol {atol!r} must be nonnegative")
-        if not max_step > 0:
-            raise PhysicsError(f"max_step {max_step!r} must be positive")
         y0 = np.asarray(y0)
         self.y = y0.astype(complex if np.iscomplexobj(y0) else float, copy=False)
         if self.y.ndim != 1 or not np.all(np.isfinite(self.y)):
             raise PhysicsError("initial state must be a finite 1-d array")
-        self.fun, self.t_bound, self.max_step = fun, float(t_bound), max_step
+        self.fun, self.t_bound = fun, float(t_bound)
         self.rtol, self.atol = max(rtol, _RTOL_MIN), atol
         self.t = 0.0
         self.f = fun(self.y)
@@ -245,19 +242,14 @@ class _DormandPrince:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-        return min(100 * h0, h1, self.t_bound, self.max_step)
+        return min(100 * h0, h1, self.t_bound)
 
     def step(self):
         """One accepted step, clipped at t_bound. Raises QuadratureError
         once the trial step falls below 10 ulp of t (a NaN step included)."""
         t, y, k = self.t, self.y, self._k
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
+        h_abs = min_step if self.h_abs < min_step else self.h_abs
         rejected, error_norm = False, math.nan
         while True:
             if not h_abs >= min_step:

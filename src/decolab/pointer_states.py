@@ -22,6 +22,9 @@ from .operator_core import _DormandPrince, dag
 from .units import HBAR, K_B
 
 _NORM_TOL = 1e-9
+# evolve_robust's RK45 tolerances
+_RTOL = 1e-8
+_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,7 @@ class RobustStateFlow:
 
     def __post_init__(self):
         norm = float(np.linalg.norm(self.xi))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise PhysicsError(f"flow state norm {norm!r} drifted off unity")
 
 
@@ -94,20 +97,19 @@ def projector_flow_rhs(rho, gen: LindbladGenerator) -> np.ndarray:
     return rho @ z + z @ rho - 2.0 * rho @ z @ rho
 
 
-def evolve_robust(xi0, gen: LindbladGenerator, t_final: float,
-                  rtol: float = 1e-8, atol: float = 1e-10,
-                  max_step: float = math.inf) -> tuple:
-    """Integrate the nonlinear flow with an embedded RK pair, renormalizing
-    the state after every accepted step; the equation only preserves the
-    norm to first order, so drift is removed before it can compound. The
-    right-hand side is compiled once per call, in `_flow_rhs`.
+def evolve_robust(xi0, gen: LindbladGenerator, t_final: float) -> tuple:
+    """Integrate the nonlinear flow with an embedded RK pair (rtol _RTOL,
+    atol _ATOL), renormalizing the state after every accepted step; the
+    equation only preserves the norm to first order, so drift is removed
+    before it can compound. The right-hand side is compiled once per call,
+    in `_flow_rhs`.
 
     Returns the accepted-step snapshots as RobustStateFlow objects, initial
     state included, so purity holds exactly along the whole trajectory.
     Raises QuadratureError, naming t and the step, if the step underflows.
     """
     xi0 = np.asarray(xi0, dtype=complex)
-    if abs(np.linalg.norm(xi0) - 1.0) > _NORM_TOL:
+    if not abs(np.linalg.norm(xi0) - 1.0) <= _NORM_TOL:
         raise PhysicsError("initial flow state must be normalized")
     if t_final < 0:
         raise PhysicsError("flow time must be nonnegative")
@@ -116,7 +118,7 @@ def evolve_robust(xi0, gen: LindbladGenerator, t_final: float,
         return tuple(snapshots)
 
     rhs = _flow_rhs(gen)
-    stepper = _DormandPrince(rhs, xi0, t_final, rtol, atol, max_step)
+    stepper = _DormandPrince(rhs, xi0, t_final, _RTOL, _ATOL)
     while stepper.t < t_final:
         stepper.step()
         stepper.y /= np.linalg.norm(stepper.y)

@@ -22,6 +22,7 @@ from .operator_core import Propagator, as_operator, dag
 _GRID_POINTS = 256
 _BISECT_REL = 1e-10
 _DARK_WEIGHT = 1e-14
+_NORM_TOL = 1e-10
 
 
 def effective_hamiltonian(gen: LindbladGenerator) -> np.ndarray:
@@ -113,8 +114,11 @@ def sample_jump_times(psi, gen: LindbladGenerator, us, t_max: float) -> np.ndarr
         raise PhysicsError("u must lie in (0, 1)")
     if not t_max > 0:
         raise PhysicsError("t_max must be positive")
-    return _waiting_times(*_propagator(gen), np.asarray(psi, dtype=complex),
-                          us.ravel(), float(t_max)).reshape(us.shape)
+    psi = np.asarray(psi, dtype=complex)
+    if not np.all(np.isfinite(psi)):
+        raise PhysicsError("state has non-finite entries")
+    return _waiting_times(*_propagator(gen), psi, us.ravel(),
+                          float(t_max)).reshape(us.shape)
 
 
 def apply_jump(psi, gen: LindbladGenerator, rng: Generator):
@@ -178,16 +182,22 @@ def _run(psi0, gen, horizon, rng):
     return JumpRecord(tuple(events), horizon), psi
 
 
+def _initial_state(psi0) -> np.ndarray:
+    """psi0 as a complex array; PhysicsError unless its norm is within
+    _NORM_TOL of 1 (so a NaN or inf entry fails)."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    if not abs(np.linalg.norm(psi0) - 1.0) <= _NORM_TOL:
+        raise PhysicsError("initial state must be normalized")
+    return psi0
+
+
 def run_trajectory(psi0, gen: LindbladGenerator, horizon: float, seed: int,
                    index: int = 0):
     """Trajectory `index` of `seed`, drawn from Philox key (seed, index);
     returns (record, final state)."""
     if horizon <= 0:
         raise PhysicsError("horizon must be positive")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
-        raise PhysicsError("initial state must be normalized")
-    return _run(psi0, gen, float(horizon), _stream(seed, index))
+    return _run(_initial_state(psi0), gen, float(horizon), _stream(seed, index))
 
 
 def record_operator(record: JumpRecord, gen: LindbladGenerator) -> np.ndarray:
@@ -221,7 +231,7 @@ def ensemble_average(psi0, gen: LindbladGenerator, horizon: float,
     master-equation state at the Monte-Carlo 1/sqrt(n) rate."""
     if n_traj < 1:
         raise PhysicsError("need at least one trajectory")
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = _initial_state(psi0)
     acc = np.zeros((gen.dim, gen.dim), dtype=complex)
     for i in range(n_traj):
         _, psi = _run(psi0, gen, float(horizon), _stream(base_seed, i))

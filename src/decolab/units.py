@@ -1,54 +1,9 @@
-"""Pinned CODATA constants and SI <-> natural-unit conversion.
+"""Pinned CODATA constants.
 
-All package APIs work in natural units (hbar = k_B = 1). Converting an SI
-quantity needs reference scales fixing the unit system; an energy and a mass
-scale are enough for everything used here (time = hbar/E, length =
-hbar/sqrt(M E), temperature = E/k_B).
+All package APIs work in natural units (hbar = k_B = 1); the CLI and
+`qbm_soliton_width(si=True)` convert SI quantities with these constants.
 """
-
-from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-
-from .errors import PhysicsError, SchemaError
 
 HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23      # J / K
 YEAR = 3.15576e7        # s, Julian year
-
-_KINDS = ("energy", "mass", "temperature", "time", "rate", "length")
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Reference scales: joules per natural energy unit, kilograms per
-    natural mass unit."""
-
-    energy_scale: float = 1.0
-    mass_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.energy_scale <= 0 or self.mass_scale <= 0:
-            raise PhysicsError("unit scales must be positive")
-
-    def _si_per_natural(self, kind: str) -> float:
-        if kind == "energy":
-            return self.energy_scale
-        if kind == "mass":
-            return self.mass_scale
-        if kind == "temperature":
-            return self.energy_scale / K_B
-        if kind == "time":
-            return HBAR / self.energy_scale
-        if kind == "rate":
-            return self.energy_scale / HBAR
-        if kind == "length":
-            return HBAR / math.sqrt(self.mass_scale * self.energy_scale)
-        raise SchemaError(f"unknown quantity kind {kind!r}; expected one of {_KINDS}")
-
-    def to_natural(self, value: float, kind: str) -> float:
-        return value / self._si_per_natural(kind)
-
-    def to_si(self, value: float, kind: str) -> float:
-        return value * self._si_per_natural(kind)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss, legmul, legval
 from scipy.integrate import quad, solve_ivp
-from scipy.special import spherical_jn, spherical_yn
+from scipy.special import dawsn, spherical_jn, spherical_yn
 
 from decolab.collisional import (
     _SPEED_CUT,
@@ -325,6 +325,17 @@ class TestLocalizationRate:
         for amp in (SWAVE, hard_sphere_amplitude(0.5, GAS.m)):
             assert localization_rate(amp, GAS, x) == pytest.approx(
                 saturation_rate(amp, GAS), rel=1e-8)
+
+    def test_constant_amplitude_closed_form(self):
+        """F(x) = F_sat (1 - D(beta)/beta), D Dawson's integral, from one
+        sub-panel per panel (beta = 1e-3) to about 19000 (beta = 3e4), and
+        past the switch to the saturation rate (beta = 3e5). At small beta
+        the closed form itself cancels to about 1e-10."""
+        sat = saturation_rate(SWAVE, GAS)
+        for beta in np.append(np.geomspace(1e-3, 3e4, 15), 3e5):
+            x = beta / (GAS.m * GAS.thermal_speed)
+            want = sat * (1.0 - dawsn(beta) / beta)
+            assert localization_rate(SWAVE, GAS, x) == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_bounded_and_monotone_over_six_decades(self):
         f_inf = analytic_saturation(GAS, F0)

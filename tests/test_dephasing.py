@@ -464,6 +464,16 @@ class TestBeyondQuadratureWindow:
                     th = 2 * a * c ** 2 * (mpmath.psi(1, w) - mpmath.re(mpmath.psi(1, z)))
                 assert F_th(j, temp, t) == pytest.approx(float(th), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("temp, t", [(1e300, 1e-300), (1e200, 1e-195), (1e155, 1e-155)])
+    def test_hot_bath_tiny_y_over_x(self, temp, t):
+        """d = 1 at y/x <= 1e-150, where (y/x)^2 underflows: the series is
+        a y^2 psi'(1 + T/omega_c). The tail y theta - x L once kept y theta
+        alone and came out twice that at T = 1e300."""
+        j = SpectralDensity(a=1.0, omega_c=1.0)
+        y = temp * t
+        want = y * y * float(polygamma(1, 1.0 + temp))
+        assert F_th(j, temp, t) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("d", (1, 2, 3))
     def test_numpy_times_up_to_huge_y(self, d):
         """numpy float64 times, as the CLI passes them, up to y = T t = 1e300:

@@ -159,7 +159,7 @@ class TestLiouvillian:
     def test_matrix_form_agrees_with_superoperator(self, rng):
         gen = random_generator(rng, 3)
         rho = random_density(rng, 3)
-        via_super = devectorize(liouvillian(gen) @ vectorize(rho), 3)
+        via_super = devectorize(liouvillian(gen) @ vectorize(rho))
         np.testing.assert_allclose(apply_generator(gen, rho), via_super, atol=1e-12)
 
     def test_duality_pairing(self, rng):
@@ -169,8 +169,8 @@ class TestLiouvillian:
         for _ in range(20):
             rho = random_density(rng, 3)
             a = random_hermitian(rng, 3)
-            lhs = np.trace(a @ devectorize(lv @ vectorize(rho), 3))
-            rhs = np.trace(rho @ devectorize(dual @ vectorize(a), 3))
+            lhs = np.trace(a @ devectorize(lv @ vectorize(rho)))
+            rhs = np.trace(rho @ devectorize(dual @ vectorize(a)))
             assert lhs == pytest.approx(rhs, abs=1e-11)
 
     def test_dual_annihilates_identity(self, rng):
@@ -193,8 +193,8 @@ class TestLiouvillian:
         p = 1j * (dag(a) - a) * math.sqrt(m / 2.0)
         gen = qbm_generator(x, p, m, gamma, temp)
         dual = dual_liouvillian(gen)
-        dx = devectorize(dual @ vectorize(x), n)
-        dp = devectorize(dual @ vectorize(p), n)
+        dx = devectorize(dual @ vectorize(x))
+        dp = devectorize(dual @ vectorize(p))
         blk = np.s_[:10, :10]
         np.testing.assert_allclose(dx[blk], (p / m)[blk], atol=1e-10)
         np.testing.assert_allclose(dp[blk], (-2.0 * gamma * p)[blk], atol=1e-10)
@@ -446,14 +446,16 @@ class TestBrownianMotion:
                 sol.y[:, -1], rtol=1e-6, atol=1e-9)
 
     def test_small_damping_matches_mpmath(self):
-        """The closed form, evaluated as written at 60 digits: its terms of
-        order 1/gamma cancel, so in double precision var_x once came out
-        9.1% off at gamma = 1e-8 and negative at 1e-10."""
+        """The closed form, evaluated as written at 640 digits, enough for
+        its terms of order 1/gamma^2 to cancel down to gamma = 1e-300. In
+        double precision var_x once came out 9.1% off at gamma = 1e-8 and
+        negative at 1e-10; at 1e-200 and 1e-300, near the free-particle
+        limit, a guard on (gamma m)^2 underflowing refused the call."""
         mpmath = pytest.importorskip("mpmath")
         m, temp, t = 1.0, 1.0, 1.0
         init = PhaseSpaceMoments(0.3, 0.5, 1.0, 2.0, 0.4)
-        with mpmath.workdps(60):
-            for gamma in np.geomspace(1e-2, 1e-12, 11):
+        with mpmath.workdps(640):
+            for gamma in [*np.geomspace(1e-2, 1e-12, 11), 1e-200, 1e-300]:
                 g = mpmath.mpf(gamma)
                 e2 = mpmath.exp(-2 * g * t)
                 e4 = e2 * e2

@@ -32,7 +32,7 @@ from decolab.pointer_states import (
     qbm_soliton_width,
     state_width,
 )
-from decolab.units import HBAR, YEAR, UnitSystem
+from decolab.units import HBAR, K_B, YEAR
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -45,6 +45,12 @@ def dephasing_qubit(gamma):
 
 def bloch_state(theta):
     return np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)], dtype=complex)
+
+
+# NaN and inf fail a norm guard only when it is written as `not dev <= tol`
+BAD_STATES = [np.array([math.nan, 0j]), np.array([math.inf, 0j]),
+              np.array([2.0, 0j])]
+BAD_IDS = ["nan", "inf", "norm2"]
 
 
 def conjugated(gen, u):
@@ -99,6 +105,11 @@ class TestRobustStateFlow:
         with pytest.raises(PhysicsError):
             RobustStateFlow(xi=np.array([1.0, 1e-4], dtype=complex),
                             gen=dephasing_qubit(1.0), t=0.0)
+
+    @pytest.mark.parametrize("xi", BAD_STATES, ids=BAD_IDS)
+    def test_rejects_nonfinite_and_unnormalized(self, xi):
+        with pytest.raises(PhysicsError, match="drifted"):
+            RobustStateFlow(xi=xi, gen=dephasing_qubit(1.0), t=0.0)
 
 
 class TestLinearEntropyRate:
@@ -249,6 +260,12 @@ class TestEvolveRobust:
         with pytest.raises(PhysicsError):
             evolve_robust(bloch_state(0.1), gen, -1.0)
 
+    @pytest.mark.parametrize("xi0", BAD_STATES, ids=BAD_IDS)
+    def test_rejects_nonfinite_initial_state(self, xi0):
+        """A NaN state once came back as the t = 0 snapshot."""
+        with pytest.raises(PhysicsError, match="normalized"):
+            evolve_robust(xi0, dephasing_qubit(1.0), 0.0)
+
     def test_generator_freed_without_cycle_collector(self):
         """Once the snapshots are dropped, nothing the integrator left
         behind, the compiled right-hand side included, keeps the generator
@@ -373,11 +390,9 @@ class TestQbmPointerModel:
         gamma = 1.0 / (13.7e9 * YEAR)
         width = qbm_soliton_width(1e-8, gamma, 2.7, si=True)
         assert width == pytest.approx(2.0e-12, rel=0.15)
-        units = UnitSystem()
-        via_natural = units.to_si(
-            qbm_soliton_width(units.to_natural(1e-8, "mass"),
-                              units.to_natural(gamma, "rate"),
-                              units.to_natural(2.7, "temperature")), "length")
+        # natural units of 1 J and 1 kg: a rate in 1/s times hbar and a
+        # temperature in K times k_B; the unit of length is hbar metres
+        via_natural = HBAR * qbm_soliton_width(1e-8, gamma * HBAR, 2.7 * K_B)
         assert via_natural == pytest.approx(width, rel=1e-12)
 
 

@@ -49,10 +49,9 @@ class Counted:
         return out * np.nan if self.calls > self.nan_after else out
 
 
-def oracle_steps(fun, y0, t_bound, rtol, atol, max_step=np.inf, renormalize=False):
+def oracle_steps(fun, y0, t_bound, rtol, atol, renormalize=False):
     """(t, y, next trial step) after each accepted step of scipy's RK45."""
-    solver = RK45(lambda _, y: fun(y), 0.0, y0, t_bound,
-                  rtol=rtol, atol=atol, max_step=max_step)
+    solver = RK45(lambda _, y: fun(y), 0.0, y0, t_bound, rtol=rtol, atol=atol)
     out = []
     while solver.status == "running":
         assert solver.step() is None
@@ -63,8 +62,8 @@ def oracle_steps(fun, y0, t_bound, rtol, atol, max_step=np.inf, renormalize=Fals
     return out
 
 
-def stepper_steps(fun, y0, t_bound, rtol, atol, max_step=math.inf, renormalize=False):
-    stepper = _DormandPrince(fun, y0, t_bound, rtol, atol, max_step)
+def stepper_steps(fun, y0, t_bound, rtol, atol, renormalize=False):
+    stepper = _DormandPrince(fun, y0, t_bound, rtol, atol)
     out = []
     while stepper.t < t_bound:
         stepper.step()
@@ -125,15 +124,6 @@ class TestAgainstScipyRK45:
         ours = stepper_steps(fun, y0, 6.0, 1e-6, 1e-9)
         assert rejections(fun, len(ours)) >= 10
         assert_bitwise(ours, oracle_steps(complex_van_der_pol, y0, 6.0, 1e-6, 1e-9))
-
-    def test_finite_max_step(self):
-        def fun(y):
-            return (-0.1 - 2j) * y
-        y0 = np.ones(3, dtype=complex)
-        ours = stepper_steps(fun, y0, 2.0, 1e-8, 1e-10, max_step=0.02)
-        # uncapped, the controller takes 44 steps; the cap forces 100
-        assert len(stepper_steps(fun, y0, 2.0, 1e-8, 1e-10)) < 50 <= len(ours)
-        assert_bitwise(ours, oracle_steps(fun, y0, 2.0, 1e-8, 1e-10, max_step=0.02))
 
     def test_real_valued(self):
         fun = Counted(van_der_pol)
@@ -243,19 +233,13 @@ class TestArguments:
     def test_negative_atol(self, atol):
         with pytest.raises(PhysicsError, match="atol"):
             _DormandPrince(lambda y: -y, np.ones(2), 1.0, 1e-8, atol)
-        gen, xi0, _ = pointer_case()
-        with pytest.raises(PhysicsError, match="atol"):
-            evolve_robust(xi0, gen, 0.1, atol=atol)
-
-    @pytest.mark.parametrize("max_step", [0.0, -0.5, math.nan])
-    def test_nonpositive_max_step(self, max_step):
-        with pytest.raises(PhysicsError, match="max_step"):
-            _DormandPrince(lambda y: -y, np.ones(2), 1.0, 1e-8, 1e-10, max_step)
-        gen, xi0, _ = pointer_case()
-        with pytest.raises(PhysicsError, match="max_step"):
-            evolve_robust(xi0, gen, 0.1, max_step=max_step)
 
     def test_tiny_rtol_is_raised(self):
+        """rtol = 1e-300 steps the renormalized pointer flow exactly as
+        rtol = 100 eps does, and reaches the end."""
         gen, xi0, _ = pointer_case()
-        snaps = evolve_robust(xi0, gen, 1e-3, rtol=1e-300)
-        assert len(snaps) > 2 and snaps[-1].t == 1e-3
+        fun = pointer_states._flow_rhs(gen)
+        tiny = stepper_steps(fun, xi0, 1e-3, 1e-300, 1e-10, renormalize=True)
+        assert len(tiny) >= 2 and tiny[-1][0] == 1e-3
+        assert_bitwise(tiny, stepper_steps(fun, xi0, 1e-3, 100 * np.finfo(float).eps,
+                                           1e-10, renormalize=True))

@@ -51,6 +51,11 @@ def driven_decay_generator(omega=1.0, gamma=0.5):
     return LindbladGenerator(omega * SX, ((gamma, SM),))
 
 
+# a norm guard written as `abs(norm - 1) > tol` lets NaN through
+BAD_INITIAL_STATES = [np.array([math.nan, 0j]), np.array([math.inf, 0j]), 2.0 * KET1]
+BAD_IDS = ["nan", "inf", "norm2"]
+
+
 def ks_statistic(samples, cdf):
     x = np.sort(np.asarray(samples))
     n = x.size
@@ -192,6 +197,12 @@ class TestWaitingTimes:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(PhysicsError):
                 sample_jump_time(KET1, gen, bad, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_state_rejected(self, bad):
+        """A NaN state once gave the waiting time 0."""
+        with pytest.raises(PhysicsError, match="non-finite"):
+            sample_jump_times(np.array([bad, 0j]), decay_generator(1.0), [0.5], 1.0)
 
 
 class TestPropagatorModes:
@@ -454,9 +465,13 @@ class TestRunTrajectory:
     def test_input_validation(self):
         gen = decay_generator(1.0)
         with pytest.raises(PhysicsError):
-            run_trajectory(2.0 * KET1, gen, 1.0, seed=0)
-        with pytest.raises(PhysicsError):
             run_trajectory(KET1, gen, 0.0, seed=0)
+
+    @pytest.mark.parametrize("psi0", BAD_INITIAL_STATES, ids=BAD_IDS)
+    def test_unnormalized_state_rejected(self, psi0):
+        """A NaN state passed the old guard and never returned."""
+        with pytest.raises(PhysicsError, match="normalized"):
+            run_trajectory(psi0, decay_generator(1.0), 1.0, seed=0)
 
 
 class TestEnsemble:
@@ -503,3 +518,9 @@ class TestEnsemble:
     def test_requires_trajectories(self):
         with pytest.raises(PhysicsError):
             ensemble_average(KET1, decay_generator(1.0), 1.0, 0, base_seed=0)
+
+    @pytest.mark.parametrize("psi0", BAD_INITIAL_STATES, ids=BAD_IDS)
+    def test_unnormalized_state_rejected(self, psi0):
+        """Unchecked before: a NaN state hung, a norm-2 state gave a result."""
+        with pytest.raises(PhysicsError, match="normalized"):
+            ensemble_average(psi0, decay_generator(1.0), 1.0, 5, base_seed=0)
