@@ -30,8 +30,8 @@ from .operator_core import (
     vectorize,
 )
 
-# the dense superoperator has order dim^2, so its eigenbasis or exponential
-# costs dim^6; above this, RK45 steps the matrix-form right-hand side
+# the dense superoperator has order dim^2, so its eigenbasis costs dim^6;
+# above this, RK45 steps the matrix-form right-hand side
 _DENSE_DIM_MAX = 12
 _RK_RTOL = 1e-9
 _FOCK_LEAK_TOL = 1e-6
@@ -406,8 +406,9 @@ def qbm_moments(m, gamma, temperature, initial: PhaseSpaceMoments,
     u -> 0), every term is nonnegative apart from the initial cross moment:
 
         cross = cross_0 e^(-2u) + 2h (mT E + sigma_pp,0 e^(-2u))
+        sigma_pp = mT (1 - e^(-4u)) + sigma_pp,0 e^(-4u)
         sigma_xx = sigma_xx,0 + gamma t/(4mT) + cross_0 h + sigma_pp,0 h^2
-                   + T psi(u)/(gamma^2 m),
+                   + (T t^2/m) psi(u)/u^2,
 
     psi(u) = u - 3/4 + e^(-2u) - e^(-4u)/4 = sum_(k>=3) ((-2u)^k - (-4u)^k/4)/k!,
     summed as its series below u = 1/2, where the closed form cancels.
@@ -429,16 +430,16 @@ def qbm_moments(m, gamma, temperature, initial: PhaseSpaceMoments,
     p_t = initial.p * e2
     x_t = initial.x + initial.p * h
 
-    spp_t = m * temperature + (initial.sigma_pp - m * temperature) * e4
+    spp_t = m * temperature * -math.expm1(-4.0 * u) + initial.sigma_pp * e4
     cross_t = initial.cross * e2 + 2.0 * h * (m * temperature * one_minus_e2
                                               + initial.sigma_pp * e2)
     if u < 0.5:
-        psi_over_gamma = sum(c * u ** k for k, c in _PSI_SERIES) / gamma
+        psi_over_u2 = sum(c * u ** (k - 2) for k, c in _PSI_SERIES)
     else:
-        psi_over_gamma = t - (0.75 - e2 + 0.25 * e4) / gamma
+        psi_over_u2 = (u - (0.75 - e2 + 0.25 * e4)) / u / u
     sxx_t = (initial.sigma_xx + gamma / (4.0 * m * temperature) * t
              + initial.cross * h + initial.sigma_pp * h * h
-             + temperature / (gamma * m) * psi_over_gamma)
+             + temperature / m * t * t * psi_over_u2)
     if not all(map(math.isfinite, (x_t, p_t, sxx_t, spp_t, cross_t))):
         raise PhysicsError(f"moment overflow: m {m!r}, gamma {gamma!r}, T {temperature!r}")
     return PhaseSpaceMoments(x_t, p_t, sxx_t, spp_t, cross_t)

@@ -126,57 +126,9 @@ def partial_trace(rho_tot, dims, keep) -> np.ndarray:
     return np.einsum(t, row + col, [keep, n])
 
 
-# degree-13 Pade coefficients and the scaling bound theta_13; 1/|c_27| is the
-# leading coefficient of its backward-error series, which is below unit
-# roundoff for any matrix of 1-norm up to _ELL_FREE (Al-Mohy & Higham 2009)
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 4.25
-_C27 = math.factorial(26) * math.factorial(27) / math.factorial(13) ** 2
-_ELL_FREE = (_C27 * 2.0 ** -53) ** (1.0 / 26.0)
 # Propagator modes: an eigenbasis with cond < _EIG_COND_MAX costs O(n^2) per
-# t; without one, a Pade exponential per t up to order _EXPM_MAX, RK45 above
+# t; without one, RK45 steps y -> -i K y
 _EIG_COND_MAX = 1e8
-_EXPM_MAX = 64
-
-
-def _expm(a) -> np.ndarray:
-    """exp(a) by scaling and squaring with the degree-13 Pade approximant
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)). The number of
-    squarings s comes from exact 1-norms of the powers a^6, a^8 and a^10,
-    raised only as far as the backward-error bound of |2^-s a|^27 needs
-    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)). A
-    nonfinite a, or powers that overflow, give all NaN."""
-    a = np.asarray(a)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    d6, d8, d10 = (np.abs(p).sum(axis=0).max(initial=0.0) ** (1.0 / k)
-                   for p, k in ((a6, 6), (a4 @ a4, 8), (a4 @ a6, 10)))
-    eta = min(max(d6, d8), max(d8, d10))
-    if not math.isfinite(eta):
-        return np.full(a.shape, np.nan, dtype=np.result_type(a, 1.0))
-    s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta > 0 else 0
-    absa = np.abs(a) * 2.0 ** -s
-    scaled = absa.sum(axis=0).max(initial=0.0)
-    if scaled > _ELL_FREE:
-        row = np.ones(a.shape[0])  # ||(2^-s |a|)^27||_1 by row-vector products
-        for _ in range(27):
-            row = row @ absa
-        alpha = row.max() / (scaled * _C27)
-        s += max(0, math.ceil(math.log2(alpha / 2.0 ** -53) / 26)) if alpha > 0 else 0
-    b1, b2, b4, b6 = a * 2.0 ** -s, a2 * 4.0 ** -s, a4 * 16.0 ** -s, a6 * 64.0 ** -s
-    ident = np.eye(a.shape[0], dtype=a.dtype)
-    c = _PADE13
-    u = b1 @ (b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2)
-              + c[7] * b6 + c[5] * b4 + c[3] * b2 + c[1] * ident)
-    v = (b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2)
-         + c[6] * b6 + c[4] * b4 + c[2] * b2 + c[0] * ident)
-    x = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        x = x @ x
-    return x
 
 
 # -- adaptive Dormand-Prince 5(4) ------------------------------------------------
@@ -208,10 +160,12 @@ class _DormandPrince:
     """Adaptive explicit RK45 for the autonomous dy/dt = fun(y) on [0, t_bound].
 
     `step` makes one accepted step; `t`, `y`, `f` = fun(y) and the next
-    trial step `h_abs` are plain attributes, and a caller may overwrite `y`
-    and `f` between steps. rtol below 100 eps is raised to 100 eps. The
-    stepper holds `fun` and arrays, nothing that refers back to it, so
-    reference counting frees it (and whatever `fun` keeps) once dropped.
+    trial step `h_abs` are plain attributes. Between steps a caller may
+    overwrite `y` and `f`, and may move `t_bound` to any time not before
+    `t`, so that `run` ends an accepted step there. rtol below 100 eps is
+    raised to 100 eps. The stepper holds `fun` and arrays, nothing that
+    refers back to it, so reference counting frees it (and whatever `fun`
+    keeps) once dropped.
     """
 
     def __init__(self, fun, y0, t_bound, rtol, atol):
@@ -287,9 +241,9 @@ class Propagator:
     """exp(-i t K) for a time-independent K, such as i L for the semigroup
     exp(t L) or H_C for the no-jump evolution. From the dense K (PhysicsError
     if nonfinite) the mode is picked once: "eig" if the eigenvectors have
-    cond < _EIG_COND_MAX, else "expm" up to order _EXPM_MAX, else "rk" on
-    y -> -i K y. From `derivative` (that map on flat arrays) it is "rk";
-    `rtol` and `atol` serve rk mode only. Nothing held refers back to it."""
+    cond < _EIG_COND_MAX, else "rk" on y -> -i K y. From `derivative` (that
+    map on flat arrays) it is "rk"; `rtol` and `atol` serve rk mode only.
+    Nothing held refers back to it."""
 
     def __init__(self, k=None, derivative=None, rtol=1e-10, atol=1e-13):
         self.rtol, self.atol, self._fun, self.n = rtol, atol, derivative, None
@@ -302,8 +256,6 @@ class Propagator:
         if np.linalg.cond(vecs) < _EIG_COND_MAX:
             self.mode, self._vals, self._vecs = "eig", vals, vecs
             self._inv = np.linalg.inv(vecs)
-        elif n <= _EXPM_MAX:
-            self.mode, self._k = "expm", k
         else:
             self.mode = "rk"
             self._fun = lambda y: -1j * (k @ y.reshape(n, -1)).ravel()
@@ -311,7 +263,7 @@ class Propagator:
     def apply(self, x, t: float) -> np.ndarray:
         """exp(-i t K) applied to a vector or to each column of a matrix; a
         derivative-built propagator steps x.ravel() as one state."""
-        if t < 0:
+        if not t >= 0:
             raise PhysicsError(f"propagation time must be nonnegative, got {t}")
         x = np.asarray(x, dtype=complex)
         if self.n is not None and x.shape[0] != self.n:
@@ -322,22 +274,31 @@ class Propagator:
             cols = self._inv @ x.reshape(self.n, -1)
             return (self._vecs @ (np.exp(-1j * t * self._vals)[:, None] * cols)
                     ).reshape(x.shape)
-        if self.mode == "expm":
-            return _expm(-1j * t * self._k) @ x
         return _DormandPrince(self._fun, x.ravel(), t, self.rtol, self.atol
                               ).run().reshape(x.shape)
 
     def states(self, x, ts) -> np.ndarray:
-        """Rows exp(-i t K) x of a vector x, one for each t of a 1-d array."""
+        """Rows exp(-i t K) x of a vector x, one for each t of a 1-d array.
+        In rk mode one RK45 run from t = 0 ends an accepted step on each
+        time in increasing order, so no row is interpolated."""
         if self.mode == "eig":
             phases = np.exp(-1j * ts[:, None] * self._vals[None, :])
             return (phases * (self._inv @ x)[None, :]) @ self._vecs.T
-        # step through the times in order, so each propagation is short
-        out = np.empty((ts.size,) + np.shape(x), dtype=complex)
-        t, cur = 0.0, x
-        for i in np.argsort(ts):
-            out[i] = cur = self.apply(cur, ts[i] - t)
-            t = ts[i]
+        if not np.all(ts >= 0):
+            raise PhysicsError("propagation times must be nonnegative")
+        x = np.asarray(x, dtype=complex)
+        out = np.empty((ts.size,) + x.shape, dtype=complex)
+        order = np.argsort(ts)
+        stepper = None
+        for i in order:
+            if ts[i] == 0.0:
+                out[i] = x
+                continue
+            if stepper is None:
+                stepper = _DormandPrince(self._fun, x.ravel(), ts[order[-1]],
+                                         self.rtol, self.atol)
+            stepper.t_bound = float(ts[i])
+            out[i] = stepper.run().reshape(x.shape)
         return out
 
 

@@ -191,13 +191,19 @@ def _initial_state(psi0) -> np.ndarray:
     return psi0
 
 
+def _horizon(horizon) -> float:
+    """horizon as a float; PhysicsError unless 0 < horizon < inf (so NaN fails)."""
+    horizon = float(horizon)
+    if not 0.0 < horizon < np.inf:
+        raise PhysicsError(f"horizon must be positive and finite, got {horizon!r}")
+    return horizon
+
+
 def run_trajectory(psi0, gen: LindbladGenerator, horizon: float, seed: int,
                    index: int = 0):
     """Trajectory `index` of `seed`, drawn from Philox key (seed, index);
     returns (record, final state)."""
-    if horizon <= 0:
-        raise PhysicsError("horizon must be positive")
-    return _run(_initial_state(psi0), gen, float(horizon), _stream(seed, index))
+    return _run(_initial_state(psi0), gen, _horizon(horizon), _stream(seed, index))
 
 
 def record_operator(record: JumpRecord, gen: LindbladGenerator) -> np.ndarray:
@@ -231,9 +237,9 @@ def ensemble_average(psi0, gen: LindbladGenerator, horizon: float,
     master-equation state at the Monte-Carlo 1/sqrt(n) rate."""
     if n_traj < 1:
         raise PhysicsError("need at least one trajectory")
-    psi0 = _initial_state(psi0)
+    psi0, horizon = _initial_state(psi0), _horizon(horizon)
     acc = np.zeros((gen.dim, gen.dim), dtype=complex)
     for i in range(n_traj):
-        _, psi = _run(psi0, gen, float(horizon), _stream(base_seed, i))
+        _, psi = _run(psi0, gen, horizon, _stream(base_seed, i))
         acc += np.outer(psi, psi.conj())
     return acc / n_traj

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -47,6 +48,8 @@ from decolab.operator_core import Propagator, dag, devectorize, fidelity, vector
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestGeneratorContainer:
@@ -324,6 +327,28 @@ class TestDampedOscillator:
             got = evolve(gen, rho0, t)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_rk_mode_at_the_exceptional_point_matches_scipy_expm(self):
+        """The driven decay of the `traject` scenario (drive omega sigma_x,
+        |0> decaying into |1> at gamma) has a Liouvillian exceptional point
+        at omega = gamma/8, where the eigenvectors of the dense Liouvillian
+        have cond ~1.4e8. `evolve` there runs RK45 on the dense K, and the
+        whole map and one state stay within 1e-10 (Frobenius, relative) of
+        scipy.linalg.expm."""
+        gamma = 1.0
+        lower = np.array([[0, 0], [1, 0]], dtype=complex)
+        gen = LindbladGenerator(gamma / 8.0 * SX, ((gamma, lower),))
+        liou = liouvillian(gen)
+        prop = Propagator(1j * liou)
+        assert prop.mode == "rk"
+        rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+        for t in (0.01, 0.7, 5.0):
+            want = expm(liou * t)
+            got = prop.apply(np.eye(4), t)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            want = devectorize(want @ vectorize(rho0))
+            got = evolve(gen, rho0, t)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
     def test_coherent_vector_amplitudes(self):
         alpha, n_max = 1.3 + 0.4j, 25
         v = coherent_vector(CoherentStateSpec(alpha, n_max))
@@ -445,6 +470,22 @@ class TestBrownianMotion:
                 [out.x, out.p, out.sigma_xx, out.sigma_pp, out.cross],
                 sol.y[:, -1], rtol=1e-6, atol=1e-9)
 
+    @staticmethod
+    def mpmath_moments(mpmath, m, gamma, temp, init, t):
+        """(x, sigma_xx, sigma_pp, cross) of the closed form, evaluated as
+        written in mpmath at the caller's working precision."""
+        g, m, temp, t = (mpmath.mpf(v) for v in (gamma, m, temp, t))
+        e2 = mpmath.exp(-2 * g * t)
+        e4 = e2 * e2
+        a = init.sigma_pp - m * temp
+        d = init.cross - temp / g + a / (g * m)
+        x = init.x + init.p * (1 - e2) / (2 * g * m)
+        spp = m * temp + a * e4
+        cross = temp / g - (a / (g * m)) * e4 + d * e2
+        sxx = (init.sigma_xx + (temp / (g * m) + g / (4 * m * temp)) * t
+               + d * (1 - e2) / (2 * g * m) - a * (1 - e4) / (4 * g * g * m * m))
+        return x, sxx, spp, cross
+
     def test_small_damping_matches_mpmath(self):
         """The closed form, evaluated as written at 640 digits, enough for
         its terms of order 1/gamma^2 to cancel down to gamma = 1e-300. In
@@ -456,19 +497,39 @@ class TestBrownianMotion:
         init = PhaseSpaceMoments(0.3, 0.5, 1.0, 2.0, 0.4)
         with mpmath.workdps(640):
             for gamma in [*np.geomspace(1e-2, 1e-12, 11), 1e-200, 1e-300]:
-                g = mpmath.mpf(gamma)
-                e2 = mpmath.exp(-2 * g * t)
-                e4 = e2 * e2
-                a = init.sigma_pp - m * temp
-                d = init.cross - temp / g + a / (g * m)
-                x = init.x + init.p * (1 - e2) / (2 * g * m)
-                cross = temp / g - (a / (g * m)) * e4 + d * e2
-                sxx = (init.sigma_xx + (temp / (g * m) + g / (4 * m * temp)) * t
-                       + d * (1 - e2) / (2 * g * m) - a * (1 - e4) / (4 * g * g * m * m))
+                x, sxx, _, cross = self.mpmath_moments(mpmath, m, gamma, temp, init, t)
                 out = qbm_moments(m, gamma, temp, init, t)
                 assert out.sigma_xx == pytest.approx(float(sxx), rel=1e-12, abs=0.0)
                 assert out.cross == pytest.approx(float(cross), rel=1e-12, abs=0.0)
                 assert out.x == pytest.approx(float(x), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gamma, temp", [(1e-100, 1e100), (1e-150, 1e200)])
+    def test_hot_free_particle_run_matches_mpmath(self, tmp_path, gamma, temp):
+        """Valid `qbm` configs where e^(-4 gamma t) rounds to 1 while m T u
+        is of order 1, and T/(gamma m) overflows while u^3 underflows. Once
+        sigma_pp cancelled to 0 ("variances must be positive") and the psi
+        term was inf times 0 ("moment overflow"); now every row is finite,
+        positive and the closed form at 800 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        from decolab.cli import main
+        config = tmp_path / "qbm.json"
+        config.write_text(json.dumps({"scenario": "qbm", "params": {
+            "mass": 1, "gamma": gamma, "temperature": temp}}))
+        out = tmp_path / "qbm.csv"
+        assert main(["run", str(config), "--output", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header.split(",")[:6] == ["t", "x_mean", "p_mean", "var_x", "var_p", "cov_xp"]
+        init = PhaseSpaceMoments(0.0, 0.0, 1.0, 1.0, 0.0)
+        assert len(rows) == 50
+        with mpmath.workdps(800):
+            for row in rows:
+                t, _, _, sxx, spp, cross = map(float, row.split(",")[:6])
+                assert math.isfinite(sxx) and sxx > 0 and spp > 0
+                _, want_sxx, want_spp, want_cross = self.mpmath_moments(
+                    mpmath, 1.0, gamma, temp, init, t)
+                assert sxx == pytest.approx(float(want_sxx), rel=1e-12, abs=0.0)
+                assert spp == pytest.approx(float(want_spp), rel=1e-12, abs=0.0)
+                assert cross == pytest.approx(float(want_cross), rel=1e-12, abs=0.0)
 
     def test_coherence_ratio_identities(self):
         assert qbm_coherence_ratio(0.3, 0.3, 1.0, 1.0) == 0.0

@@ -9,10 +9,11 @@ from scipy.linalg import expm
 
 from decolab import operator_core as oc
 from decolab.errors import DimensionError, PhysicsError
-from decolab.lindblad import damped_oscillator_generator, liouvillian
 from decolab.trajectories import effective_hamiltonian
 
 from conftest import random_density, random_generator, random_unitary
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_vectorize_roundtrip_exact():
@@ -151,55 +152,16 @@ class TestExpmApply:
         assert np.max(np.abs(one - two)) < 1e-9
 
 
-class TestExpm:
-    """The in-repo scaling-and-squaring Pade exponential against
-    scipy.linalg.expm, the route it replaced, at 1e-13 relative (Frobenius)."""
-
-    @staticmethod
-    def assert_matches_scipy(a):
-        want = expm(a)
-        assert np.linalg.norm(oc._expm(a) - want) <= 1e-13 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("n_max", [4, 8, 12])
-    def test_damped_oscillator_liouvillians(self, n_max):
-        liou = liouvillian(damped_oscillator_generator(1.0, 0.3, n_max))
-        for t in (0.01, 0.7, 5.0):
-            self.assert_matches_scipy(liou * t)
-
-    def test_random_dissipative_generators(self, rng):
-        """No-jump drifts exp(-i tau H_C) of random dim-40 generators."""
-        for _ in range(20):
-            drift = effective_hamiltonian(random_generator(rng, 40))
-            self.assert_matches_scipy(-1j * rng.uniform(0.01, 0.3) * drift)
-
-    def test_zero_matrix(self):
-        self.assert_matches_scipy(np.zeros((5, 5), dtype=complex))
-
-    def test_large_norm_forces_squaring(self):
-        liou = liouvillian(damped_oscillator_generator(1.0, 0.5, 8)) * 150.0
-        assert np.abs(liou).sum(axis=0).max() > 1e3
-        self.assert_matches_scipy(liou)
-
-    def test_nonfinite_gives_nan(self):
-        for bad in (np.inf, np.nan):
-            a = np.eye(3, dtype=complex)
-            a[1, 2] = bad
-            with np.errstate(invalid="ignore"):
-                assert np.isnan(oc._expm(a)).all()
-
-
 class TestPropagator:
     """One exp(-i t K) for every time-independent generator: the mode rule,
     agreement between modes, and refusal of a nonfinite K."""
 
     @staticmethod
     def force(monkeypatch, mode):
-        if mode != "eig":
-            monkeypatch.setattr(oc, "_EIG_COND_MAX", 0.0)
         if mode == "rk":
-            monkeypatch.setattr(oc, "_EXPM_MAX", 0)
+            monkeypatch.setattr(oc, "_EIG_COND_MAX", 0.0)
 
-    @pytest.mark.parametrize("mode", ["eig", "expm", "rk"])
+    @pytest.mark.parametrize("mode", ["eig", "rk"])
     def test_modes_match_scipy(self, rng, monkeypatch, mode):
         self.force(monkeypatch, mode)
         drift = effective_hamiltonian(random_generator(rng, 6))
@@ -213,6 +175,26 @@ class TestPropagator:
             np.testing.assert_allclose(prop.apply(psi, t), want, rtol=0, atol=1e-9)
             np.testing.assert_allclose(row, want[:, 0], rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("mode", ["eig", "rk"])
+    def test_states_zero_repeated_and_negative_times(self, rng, monkeypatch, mode):
+        """A repeated time gives the same row twice and a time of 0 gives x
+        (in rk mode x itself). A negative or NaN time is PhysicsError in
+        `apply`, and in rk-mode `states`, which steps through the times in
+        order."""
+        self.force(monkeypatch, mode)
+        prop = oc.Propagator(effective_hamiltonian(random_generator(rng, 4)))
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rows = prop.states(psi, np.array([0.5, 0.0, 0.5, 0.2]))
+        assert np.array_equal(rows[0], rows[2])
+        np.testing.assert_allclose(rows[1], psi, rtol=0, atol=1e-13)
+        assert mode == "eig" or np.array_equal(rows[1], psi)
+        for bad in (-0.1, np.nan):
+            with pytest.raises(PhysicsError, match="nonnegative"):
+                prop.apply(psi, bad)
+            if mode == "rk":
+                with pytest.raises(PhysicsError, match="nonnegative"):
+                    prop.states(psi, np.array([0.3, bad]))
+
     def test_derivative_route(self, rng):
         drift = effective_hamiltonian(random_generator(rng, 4))
         prop = oc.Propagator(derivative=lambda y: -1j * drift @ y)
@@ -221,7 +203,7 @@ class TestPropagator:
         np.testing.assert_allclose(prop.apply(psi, 0.7), expm(-0.7j * drift) @ psi,
                                    rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("mode", ["eig", "expm", "rk"])
+    @pytest.mark.parametrize("mode", ["eig", "rk"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_generator_raises(self, monkeypatch, mode, bad):
         self.force(monkeypatch, mode)
@@ -232,7 +214,8 @@ class TestPropagator:
 
     def test_only_operator_core_reaches_the_kernels(self):
         """Every other module propagates through Propagator; only the
-        nonlinear pointer flow steps _DormandPrince itself."""
+        nonlinear pointer flow steps _DormandPrince itself. The deleted Pade
+        exponential _expm is neither defined nor bound anywhere."""
         binds = {"_expm": set(), "_DormandPrince": set()}
         for path in pathlib.Path(oc.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -240,7 +223,7 @@ class TestPropagator:
                     or getattr(node, "name", None)
                 if name in binds:
                     binds[name].add(path.stem)
-        assert binds == {"_expm": {"operator_core"},
+        assert binds == {"_expm": set(),
                          "_DormandPrince": {"operator_core", "pointer_states"}}
 
 

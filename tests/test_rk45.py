@@ -3,9 +3,11 @@ oracle: accepted t, y and next trial step agree bit for bit, step by step,
 for the pointer flow (renormalized, derivative refreshed) and for plain
 cases that reject steps, cap the step, run real-valued and clip the last
 step. `lindblad.evolve` and the rk-mode no-jump propagation match
-`solve_ivp` end states bit for bit. Failure paths: a right-hand side that
-turns NaN ends in step-size underflow with t and the step in the message;
-invalid tolerances and step caps raise PhysicsError."""
+`solve_ivp` end states bit for bit, and rk-mode `Propagator.states` rows
+are the states of one scipy RK45 run whose end is moved through the sorted
+times. Failure paths: a right-hand side that turns NaN ends in step-size
+underflow with t and the step in the message; invalid tolerances and step
+caps raise PhysicsError."""
 
 import math
 import re
@@ -32,6 +34,8 @@ from decolab.pointer_states import (
     qbm_soliton_width,
 )
 from decolab.trajectories import effective_hamiltonian, no_jump_propagate
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 UNDERFLOW = re.compile(r"at t = \S+: step \S+ under 10 ulp\(t\)")
 
@@ -177,9 +181,35 @@ class TestEndStates:
         assert sol.success and sol.t.size > 100
         assert no_jump_propagate(psi, gen, 0.5).tobytes() == sol.y[:, -1].tobytes()
 
+    def test_rk_mode_states_are_one_run_dim_70(self, monkeypatch):
+        """An rk-mode `states` call makes one RK45 run from 0: each row is
+        where an accepted step ends once t_bound is moved to its time, bit
+        for bit scipy's RK45 continued the same way."""
+        monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
+        h_c = effective_hamiltonian(damped_oscillator_generator(1.0, 0.3, 70))
+        prop = Propagator(h_c)
+        assert prop.mode == "rk"
+        psi = coherent_vector(CoherentStateSpec(2.0, 70))
+        ts = np.array([0.3, 0.0, 0.05, 0.3, 0.5, 0.125])
+        solver = RK45(lambda _, y: -1j * (h_c @ y.reshape(70, -1)).ravel(), 0.0,
+                      psi, 0.5, rtol=1e-10, atol=1e-13)
+        want, steps = {0.0: psi}, 0
+        for t in sorted(set(ts) - {0.0}):
+            solver.t_bound, solver.status = t, "running"
+            while solver.status == "running":
+                assert solver.step() is None
+                steps += 1
+            want[t] = solver.y
+        assert steps > 50
+        rows = prop.states(psi, ts)
+        assert rows.tobytes() == np.array([want[t] for t in ts]).tobytes()
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+
 class TestFailurePaths:
+    """The right-hand sides here turn NaN on purpose, so the tests that step
+    on past it silence numpy's invalid-value warning with np.errstate (the
+    module's filterwarnings mark would outrank a class-level one)."""
+
     def test_nan_from_the_start_fails_at_zero(self):
         with pytest.raises(QuadratureError, match=r"at t = 0\.0: step nan") as err:
             _DormandPrince(Counted(lambda y: -y, nan_after=0), np.ones(2),
@@ -201,7 +231,7 @@ class TestFailurePaths:
         monkeypatch.setattr(pointer_states, "_flow_rhs",
                             lambda gen: Counted(compiled(gen), nan_after=30))
         gen, xi0, _ = pointer_case()
-        with pytest.raises(QuadratureError, match=UNDERFLOW):
+        with pytest.raises(QuadratureError, match=UNDERFLOW), np.errstate(invalid="ignore"):
             evolve_robust(xi0, gen, 0.5)
 
     def test_lindblad_evolve_raises_physics_error(self, monkeypatch):
@@ -209,7 +239,7 @@ class TestFailurePaths:
         monkeypatch.setattr(lindblad, "apply_generator",
                             Counted(apply_generator, nan_after=30))
         gen = damped_oscillator_generator(1.0, 0.5, 6)
-        with pytest.raises(PhysicsError, match=UNDERFLOW):
+        with pytest.raises(PhysicsError, match=UNDERFLOW), np.errstate(invalid="ignore"):
             evolve(gen, coherent_state(CoherentStateSpec(0.5, 6)), 2.0)
 
     def test_rk_mode_raises_physics_error(self, monkeypatch):

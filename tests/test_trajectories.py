@@ -1,5 +1,6 @@
 """Jump-unravelling tests: waiting-time law, record densities, ensemble limit."""
 
+import csv
 import gc
 import json
 import math
@@ -7,8 +8,10 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.integrate import dblquad, quad
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from decolab.errors import PhysicsError
 from decolab.lindblad import (
@@ -51,9 +54,13 @@ def driven_decay_generator(omega=1.0, gamma=0.5):
     return LindbladGenerator(omega * SX, ((gamma, SM),))
 
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # a norm guard written as `abs(norm - 1) > tol` lets NaN through
 BAD_INITIAL_STATES = [np.array([math.nan, 0j]), np.array([math.inf, 0j]), 2.0 * KET1]
 BAD_IDS = ["nan", "inf", "norm2"]
+# a guard written as `horizon <= 0` lets NaN through
+BAD_HORIZONS = [math.nan, math.inf, 0.0, -1.0]
 
 
 def ks_statistic(samples, cdf):
@@ -137,15 +144,17 @@ class TestNoJumpPropagation:
         with pytest.raises(PhysicsError):
             no_jump_propagate(KET0, decay_generator(1.0), -0.1)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_drift_raises(self):
         """A valid generator whose H_C overflows is refused, where a NaN
-        survival once gave the waiting time 0.00390625 without an error."""
+        survival once gave the waiting time 0.00390625 without an error.
+        The overflow is the point, so its warning is silenced here (the
+        module's filterwarnings mark would outrank a mark on the test)."""
         gen = LindbladGenerator(np.zeros((2, 2)), ((1e300, 1e10 * SM),))
-        with pytest.raises(PhysicsError, match="non-finite"):
-            no_jump_propagate(KET1, gen, 0.5)
-        with pytest.raises(PhysicsError, match="non-finite"):
-            sample_jump_times(KET1, gen, [0.5], 1.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(PhysicsError, match="non-finite"):
+                no_jump_propagate(KET1, gen, 0.5)
+            with pytest.raises(PhysicsError, match="non-finite"):
+                sample_jump_times(KET1, gen, [0.5], 1.0)
 
 
 class TestWaitingTimes:
@@ -207,16 +216,14 @@ class TestWaitingTimes:
 
 class TestPropagatorModes:
     """Waiting times and record operators agree whichever way the no-jump
-    propagator is evaluated: eigenbasis, matrix exponential or RK."""
+    propagator is evaluated: eigenbasis or RK45."""
 
     US = np.array([1e-4, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999])
 
     @staticmethod
     def force(monkeypatch, mode):
-        if mode != "eig":
-            monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
         if mode == "rk":
-            monkeypatch.setattr(operator_core, "_EXPM_MAX", 0)
+            monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
 
     def results(self, monkeypatch, mode):
         gen = driven_decay_generator(1.3, 0.9)
@@ -248,7 +255,7 @@ class TestPropagatorModes:
     def test_every_mode_agrees(self, monkeypatch):
         ref_times, _, ref_op = self.results(monkeypatch, "eig")
         assert np.isinf(ref_times).any() and np.isfinite(ref_times).sum() >= 5
-        for mode in ("eig", "expm", "rk"):
+        for mode in ("eig", "rk"):
             times, single, op = self.results(monkeypatch, mode)
             np.testing.assert_allclose(
                 times, [np.inf if t is None else t for t in single], rtol=1e-12)
@@ -256,8 +263,9 @@ class TestPropagatorModes:
             np.testing.assert_allclose(op, ref_op, rtol=0, atol=1e-9)
 
     def test_eigenbasis_above_the_expm_cutoff(self, monkeypatch):
-        """A well-conditioned dim-70 drift takes the eigenbasis, not one RK45
-        run per grid interval, and its waiting times match rk mode's."""
+        """A well-conditioned dim-70 drift (above the order 64 where a Pade
+        mode once stopped) takes the eigenbasis, and its waiting times match
+        rk mode's."""
         gen = damped_oscillator_generator(1.0, 0.5, 70)
         psi = coherent_vector(CoherentStateSpec(2.0, 70))
         us = np.array([0.05, 0.3, 0.8])
@@ -269,6 +277,63 @@ class TestPropagatorModes:
         assert np.isfinite(eig_times).all()
         np.testing.assert_allclose(sample_jump_times(psi, rk_gen, us, 3.0),
                                    eig_times, rtol=1e-9)
+
+
+def expm_click_times(omega, gamma, horizon, seed, index):
+    """Click times of trajectory `index` of `seed` for the `traject`
+    scenario (drive omega sigma_x, decay of |0> into |1> at gamma, start in
+    |0>), by survival inversion on scipy.linalg.expm: brentq on the
+    log-survival, which never rises, with the draws of the package's stream
+    (one level, then one channel pick per click)."""
+    h_c = omega * SX - 0.5j * gamma * SM @ SP
+    rng = Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
+    t, psi, times = 0.0, KET0, []
+    while True:
+        u = rng.random()
+        def log_survival(tau):
+            return math.log(np.linalg.norm(expm(-1j * tau * h_c) @ psi) ** 2 / u)
+        if log_survival(horizon - t) > 0.0:
+            return times
+        tau = brentq(log_survival, 0.0, horizon - t, xtol=1e-14, rtol=1e-15)
+        rng.random()
+        psi = SP @ expm(-1j * tau * h_c) @ psi
+        psi = psi / np.linalg.norm(psi)
+        t += tau
+        times.append(t)
+
+
+class TestExceptionalPoint:
+    def test_traject_run_matches_expm_oracle(self, tmp_path, monkeypatch):
+        """At omega = gamma/4 the no-jump drift of the driven decay has a
+        double eigenvalue, and its eigenvectors have cond ~1e8, so a plain
+        `traject` run propagates in rk mode. Its click counts are the
+        oracle's, and its click times agree to 1e-9 relative."""
+        modes = []
+
+        class Recording(operator_core.Propagator):
+            def __init__(self, k):
+                super().__init__(k)
+                modes.append(self.mode)
+
+        monkeypatch.setattr(trajectories, "Propagator", Recording)
+        omega, gamma, horizon, seed = 0.25, 1.0, 3.0, 3
+        config = tmp_path / "traject.json"
+        config.write_text(json.dumps({
+            "scenario": "traject", "seed": seed, "params": {
+                "gamma": gamma, "omega": omega, "horizon": horizon, "n_traj": 40}}))
+        out = tmp_path / "traject.csv"
+        assert main(["run", str(config), "--output", str(out)]) == 0
+        assert modes == ["rk"]
+        counts = []
+        for row in csv.DictReader(out.read_text().splitlines()):
+            want = expm_click_times(omega, gamma, horizon, seed, int(row["traj"]))
+            counts.append(len(want))
+            assert int(row["n_events"]) == len(want)
+            if want:
+                np.testing.assert_allclose(
+                    [float(row["first_event"]), float(row["last_event"])],
+                    [want[0], want[-1]], rtol=1e-9)
+        assert 0 in counts and max(counts) >= 2
 
 
 class TestPropagatorCache:
@@ -467,6 +532,13 @@ class TestRunTrajectory:
         with pytest.raises(PhysicsError):
             run_trajectory(KET1, gen, 0.0, seed=0)
 
+    @pytest.mark.parametrize("horizon", BAD_HORIZONS)
+    def test_horizon_refused(self, horizon):
+        """NaN once gave an empty record; inf ran a NaN grid and failed as a
+        dark state."""
+        with pytest.raises(PhysicsError, match="horizon"):
+            run_trajectory(KET1, driven_decay_generator(), horizon, seed=0)
+
     @pytest.mark.parametrize("psi0", BAD_INITIAL_STATES, ids=BAD_IDS)
     def test_unnormalized_state_rejected(self, psi0):
         """A NaN state passed the old guard and never returned."""
@@ -514,6 +586,12 @@ class TestEnsemble:
         rho_a = ensemble_average(KET1, gen, 1.0, 50, base_seed=7)
         rho_b = ensemble_average(KET1, gen, 1.0, 50, base_seed=7)
         assert np.array_equal(rho_a, rho_b)
+
+    @pytest.mark.parametrize("horizon", BAD_HORIZONS)
+    def test_horizon_refused(self, horizon):
+        """Unchecked before: NaN gave the initial state back, 0 was accepted."""
+        with pytest.raises(PhysicsError, match="horizon"):
+            ensemble_average(KET1, driven_decay_generator(), horizon, 5, base_seed=0)
 
     def test_requires_trajectories(self):
         with pytest.raises(PhysicsError):
