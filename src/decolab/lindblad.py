@@ -363,7 +363,20 @@ class PhaseSpaceMoments:
 
 
 def kinetic_energy(moments: PhaseSpaceMoments, m) -> float:
-    return (moments.sigma_pp + moments.p ** 2) / (2.0 * m)
+    """<p^2>/2m = (sigma_pp + p^2)/2m. Where p^2, the sum or 2m leaves the
+    float range it is (sigma_pp/m)/2 + (p/2)(p/m) instead, two terms no
+    larger than the energy; PhysicsError if the energy itself overflows."""
+    sigma_pp, p = moments.sigma_pp, moments.p
+    try:
+        energy = (sigma_pp + p ** 2) / (2.0 * m)
+    except OverflowError:  # a Python float p whose square overflows
+        energy = math.inf
+    if math.isfinite(energy) and 2.0 * m < math.inf:
+        return energy
+    energy = 0.5 * (sigma_pp / m) + 0.5 * p * (p / m)
+    if not math.isfinite(energy):
+        raise PhysicsError(f"kinetic energy overflows: p = {p!r}, m = {m!r}")
+    return energy
 
 
 def thermal_momentum(m, temperature) -> float:

@@ -157,16 +157,11 @@ def _rms(x):
 
 
 class _DormandPrince:
-    """Adaptive explicit RK45 for the autonomous dy/dt = fun(y) on [0, t_bound].
-
-    `step` makes one accepted step; `t`, `y`, `f` = fun(y) and the next
-    trial step `h_abs` are plain attributes. Between steps a caller may
-    overwrite `y` and `f`, and may move `t_bound` to any time not before
-    `t`, so that `run` ends an accepted step there. rtol below 100 eps is
-    raised to 100 eps. The stepper holds `fun` and arrays, nothing that
-    refers back to it, so reference counting frees it (and whatever `fun`
-    keeps) once dropped.
-    """
+    """Adaptive explicit RK45 for the autonomous dy/dt = fun(y) on [0, t_bound],
+    driven by `march` alone: `step` makes one accepted step to `t`, a new
+    array `y` that no later step writes, `f` = fun(y) and the next trial
+    step `h_abs`. rtol below 100 eps is raised to 100 eps. Nothing held
+    refers back to it, so reference counting frees it once dropped."""
 
     def __init__(self, fun, y0, t_bound, rtol, atol):
         if not t_bound > 0:
@@ -230,11 +225,21 @@ class _DormandPrince:
             rejected = True
         self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
 
-    def run(self):
-        """Step to t_bound and return the end state."""
-        while self.t < self.t_bound:
-            self.step()
-        return self.y
+
+def march(fun, y0, ts, rtol, atol, after_step=None):
+    """Yield (t, y) after every accepted step of one `_DormandPrince` run of
+    dy/dt = fun(y) from t = 0; each time of the sorted, positive `ts` ends a
+    step, and the run stops at the last. `after_step(y)` returns the state
+    that replaces y, and the FSAL derivative is refreshed from that state."""
+    stepper = _DormandPrince(fun, y0, ts[-1], rtol, atol)
+    for t_stop in ts:
+        stepper.t_bound = float(t_stop)
+        while stepper.t < t_stop:
+            stepper.step()
+            if after_step is not None:
+                stepper.y = after_step(stepper.y)
+                stepper.f = fun(stepper.y)
+            yield stepper.t, stepper.y
 
 
 class Propagator:
@@ -274,32 +279,28 @@ class Propagator:
             cols = self._inv @ x.reshape(self.n, -1)
             return (self._vecs @ (np.exp(-1j * t * self._vals)[:, None] * cols)
                     ).reshape(x.shape)
-        return _DormandPrince(self._fun, x.ravel(), t, self.rtol, self.atol
-                              ).run().reshape(x.shape)
+        return self.states(x, np.array([t]))[0]
 
     def states(self, x, ts) -> np.ndarray:
         """Rows exp(-i t K) x of a vector x, one for each t of a 1-d array.
-        In rk mode one RK45 run from t = 0 ends an accepted step on each
-        time in increasing order, so no row is interpolated."""
+        In rk mode one `march` over the sorted distinct times ends an
+        accepted step on each, so no row is interpolated."""
         if self.mode == "eig":
             phases = np.exp(-1j * ts[:, None] * self._vals[None, :])
             return (phases * (self._inv @ x)[None, :]) @ self._vecs.T
         if not np.all(ts >= 0):
             raise PhysicsError("propagation times must be nonnegative")
         x = np.asarray(x, dtype=complex)
-        out = np.empty((ts.size,) + x.shape, dtype=complex)
-        order = np.argsort(ts)
-        stepper = None
-        for i in order:
-            if ts[i] == 0.0:
-                out[i] = x
-                continue
-            if stepper is None:
-                stepper = _DormandPrince(self._fun, x.ravel(), ts[order[-1]],
-                                         self.rtol, self.atol)
-            stepper.t_bound = float(ts[i])
-            out[i] = stepper.run().reshape(x.shape)
-        return out
+        stops, where = np.unique(ts, return_inverse=True)
+        rows = np.empty((stops.size,) + x.shape, dtype=complex)
+        i = int(np.count_nonzero(stops == 0.0))
+        rows[:i] = x
+        if i < stops.size:
+            for t, y in march(self._fun, x.ravel(), stops[i:], self.rtol, self.atol):
+                if t == stops[i]:
+                    rows[i] = y.reshape(x.shape)
+                    i += 1
+        return rows[where]
 
 
 def trace_distance(rho, sigma) -> float:

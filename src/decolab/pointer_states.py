@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PhysicsError
 from .lindblad import LindbladGenerator, apply_generator
-from .operator_core import _DormandPrince, dag
+from .operator_core import dag, march
 from .units import HBAR, K_B
 
 _NORM_TOL = 1e-9
@@ -98,11 +98,10 @@ def projector_flow_rhs(rho, gen: LindbladGenerator) -> np.ndarray:
 
 
 def evolve_robust(xi0, gen: LindbladGenerator, t_final: float) -> tuple:
-    """Integrate the nonlinear flow with an embedded RK pair (rtol _RTOL,
-    atol _ATOL), renormalizing the state after every accepted step; the
-    equation only preserves the norm to first order, so drift is removed
-    before it can compound. The right-hand side is compiled once per call,
-    in `_flow_rhs`.
+    """Integrate the nonlinear flow by one `march` (rtol _RTOL, atol _ATOL)
+    of the right-hand side compiled once, in `_flow_rhs`. The equation
+    preserves the norm only to first order, so the state is renormalized
+    after every accepted step, before drift can compound.
 
     Returns the accepted-step snapshots as RobustStateFlow objects, initial
     state included, so purity holds exactly along the whole trajectory.
@@ -114,19 +113,10 @@ def evolve_robust(xi0, gen: LindbladGenerator, t_final: float) -> tuple:
     if t_final < 0:
         raise PhysicsError("flow time must be nonnegative")
     snapshots = [RobustStateFlow(xi=xi0.copy(), gen=gen, t=0.0)]
-    if t_final == 0.0:
-        return tuple(snapshots)
-
-    rhs = _flow_rhs(gen)
-    stepper = _DormandPrince(rhs, xi0, t_final, _RTOL, _ATOL)
-    while stepper.t < t_final:
-        stepper.step()
-        stepper.y /= np.linalg.norm(stepper.y)
-        # the cached derivative predates the renormalization; refresh it
-        # so the FSAL stage of the next step sees the corrected state
-        stepper.f = rhs(stepper.y)
-        snapshots.append(RobustStateFlow(xi=stepper.y.copy(), gen=gen,
-                                         t=float(stepper.t)))
+    if t_final != 0.0:
+        steps = march(_flow_rhs(gen), xi0, [t_final], _RTOL, _ATOL,
+                      after_step=lambda y: np.divide(y, np.linalg.norm(y), out=y))
+        snapshots += (RobustStateFlow(xi=y, gen=gen, t=float(t)) for t, y in steps)
     return tuple(snapshots)
 
 
@@ -134,12 +124,20 @@ def qbm_soliton_width(m: float, gamma: float, temperature: float,
                       si: bool = False) -> float:
     """Stationary width of the Gaussian pointer state of a monitored free
     particle: (1/(8 gamma m^2 T))^{1/4} with hbar = k_B = 1. With si=True
-    the inputs are kg, 1/s, K and the result is in meters."""
+    the inputs are kg, 1/s, K and the result is in meters. Where that order
+    under- or overflows, it is (hbar^3/8 k_B)^{1/4} gamma^{-1/4} T^{-1/4}
+    m^{-1/2}, with no m^2; PhysicsError if the width is 0 or inf in floats."""
     if m <= 0 or gamma <= 0 or temperature <= 0:
         raise PhysicsError("mass, rate and temperature must be positive")
-    if si:
-        return (HBAR**3 / (8.0 * gamma * m * m * K_B * temperature)) ** 0.25
-    return (1.0 / (8.0 * gamma * m * m * temperature)) ** 0.25
+    hbar3, k_b = (HBAR**3, K_B) if si else (1.0, 1.0)
+    try:
+        with np.errstate(all="raise"):
+            return float(hbar3 / (np.float64(8) * gamma * m * m * k_b * temperature)) ** 0.25
+    except FloatingPointError:
+        width = (hbar3 / (8.0 * k_b)) ** 0.25 * gamma**-0.25 * temperature**-0.25 / m**0.5
+    if not 0.0 < width < math.inf:
+        raise PhysicsError(f"width off the float range: (m, gamma, T) = {m, gamma, temperature}")
+    return width
 
 
 def qbm_pointer_generator(m: float, gamma: float, temperature: float,

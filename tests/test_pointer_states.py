@@ -395,6 +395,29 @@ class TestQbmPointerModel:
         via_natural = HBAR * qbm_soliton_width(1e-8, gamma * HBAR, 2.7 * K_B)
         assert via_natural == pytest.approx(width, rel=1e-12)
 
+    @pytest.mark.parametrize("m, gamma, temp, si", [
+        (3.6e-224, 1.0, 1.0, True),      # m^2 underflows to 0
+        (1e300, 1e300, 1e300, True),     # 8 gamma m^2 T overflows; subnormal width
+        (3.5e-161, 1.0, 1e20, False),    # 8 gamma m^2 subnormal, times T normal
+        (1.0, 1.0, 1.0, False),
+        (1e-3, 1e-2, 4.0, True),
+    ])
+    def test_width_against_mpmath_where_m_squared_leaves_the_range(self, m, gamma,
+                                                                   temp, si):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            scale = mpmath.mpf(HBAR) ** 3 / mpmath.mpf(K_B) if si else 1
+            want = float(mpmath.root(scale / (8 * mpmath.mpf(gamma) * mpmath.mpf(m) ** 2
+                                              * mpmath.mpf(temp)), 4))
+        got = qbm_soliton_width(m, gamma, temp, si=si)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_width_outside_the_float_range_raises(self):
+        with pytest.raises(PhysicsError, match="off the float range"):
+            qbm_soliton_width(1e-320, 1e-320, 1e-320)
+        with pytest.raises(PhysicsError, match="off the float range"):
+            qbm_soliton_width(1e308, 1e308, 1e308, si=True)
+
 
 class TestStateWidth:
     def test_recovers_gaussian_sigma(self):

@@ -1,16 +1,17 @@
-"""The package's Dormand-Prince 5(4) stepper against scipy's RK45, its
-oracle: accepted t, y and next trial step agree bit for bit, step by step,
-for the pointer flow (renormalized, derivative refreshed) and for plain
-cases that reject steps, cap the step, run real-valued and clip the last
-step. `lindblad.evolve` and the rk-mode no-jump propagation match
-`solve_ivp` end states bit for bit, and rk-mode `Propagator.states` rows
-are the states of one scipy RK45 run whose end is moved through the sorted
-times. Failure paths: a right-hand side that turns NaN ends in step-size
+"""The package's Dormand-Prince 5(4) stepping loop, `march`, against
+scipy's RK45, its oracle: accepted t, y and next trial step agree bit for
+bit, step by step, for the pointer flow (renormalized through `after_step`,
+derivative refreshed) and for plain cases that reject steps, cap the step,
+run real-valued and clip the last step. `lindblad.evolve` and the rk-mode
+no-jump propagation match `solve_ivp` end states bit for bit, and rk-mode
+`Propagator.states` rows are the states of one scipy RK45 run whose end is
+moved through the sorted times. Failure paths: a right-hand side that turns NaN ends in step-size
 underflow with t and the step in the message; invalid tolerances and step
 caps raise PhysicsError."""
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from decolab.lindblad import (
     damped_oscillator_generator,
     evolve,
 )
-from decolab.operator_core import Propagator, _DormandPrince
+from decolab.operator_core import Propagator, _DormandPrince, march
 from decolab.pointer_states import (
     _flow_rhs,
     evolve_robust,
@@ -34,8 +35,6 @@ from decolab.pointer_states import (
     qbm_soliton_width,
 )
 from decolab.trajectories import effective_hamiltonian, no_jump_propagate
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 UNDERFLOW = re.compile(r"at t = \S+: step \S+ under 10 ulp\(t\)")
 
@@ -67,15 +66,21 @@ def oracle_steps(fun, y0, t_bound, rtol, atol, renormalize=False):
 
 
 def stepper_steps(fun, y0, t_bound, rtol, atol, renormalize=False):
-    stepper = _DormandPrince(fun, y0, t_bound, rtol, atol)
-    out = []
-    while stepper.t < t_bound:
-        stepper.step()
-        if renormalize:
-            stepper.y /= np.linalg.norm(stepper.y)
-            stepper.f = fun(stepper.y)
-        out.append((stepper.t, stepper.y.copy(), stepper.h_abs))
-    return out
+    """(t, y, next trial step) after each accepted step of `march` to
+    t_bound, renormalizing through `after_step`. The trial step is read
+    from a stepper subclass that notes it after every accepted step."""
+    trials = []
+
+    class Noting(_DormandPrince):
+        def step(self):
+            super().step()
+            trials.append(self.h_abs)
+
+    after = (lambda y: np.divide(y, np.linalg.norm(y), out=y)) if renormalize else None
+    with mock.patch.object(operator_core, "_DormandPrince", Noting):
+        steps = [(t, y.copy()) for t, y in march(fun, y0, [t_bound], rtol, atol, after)]
+    assert len(trials) == len(steps)
+    return [(t, y, h) for (t, y), h in zip(steps, trials)]
 
 
 def assert_bitwise(ours, oracle):
@@ -207,24 +212,26 @@ class TestEndStates:
 
 class TestFailurePaths:
     """The right-hand sides here turn NaN on purpose, so the tests that step
-    on past it silence numpy's invalid-value warning with np.errstate (the
-    module's filterwarnings mark would outrank a class-level one)."""
+    on past it silence numpy's invalid-value warning with np.errstate around
+    the stepping alone; pytest's `error::RuntimeWarning` setting holds for
+    the rest of each test."""
 
     def test_nan_from_the_start_fails_at_zero(self):
+        steps = march(Counted(lambda y: -y, nan_after=0), np.ones(2), [1.0], 1e-8, 1e-10)
         with pytest.raises(QuadratureError, match=r"at t = 0\.0: step nan") as err:
-            _DormandPrince(Counted(lambda y: -y, nan_after=0), np.ones(2),
-                           1.0, 1e-8, 1e-10).run()
+            next(steps)
         assert math.isnan(err.value.estimate)
 
     def test_nan_midway_shrinks_the_step_to_underflow(self):
         fun = Counted(lambda y: -y, nan_after=40)
-        stepper = _DormandPrince(fun, np.ones(2), 10.0, 1e-8, 1e-10)
+        reached = [0.0]
         with pytest.raises(QuadratureError, match=UNDERFLOW) as err:
-            stepper.run()
-        assert 0.0 < stepper.t < 10.0 and math.isnan(err.value.estimate)
+            for t, _ in march(fun, np.ones(2), [10.0], 1e-8, 1e-10):
+                reached.append(t)
+        assert 0.0 < reached[-1] < 10.0 and math.isnan(err.value.estimate)
         t = float(re.search(r"at t = (\S+):", str(err.value)).group(1))
         step = float(re.search(r": step (\S+) under", str(err.value)).group(1))
-        assert t == stepper.t and 0.0 < step < 10 * math.ulp(t)
+        assert t == reached[-1] and 0.0 < step < 10 * math.ulp(t)
 
     def test_evolve_robust_raises_quadrature_error(self, monkeypatch):
         compiled = pointer_states._flow_rhs
@@ -262,7 +269,7 @@ class TestArguments:
     @pytest.mark.parametrize("atol", [-1e-10, -1.0])
     def test_negative_atol(self, atol):
         with pytest.raises(PhysicsError, match="atol"):
-            _DormandPrince(lambda y: -y, np.ones(2), 1.0, 1e-8, atol)
+            next(march(lambda y: -y, np.ones(2), [1.0], 1e-8, atol))
 
     def test_tiny_rtol_is_raised(self):
         """rtol = 1e-300 steps the renormalized pointer flow exactly as

@@ -54,8 +54,6 @@ def driven_decay_generator(omega=1.0, gamma=0.5):
     return LindbladGenerator(omega * SX, ((gamma, SM),))
 
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # a norm guard written as `abs(norm - 1) > tol` lets NaN through
 BAD_INITIAL_STATES = [np.array([math.nan, 0j]), np.array([math.inf, 0j]), 2.0 * KET1]
 BAD_IDS = ["nan", "inf", "norm2"]
@@ -147,8 +145,9 @@ class TestNoJumpPropagation:
     def test_overflowing_drift_raises(self):
         """A valid generator whose H_C overflows is refused, where a NaN
         survival once gave the waiting time 0.00390625 without an error.
-        The overflow is the point, so its warning is silenced here (the
-        module's filterwarnings mark would outrank a mark on the test)."""
+        The overflow is the point, so its warning is silenced around the
+        calls that make it; pytest's `error::RuntimeWarning` setting holds
+        for the rest of the test."""
         gen = LindbladGenerator(np.zeros((2, 2)), ((1e300, 1e10 * SM),))
         with np.errstate(over="ignore"):
             with pytest.raises(PhysicsError, match="non-finite"):
