@@ -259,7 +259,7 @@ class Propagator:
         n = self.n = k.shape[0]
         vals, vecs = np.linalg.eig(k)
         if np.linalg.cond(vecs) < _EIG_COND_MAX:
-            self.mode, self._vals, self._vecs = "eig", vals, vecs
+            self.mode, self._rates, self._vecs = "eig", -1j * vals, vecs
             self._inv = np.linalg.inv(vecs)
         else:
             self.mode = "rk"
@@ -277,7 +277,7 @@ class Propagator:
             return x.copy()
         if self.mode == "eig":
             cols = self._inv @ x.reshape(self.n, -1)
-            return (self._vecs @ (np.exp(-1j * t * self._vals)[:, None] * cols)
+            return (self._vecs @ (np.exp(t * self._rates)[:, None] * cols)
                     ).reshape(x.shape)
         return self.states(x, np.array([t]))[0]
 
@@ -285,11 +285,11 @@ class Propagator:
         """Rows exp(-i t K) x of a vector x, one for each t of a 1-d array.
         In rk mode one `march` over the sorted distinct times ends an
         accepted step on each, so no row is interpolated."""
-        if self.mode == "eig":
-            phases = np.exp(-1j * ts[:, None] * self._vals[None, :])
-            return (phases * (self._inv @ x)[None, :]) @ self._vecs.T
-        if not np.all(ts >= 0):
+        if not (ts >= 0).all():
             raise PhysicsError("propagation times must be nonnegative")
+        if self.mode == "eig":
+            phases = np.exp(np.multiply.outer(ts, self._rates))
+            return (phases * (self._inv @ x)) @ self._vecs.T
         x = np.asarray(x, dtype=complex)
         stops, where = np.unique(ts, return_inverse=True)
         rows = np.empty((stops.size,) + x.shape, dtype=complex)

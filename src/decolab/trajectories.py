@@ -9,6 +9,7 @@ deterministic master-equation solution.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ from .lindblad import LindbladGenerator
 from .operator_core import Propagator, as_operator, dag
 
 _GRID_POINTS = 256
+# k / _GRID_POINTS is exact, so t_max * _UNIT_GRID is linspace(0, t_max, 257)
+_UNIT_GRID = np.linspace(0.0, 1.0, _GRID_POINTS + 1)
 _BISECT_REL = 1e-10
 _DARK_WEIGHT = 1e-14
 _NORM_TOL = 1e-10
@@ -65,38 +68,50 @@ def _waiting_times(prop: Propagator, decay, psi, us, t_max: float) -> np.ndarray
     running minimum of the survival is <= u. Inside the bracket, Newton on
     f = log survival - log u, with f' = -<psi|decay|psi>/survival exact,
     takes the crossing; a step that leaves the bracket or fails to halve the
-    previous one is replaced by bisection.
+    previous one is replaced by bisection. Each round evaluates every pending
+    level in one `states` call and updates each level on Python floats.
     """
-    grid = np.linspace(0.0, t_max, _GRID_POINTS + 1)
+    grid = t_max * _UNIT_GRID
     surv = np.minimum.accumulate(_norm_sq(prop.states(psi, grid)))
     idx = np.searchsorted(-surv, -us, side="left")
     out = np.where(idx == 0, 0.0, np.inf)
     work = np.nonzero((idx >= 1) & (idx <= _GRID_POINTS))[0]
-    j = idx[work]
-    lo, hi, log_u = grid[j - 1], grid[j], np.log(us[work])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # start from the log-linear interpolant between the bracket ends
-        tau = lo + (hi - lo) * (np.log(surv[j - 1]) - log_u) \
-            / (np.log(surv[j - 1]) - np.log(surv[j]))
-        tau = np.where((tau >= lo) & (tau <= hi), tau, 0.5 * (lo + hi))
-        last = hi - lo
-        while work.size:
-            rows = prop.states(psi, tau)
+        log_surv = np.log(surv)
+        # one (index, tau, lo, hi, log u, last step) per pending level, tau
+        # starting from the log-linear interpolant between the bracket ends
+        levels = []
+        for i, j, log_u in zip(work.tolist(), idx[work].tolist(),
+                               np.log(us[work]).tolist()):
+            lo, hi = float(grid[j - 1]), float(grid[j])
+            a, b = float(log_surv[j - 1]), float(log_surv[j])
+            tau = lo + (hi - lo) * (a - log_u) / (a - b) if a > b else math.nan
+            if not lo <= tau <= hi:
+                tau = 0.5 * (lo + hi)
+            levels.append((i, tau, lo, hi, log_u, hi - lo))
+        while levels:
+            _, taus, _, _, log_us, _ = zip(*levels)
+            rows = prop.states(psi, np.array(taus))
             s = _norm_sq(rows)
             rate = np.einsum("ij,ij->i", rows.conj(), rows @ decay.T).real
-            f = np.log(s) - log_u
-            hi = np.where(f <= 0.0, tau, hi)
-            lo = np.where(f <= 0.0, lo, tau)
-            new = tau + f * s / rate
-            done = np.abs(new - tau) <= _BISECT_REL * new
-            newton = (new > lo) & (new < hi) & (np.abs(new - tau) <= 0.5 * last)
-            new = np.where(done | newton, new, 0.5 * (lo + hi))
-            last = np.abs(new - tau)
-            done |= last <= _BISECT_REL * new
-            out[work[done]] = new[done]
-            keep = ~done
-            work, tau, lo, hi, log_u, last = (
-                work[keep], new[keep], lo[keep], hi[keep], log_u[keep], last[keep])
+            f = np.log(s) - log_us
+            pending = []
+            for (i, tau, lo, hi, log_u, last), f_i, step in zip(
+                    levels, f.tolist(), (f * s / rate).tolist()):
+                if f_i <= 0.0:
+                    hi = tau
+                else:
+                    lo = tau
+                new = tau + step
+                done = abs(new - tau) <= _BISECT_REL * new
+                if not (done or lo < new < hi and abs(new - tau) <= 0.5 * last):
+                    new = 0.5 * (lo + hi)
+                    done = abs(new - tau) <= _BISECT_REL * new
+                if done:
+                    out[i] = new
+                else:
+                    pending.append((i, new, lo, hi, log_u, abs(new - tau)))
+            levels = pending
     return out
 
 
@@ -165,11 +180,16 @@ def _run(psi0, gen, horizon, rng):
         u = rng.random()
         while u == 0.0:
             u = rng.random()
-        tau = float(_waiting_times(prop, decay, psi, np.array([u]), horizon - t)[0])
-        # a crossing rounded onto the horizon itself counts as no jump: the
-        # record invariant keeps click times strictly inside the window
-        jump = t + tau < horizon
-        psi = prop.apply(psi, tau if jump else horizon - t)
+        # the state at the horizon first: no crossing is sought unless its
+        # survival has fallen to u, and it is the end state when none follows
+        end = prop.apply(psi, horizon - t)
+        jump = False
+        if np.vdot(end, end).real <= u:
+            tau = float(_waiting_times(prop, decay, psi, np.array([u]), horizon - t)[0])
+            # a crossing rounded onto the horizon itself counts as no jump: the
+            # record invariant keeps click times strictly inside the window
+            jump = t + tau < horizon
+        psi = prop.apply(psi, tau) if jump else end
         norm = np.linalg.norm(psi)
         if norm == 0.0:
             raise PhysicsError("trajectory state collapsed to zero")

@@ -519,6 +519,39 @@ class TestDeterminism:
         assert np.max(np.abs(mean - acc / n_traj)) <= 1e-14
 
 
+class TestParser:
+    @staticmethod
+    def exit_output(capsys, argv, parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    def test_one_parser_per_process(self, monkeypatch, capsys):
+        """`main` builds its argparse parser once per process; later calls,
+        usage errors and --help print what a fresh parser prints."""
+        build = cli.build_parser
+        built = []
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["list-scenarios"]) == 0
+            assert capsys.readouterr().out.splitlines() == list(cli.SCENARIOS) * 3
+            for argv in (["run"], ["run", "x.json", "--format", "xml"], ["bogus"],
+                         ["--help"], ["run", "--help"]):
+                got = self.exit_output(capsys, argv, main)
+                assert got == self.exit_output(capsys, argv, build().parse_args)
+                assert got[0] == (0 if "--help" in argv else 2)
+            assert built == [1]
+        finally:
+            cli._parser.cache_clear()
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed_exits_2(self, tmp_path, capsys, seed):

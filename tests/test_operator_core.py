@@ -177,8 +177,7 @@ class TestPropagator:
     def test_states_zero_repeated_and_negative_times(self, rng, monkeypatch, mode):
         """A repeated time gives the same row twice and a time of 0 gives x
         (in rk mode x itself). A negative or NaN time is PhysicsError in
-        `apply`, and in rk-mode `states`, which steps through the times in
-        order."""
+        `apply` and in `states`, in either mode."""
         self.force(monkeypatch, mode)
         prop = oc.Propagator(effective_hamiltonian(random_generator(rng, 4)))
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -189,9 +188,8 @@ class TestPropagator:
         for bad in (-0.1, np.nan):
             with pytest.raises(PhysicsError, match="nonnegative"):
                 prop.apply(psi, bad)
-            if mode == "rk":
-                with pytest.raises(PhysicsError, match="nonnegative"):
-                    prop.states(psi, np.array([0.3, bad]))
+            with pytest.raises(PhysicsError, match="nonnegative"):
+                prop.states(psi, np.array([0.3, bad]))
 
     def test_derivative_route(self, rng):
         drift = effective_hamiltonian(random_generator(rng, 4))

@@ -302,11 +302,19 @@ def expm_click_times(omega, gamma, horizon, seed, index):
 
 
 class TestExceptionalPoint:
-    def test_traject_run_matches_expm_oracle(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("omega, gamma, horizon, n_traj, mode, rtol, most", [
+        (0.25, 1.0, 3.0, 40, "rk", 1e-9, 2),
+        (2.0, 1.2, 2.5, 60, "eig", 1e-12, 2),
+        (0.0, 1.5, 2.0, 60, "eig", 1e-12, 1),
+    ], ids=["rk", "eig-driven", "eig-decay"])
+    def test_traject_run_matches_expm_oracle(self, tmp_path, monkeypatch, omega,
+                                             gamma, horizon, n_traj, mode, rtol, most):
         """At omega = gamma/4 the no-jump drift of the driven decay has a
         double eigenvalue, and its eigenvectors have cond ~1e8, so a plain
-        `traject` run propagates in rk mode. Its click counts are the
-        oracle's, and its click times agree to 1e-9 relative."""
+        `traject` run propagates in rk mode; its click times agree with the
+        oracle to 1e-9 relative. Driven and pure-decay runs in the
+        benchmark's range propagate in eig mode and agree to 1e-12. Click
+        counts are the oracle's in every mode."""
         modes = []
 
         class Recording(operator_core.Propagator):
@@ -315,14 +323,14 @@ class TestExceptionalPoint:
                 modes.append(self.mode)
 
         monkeypatch.setattr(trajectories, "Propagator", Recording)
-        omega, gamma, horizon, seed = 0.25, 1.0, 3.0, 3
+        seed = 3
         config = tmp_path / "traject.json"
         config.write_text(json.dumps({
             "scenario": "traject", "seed": seed, "params": {
-                "gamma": gamma, "omega": omega, "horizon": horizon, "n_traj": 40}}))
+                "gamma": gamma, "omega": omega, "horizon": horizon, "n_traj": n_traj}}))
         out = tmp_path / "traject.csv"
         assert main(["run", str(config), "--output", str(out)]) == 0
-        assert modes == ["rk"]
+        assert modes == [mode]
         counts = []
         for row in csv.DictReader(out.read_text().splitlines()):
             want = expm_click_times(omega, gamma, horizon, seed, int(row["traj"]))
@@ -331,8 +339,41 @@ class TestExceptionalPoint:
             if want:
                 np.testing.assert_allclose(
                     [float(row["first_event"]), float(row["last_event"])],
-                    [want[0], want[-1]], rtol=1e-9)
-        assert 0 in counts and max(counts) >= 2
+                    [want[0], want[-1]], rtol=rtol)
+        assert 0 in counts and max(counts) >= most
+
+
+class TestWorkPerTrajectory:
+    """The survival at the horizon is formed before any crossing is sought,
+    so a trajectory makes one grid pass per click and none for its no-jump
+    tail."""
+
+    @staticmethod
+    def count_states(monkeypatch):
+        calls = []
+        states = operator_core.Propagator.states
+
+        def counting(self, x, ts):
+            calls.append(len(ts))
+            return states(self, x, ts)
+
+        monkeypatch.setattr(operator_core.Propagator, "states", counting)
+        return calls
+
+    def test_dark_state_makes_no_states_call(self, monkeypatch):
+        calls = self.count_states(monkeypatch)
+        record, psi = run_trajectory(KET0, decay_generator(1.5), 4.0, seed=7)
+        assert record.events == ()
+        assert np.array_equal(psi, KET0)
+        assert calls == []
+
+    def test_one_click_decay_makes_one_grid_pass(self, monkeypatch):
+        calls = self.count_states(monkeypatch)
+        record, psi = run_trajectory(KET1, decay_generator(1.0), 30.0, seed=7)
+        assert len(record.events) == 1
+        assert np.allclose(psi, KET0, atol=1e-14)
+        assert calls.count(trajectories._GRID_POINTS + 1) == 1
+        assert set(calls) == {trajectories._GRID_POINTS + 1, 1}
 
 
 class TestPropagatorCache:
