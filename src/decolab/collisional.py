@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,21 +133,36 @@ def _spherical_j(l_max: int, z) -> np.ndarray:
         j0 = np.where(zd > 0, np.sin(zd) / zd, 1.0)
         j1 = np.where(zd > 0, (j0 - np.cos(zd)) / zd, 0.0)
     rho = np.zeros((l_max + 1, zd.size))
-    cur = rho[0]
-    for l in range(int(l_max + 20 + math.sqrt(40 * (l_max + 1))) if zd.size else 0, 0, -1):
-        den = 2 * l + 1 - zd * cur
-        if not den.all():
-            # only at a zero of j_{l-1}; any tiny value keeps j_l finite
-            den[den == 0.0] = 1e-300
-        cur = zd / den
-        if l <= l_max:
-            rho[l] = cur
+    if zd.size:
+        top = int(l_max + 20 + math.sqrt(40 * (l_max + 1)))
+        # with z <= l_max every denominator at l >= l_max exceeds l + 1, so a
+        # zero one falls on a stored order and leaves an inf there: only then
+        # is the guarded pass needed
+        with np.errstate(all="ignore"):
+            _miller_ratios(rho, zd, top, guard=False)
+        if not np.isfinite(rho).all():
+            _miller_ratios(rho, zd, top, guard=True)
     rho[0] = j0
     if l_max:
         rho[1] = np.where(np.abs(j1) > np.abs(j0), j1, j0 * rho[1])
         np.cumprod(rho[1:], axis=0, out=rho[1:])
     j[:, ~up] = rho
     return j
+
+
+def _miller_ratios(rho, z, top: int, guard: bool) -> None:
+    """rho[l] = z / (2l+1 - z rho[l+1]) for 1 <= l < len(rho), downward from
+    rho_{top+1} = 0. With guard, a zero denominator (only at a zero of
+    j_{l-1}) becomes a tiny value, which keeps every ratio finite."""
+    cur = np.zeros_like(z)
+    rows = len(rho)
+    for l in range(top, 0, -1):
+        den = 2 * l + 1 - z * cur
+        if guard and not den.all():
+            den[den == 0.0] = 1e-300
+        cur = z / den
+        if l < rows:
+            rho[l] = cur
 
 
 def _spherical_jy(l_max: int, z):
@@ -290,11 +306,23 @@ class _SpeedTable:
     moments: np.ndarray
 
 
+# speed tables of each live amplitude, keyed on (gas, n_panels): every x of
+# localization_rate and the saturation rate share them, and an entry goes
+# with its amplitude
+_TABLES = weakref.WeakKeyDictionary()
+
+
 def _speed_table(amp: IsotropicAmplitude, gas: GasModel, n_panels: int) -> _SpeedTable:
-    s, w = _speed_rule(n_panels)
-    weight = w * s**3 * np.exp(-s * s)
-    moments = _moment_rows(amp, 0.5 * gas.m * (gas.thermal_speed * s) ** 2)
-    return _SpeedTable(n_panels, s, weight, moments)
+    tables = _TABLES.setdefault(amp, {})
+    table = tables.get((gas, n_panels))
+    if table is None:
+        s, w = _speed_rule(n_panels)
+        weight = w * s**3 * np.exp(-s * s)
+        moments = _moment_rows(amp, 0.5 * gas.m * (gas.thermal_speed * s) ** 2)
+        for array in (s, weight, moments):
+            array.flags.writeable = False
+        table = tables[gas, n_panels] = _SpeedTable(n_panels, s, weight, moments)
+    return table
 
 
 def _settled_rate(amp: IsotropicAmplitude, gas: GasModel, integral) -> float:
@@ -357,6 +385,17 @@ def _bracket(a, z) -> np.ndarray:
     return inner + a[:, 0] * tail
 
 
+@functools.cache
+def _panel_to_coef() -> np.ndarray:
+    """Node values on a _PANEL_ORDER-point panel -> Legendre coefficients of
+    their interpolant."""
+    q = _PANEL_ORDER
+    ref, w = _gl_rule(q)
+    to_coef = (np.arange(q) + 0.5)[:, None] * legvander(ref, q - 1).T * w
+    to_coef.flags.writeable = False
+    return to_coef
+
+
 def _bracket_integral(table: _SpeedTable, beta: float, sub: int) -> float:
     """int_0^{_SPEED_CUT} ds s^3 e^{-s^2} bracket(beta s) on `sub` equal
     Gauss-Legendre sub-panels per table panel. The moments at the sub-panel
@@ -365,8 +404,7 @@ def _bracket_integral(table: _SpeedTable, beta: float, sub: int) -> float:
     in chunks of about _CHUNK array elements."""
     q = _PANEL_ORDER
     ref, w = _gl_rule(q)
-    # node values on a table panel -> Legendre coefficients of their interpolant
-    to_coef = (np.arange(q) + 0.5)[:, None] * legvander(ref, q - 1).T * w
+    to_coef = _panel_to_coef()
     half = 0.5 * _SPEED_CUT / table.n_panels
     centers = half * (2 * np.arange(table.n_panels) + 1)
     moments = table.moments.reshape(table.n_panels, q, -1)

@@ -2,7 +2,9 @@
 saturation, momentum-transfer sum rule, channel rate tensor."""
 
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from numpy.polynomial.legendre import leggauss, legmul, legval
 from scipy.integrate import quad, solve_ivp
 from scipy.special import dawsn, spherical_jn, spherical_yn
 
+from decolab import collisional
 from decolab.collisional import (
     _SPEED_CUT,
     ChannelSpec,
@@ -27,9 +30,14 @@ from decolab.collisional import (
     saturation_rate,
     total_cross_section,
     _PARTIAL_WAVE_MAX,
+    _TABLES,
+    _miller_ratios,
     _moment_rows,
     _pair_rate,
+    _speed_table,
+    _spherical_j,
     _spherical_jy,
+    _upward,
 )
 from decolab.errors import DimensionError, PhysicsError, QuadratureError
 
@@ -226,6 +234,33 @@ def bessel_scale(j_ref, y_ref, ell, z):
     return np.where(ell >= z, np.abs(j_ref), np.hypot(j_ref, y_ref))
 
 
+def guarded_spherical_j(l_max, z):
+    """_spherical_j with the zero-denominator guard checked on every
+    downward order: the loop that one finiteness check replaced."""
+    j = np.empty((l_max + 1, z.size))
+    up = z > l_max
+    zu, zd = z[up], z[~up]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j[:, up] = _upward(np.cos(zu) / zu, np.sin(zu) / zu, zu, l_max)
+        j0 = np.where(zd > 0, np.sin(zd) / zd, 1.0)
+        j1 = np.where(zd > 0, (j0 - np.cos(zd)) / zd, 0.0)
+    rho = np.zeros((l_max + 1, zd.size))
+    cur = rho[0]
+    for l in range(int(l_max + 20 + math.sqrt(40 * (l_max + 1))) if zd.size else 0, 0, -1):
+        den = 2 * l + 1 - zd * cur
+        if not den.all():
+            den[den == 0.0] = 1e-300
+        cur = zd / den
+        if l <= l_max:
+            rho[l] = cur
+    rho[0] = j0
+    if l_max:
+        rho[1] = np.where(np.abs(j1) > np.abs(j0), j1, j0 * rho[1])
+        np.cumprod(rho[1:], axis=0, out=rho[1:])
+    j[:, ~up] = rho
+    return j
+
+
 class TestSphericalBessel:
     """The in-repo recurrences against 40-digit mpmath and against scipy's
     spherical_jn/spherical_yn, the route they replaced."""
@@ -266,6 +301,24 @@ class TestSphericalBessel:
         assert np.all(y[~finite] == -np.inf)
         y_scale = np.where(ell >= z, np.abs(y_ref), scale)[finite]
         assert np.all(np.abs(y[finite] - y_ref[finite]) <= 2e-13 * y_scale)
+
+    @pytest.mark.parametrize("l_max", [0, 1, 11, 41, 80, 130])
+    def test_one_finiteness_check_matches_the_guarded_loop(self, l_max):
+        z = bessel_arguments(l_max)
+        assert _spherical_j(l_max, z).tobytes() == guarded_spherical_j(l_max, z).tobytes()
+
+    def test_zero_denominator_reruns_the_guarded_loop(self):
+        """At this z, next to a zero of j_4, the downward denominator at l = 5
+        is exactly 0: the unguarded pass leaves an inf, and the rerun gives
+        the guarded loop's bits."""
+        z = np.array([8.182561452571242, 1.0])
+        rho = np.zeros((11, 2))
+        with np.errstate(all="ignore"):
+            _miller_ratios(rho, z, int(10 + 20 + math.sqrt(40 * 11)), guard=False)
+        assert not np.isfinite(rho[:, 0]).all()
+        j = _spherical_j(10, z)
+        assert np.isfinite(j).all()
+        assert j.tobytes() == guarded_spherical_j(10, z).tobytes()
 
     def test_zero_argument_and_shape(self):
         j, y = _spherical_jy(3, np.zeros(2))
@@ -344,6 +397,59 @@ class TestLocalizationRate:
         assert all(v >= 0.0 for v in values)
         assert all(v <= f_inf * (1.0 + 1e-3) for v in values)
         assert all(b >= a * (1.0 - 1e-9) for a, b in zip(values, values[1:]))
+
+
+class TestSpeedTables:
+    """One moment table per amplitude, gas and speed rule, shared by every x
+    and by the saturation rate, and dropped with its amplitude."""
+
+    def test_one_table_per_settle_level(self, monkeypatch):
+        built = []
+        moment_rows = collisional._moment_rows
+
+        def counted(amp, energies):
+            built.append(energies.size)
+            return moment_rows(amp, energies)
+
+        monkeypatch.setattr(collisional, "_moment_rows", counted)
+        amp = hard_sphere_amplitude(0.5, 1.0)
+        for x in np.geomspace(0.01, 100.0, 25):
+            localization_rate(amp, GAS, x)
+        assert built == [4 * 16, 8 * 16]
+        saturation_rate(amp, GAS)
+        assert len(built) == 2
+        assert sorted(_TABLES[amp]) == [(GAS, 4), (GAS, 8)]
+
+    def test_entry_goes_with_its_amplitude(self):
+        gc.collect()
+        before = len(_TABLES)
+        amp = constant_amplitude(0.3 - 0.1j)
+        saturation_rate(amp, GAS)
+        assert len(_TABLES) == before + 1
+        alive = weakref.ref(amp)
+        del amp
+        gc.collect()
+        assert alive() is None
+        assert len(_TABLES) == before
+
+    def test_tables_are_read_only(self):
+        table = _speed_table(constant_amplitude(0.5), GAS, 4)
+        for array in (table.s, table.weight, table.moments,
+                      collisional._panel_to_coef()):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_unsettled_rate_raises_again(self):
+        rough = IsotropicAmplitude(
+            lambda e: (np.exp(1e5j * e) * (1.0 + np.cos(3e4 * e)))[:, None])
+        for rate in (lambda: localization_rate(rough, GAS, 1.0),
+                     lambda: saturation_rate(rough, GAS)):
+            estimates = []
+            for _ in range(2):
+                with pytest.raises(QuadratureError) as failure:
+                    rate()
+                estimates.append(failure.value.estimate)
+            assert estimates[0] == estimates[1]
 
 
 class TestAgainstQuadratureOracle:
