@@ -321,6 +321,9 @@ def resolve_config(raw, output_override=None,
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+# the click rate gamma |<0|psi>|^2 never exceeds gamma, so n_traj * gamma *
+# horizon bounds the expected clicks of a traject run; above this it is refused
+_MAX_CLICKS = 1e7
 
 
 def _run_dephase(cfg):
@@ -420,6 +423,11 @@ def _run_qbm(cfg):
 
 def _run_traject(cfg):
     p = cfg.params
+    clicks = p["n_traj"] * p["gamma"] * p["horizon"]
+    if clicks > _MAX_CLICKS:
+        raise PhysicsError(
+            f"expected clicks up to n_traj * gamma * horizon = {clicks:.3g}, "
+            f"above the cost bound {_MAX_CLICKS:.0e}")
     h = p["omega"] * _SX if p["omega"] else np.zeros((2, 2), dtype=complex)
     gen = LindbladGenerator(hamiltonian=h, channels=((p["gamma"], _LOWER),))
     psi0 = np.array([1.0, 0.0], dtype=complex)

@@ -61,34 +61,77 @@ def _norm_sq(rows) -> np.ndarray:
     return np.einsum("ij,ij->i", rows.conj(), rows).real
 
 
-def _waiting_times(prop: Propagator, decay, psi, us, t_max: float) -> np.ndarray:
-    """First tau with survival(tau) = u for each u; inf where survival(t_max) > u.
-
-    A uniform grid brackets each crossing at the first point where the
-    running minimum of the survival is <= u. Inside the bracket, Newton on
-    f = log survival - log u, with f' = -<psi|decay|psi>/survival exact,
-    takes the crossing; a step that leaves the bracket or fails to halve the
-    previous one is replaced by bisection. Each round evaluates every pending
-    level in one `states` call and updates each level on Python floats.
-    """
+def _grid(prop: Propagator, psi, t_max: float):
+    """The 257-point grid over [0, t_max], its rows and their running-minimum
+    survival, which brackets each level u at its first point <= u."""
     grid = t_max * _UNIT_GRID
-    surv = np.minimum.accumulate(_norm_sq(prop.states(psi, grid)))
+    rows = prop.states(psi, grid)
+    return grid, rows, np.minimum.accumulate(_norm_sq(rows))
+
+
+def _start(lo, hi, a, b, log_u):
+    """First probe in the bracket [lo, hi] whose ends have log survival a, b:
+    the log-linear interpolant at log u, or the midpoint where that leaves it."""
+    tau = lo + (hi - lo) * (a - log_u) / (a - b) if a > b else math.nan
+    return tau if lo <= tau <= hi else 0.5 * (lo + hi)
+
+
+def _update(tau, lo, hi, last, f, step):
+    """(new tau, lo, hi, done) after the probe tau of f = log survival - log u
+    and its Newton step -f/f'; bisection replaces a step that leaves the
+    bracket or fails to halve the previous one, `last`."""
+    if f <= 0.0:
+        hi = tau
+    else:
+        lo = tau
+    new = tau + step
+    done = abs(new - tau) <= _BISECT_REL * new
+    if not (done or lo < new < hi and abs(new - tau) <= 0.5 * last):
+        new = 0.5 * (lo + hi)
+        done = abs(new - tau) <= _BISECT_REL * new
+    return new, lo, hi, done
+
+
+def _waiting_time(prop: Propagator, decay, psi, u: float, t_max: float):
+    """First tau with survival(tau) = u and the unnormalized state there, or
+    (inf, None) where survival(t_max) > u. Each probe propagates the lower
+    grid row of the bracket, and f' = -<psi|decay|psi>/survival is exact."""
+    grid, rows, surv = _grid(prop, psi, t_max)
+    j = int(np.searchsorted(-surv, -u, side="left"))
+    if j == 0:
+        return 0.0, psi
+    if j > _GRID_POINTS:
+        return math.inf, None
+    lo, hi, row, log_u = float(grid[j - 1]), float(grid[j]), rows[j - 1], math.log(u)
+    with np.errstate(divide="ignore"):
+        a, b = np.log(surv[j - 1:j + 1]).tolist()
+    base, tau, last = lo, _start(lo, hi, a, b, log_u), hi - lo
+    while True:
+        v = prop.apply(row, tau - base)
+        s, rate = float(np.vdot(v, v).real), float(np.vdot(v, decay @ v).real)
+        f = (math.log(s) if s > 0.0 else -math.inf) - log_u
+        new, lo, hi, done = _update(tau, lo, hi, last, f, f * s / rate if rate else math.nan)
+        if done:
+            return new, prop.apply(row, max(new - base, 0.0))
+        tau, last = new, abs(new - tau)
+
+
+def _waiting_times(prop: Propagator, decay, psi, us, t_max: float) -> np.ndarray:
+    """`_waiting_time` for an array of levels, inf where survival(t_max) > u.
+    Each round probes every pending level from psi in one `states` call."""
+    grid, _, surv = _grid(prop, psi, t_max)
     idx = np.searchsorted(-surv, -us, side="left")
     out = np.where(idx == 0, 0.0, np.inf)
     work = np.nonzero((idx >= 1) & (idx <= _GRID_POINTS))[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_surv = np.log(surv)
-        # one (index, tau, lo, hi, log u, last step) per pending level, tau
-        # starting from the log-linear interpolant between the bracket ends
-        levels = []
-        for i, j, log_u in zip(work.tolist(), idx[work].tolist(),
-                               np.log(us[work]).tolist()):
-            lo, hi = float(grid[j - 1]), float(grid[j])
-            a, b = float(log_surv[j - 1]), float(log_surv[j])
-            tau = lo + (hi - lo) * (a - log_u) / (a - b) if a > b else math.nan
-            if not lo <= tau <= hi:
-                tau = 0.5 * (lo + hi)
-            levels.append((i, tau, lo, hi, log_u, hi - lo))
+        # one (index, tau, lo, hi, log u, last step) per pending level
+        low = idx[work] - 1
+        levels = [(i, _start(lo, hi, a, b, log_u), lo, hi, log_u, hi - lo)
+                  for i, lo, hi, a, b, log_u in zip(
+                      work.tolist(), grid[low].tolist(), grid[low + 1].tolist(),
+                      log_surv[low].tolist(), log_surv[low + 1].tolist(),
+                      np.log(us[work]).tolist())]
         while levels:
             _, taus, _, _, log_us, _ = zip(*levels)
             rows = prop.states(psi, np.array(taus))
@@ -98,15 +141,7 @@ def _waiting_times(prop: Propagator, decay, psi, us, t_max: float) -> np.ndarray
             pending = []
             for (i, tau, lo, hi, log_u, last), f_i, step in zip(
                     levels, f.tolist(), (f * s / rate).tolist()):
-                if f_i <= 0.0:
-                    hi = tau
-                else:
-                    lo = tau
-                new = tau + step
-                done = abs(new - tau) <= _BISECT_REL * new
-                if not (done or lo < new < hi and abs(new - tau) <= 0.5 * last):
-                    new = 0.5 * (lo + hi)
-                    done = abs(new - tau) <= _BISECT_REL * new
+                new, lo, hi, done = _update(tau, lo, hi, last, f_i, step)
                 if done:
                     out[i] = new
                 else:
@@ -139,15 +174,19 @@ def sample_jump_times(psi, gen: LindbladGenerator, us, t_max: float) -> np.ndarr
 def apply_jump(psi, gen: LindbladGenerator, rng: Generator):
     """Pick channel k with probability gamma_k |L_k psi|^2 / total and collapse."""
     psi = np.asarray(psi, dtype=complex)
-    jumps = [np.sqrt(rate) * (op @ psi) for rate, op in gen.channels]
-    weights = np.array([float(np.vdot(v, v).real) for v in jumps])
-    total = weights.sum()
+    jumps = [math.sqrt(rate) * (op @ psi) for rate, op in gen.channels]
+    weights = [float(np.vdot(v, v).real) for v in jumps]
+    total = sum(weights)
     if total <= _DARK_WEIGHT:
         raise PhysicsError("all jump amplitudes vanish: dark state cannot jump")
-    k = int(np.searchsorted(np.cumsum(weights) / total, rng.random(), side="right"))
-    k = min(k, len(jumps) - 1)
-    out = jumps[k]
-    return k, out / np.linalg.norm(out)
+    # k = number of cumulative fractions <= r, capped at the last channel
+    k, acc, r = 0, 0.0, rng.random()
+    for w in weights[:-1]:
+        acc += w
+        if acc / total > r:
+            break
+        k += 1
+    return k, jumps[k] / math.sqrt(weights[k])
 
 
 @dataclass(frozen=True)
@@ -185,12 +224,12 @@ def _run(psi0, gen, horizon, rng):
         end = prop.apply(psi, horizon - t)
         jump = False
         if np.vdot(end, end).real <= u:
-            tau = float(_waiting_times(prop, decay, psi, np.array([u]), horizon - t)[0])
+            tau, at = _waiting_time(prop, decay, psi, u, horizon - t)
             # a crossing rounded onto the horizon itself counts as no jump: the
             # record invariant keeps click times strictly inside the window
             jump = t + tau < horizon
-        psi = prop.apply(psi, tau) if jump else end
-        norm = np.linalg.norm(psi)
+        psi = at if jump else end
+        norm = math.sqrt(np.vdot(psi, psi).real)
         if norm == 0.0:
             raise PhysicsError("trajectory state collapsed to zero")
         psi = psi / norm

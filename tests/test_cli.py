@@ -610,6 +610,22 @@ class TestExitCodes:
         assert "k r = " in err and "l_max = " in err
         assert not out.exists()
 
+    def test_unbounded_traject_exits_3_before_any_trajectory(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # one driven trajectory to horizon 1e5 once took 9.4 s for 44475 clicks
+        ran = []
+        monkeypatch.setattr(cli, "run_trajectory", lambda *args: ran.append(args))
+        params = {"gamma": 1.0, "horizon": 1e17, "n_traj": 1, "omega": 1.0}
+        cfg = write_config(tmp_path, dict(TRAJECT, params=params))
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "long.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "n_traj * gamma * horizon = 1e+17" in err
+        assert ran == []
+        assert not out.exists()
+
     def test_hot_bath_dephase_is_finite(self, tmp_path, capsys):
         # y = T t up to 1e11, below (1 + T/omega_c)/4
         params = {"a": 1.0, "omega_c": 1.0, "temperature": 1e12, "d": 2,

@@ -12,6 +12,7 @@ from numpy.random import Generator, Philox
 from scipy.integrate import dblquad, quad
 from scipy.linalg import expm
 from scipy.optimize import brentq
+from scipy.stats import kstest
 
 from decolab.errors import PhysicsError
 from decolab.lindblad import (
@@ -343,10 +344,103 @@ class TestExceptionalPoint:
         assert 0 in counts and max(counts) >= most
 
 
+def post_jump_survival(omega, gamma, tau):
+    """Closed-form no-jump probability of the `traject` qubit (drive
+    omega sigma_x, decay of |0> into |1> at gamma) from |1>, where every
+    click leaves it: e^{-gamma tau/2} [(c + gamma s/4)^2 + (omega s)^2] with
+    c = cos(nu tau), s = sin(nu tau)/nu and nu = sqrt(omega^2 - gamma^2/16);
+    cosh and sinh below omega = gamma/4, and c = 1, s = tau at it. Minus its
+    derivative is the waiting-time density gamma omega^2 e^{-gamma tau/2} s^2."""
+    tau = np.asarray(tau, dtype=float)
+    nu2 = omega ** 2 - gamma ** 2 / 16
+    if nu2 > 0:
+        nu = math.sqrt(nu2)
+        c, s = np.cos(nu * tau), np.sin(nu * tau) / nu
+    elif nu2 < 0:
+        kappa = math.sqrt(-nu2)
+        c, s = np.cosh(kappa * tau), np.sinh(kappa * tau) / kappa
+    else:
+        c, s = 1.0, tau
+    return np.exp(-gamma * tau / 2) * ((c + gamma * s / 4) ** 2 + (omega * s) ** 2)
+
+
+class TestPostJumpWaitingTimes:
+    """Waiting times after a click follow the closed-form law of the driven
+    qubit, above and below the exceptional point omega = gamma/4 and at it,
+    where `traject` propagates in rk mode. Every KS test passes at p > 1e-7,
+    so a correct solver fails one with probability below 1e-7."""
+
+    CASES = pytest.mark.parametrize("omega, gamma, mode", [
+        (1.5, 1.5, "eig"), (0.25, 1.0, "rk"), (0.1, 0.8, "eig"),
+    ], ids=["omega=gamma", "omega=gamma/4", "omega=gamma/8"])
+
+    @staticmethod
+    def generator(omega, gamma, mode):
+        gen = LindbladGenerator(omega * SX, ((gamma, SP),))
+        assert trajectories._propagator(gen)[0].mode == mode
+        return gen
+
+    @staticmethod
+    def drained(omega, gamma):
+        """The time at which the survival from |1> falls to 1e-12."""
+        return brentq(lambda t: math.log(post_jump_survival(omega, gamma, t) / 1e-12),
+                      0.0, 700.0 / gamma)
+
+    @CASES
+    def test_closed_form_matches_expm(self, omega, gamma, mode):
+        h_c = omega * SX - 0.5j * gamma * SM @ SP
+        for tau in (0.3, 2.0, 9.0):
+            out = expm(-1j * tau * h_c) @ KET1
+            assert post_jump_survival(omega, gamma, tau) == pytest.approx(
+                float(np.vdot(out, out).real), rel=1e-13)
+
+    @CASES
+    def test_second_click_through_run_trajectory(self, omega, gamma, mode):
+        """The interval between the first and second clicks, each from a
+        trajectory whose first click leaves enough horizon that the survival
+        falls below 1e-12, so no interval is censored. At the exceptional
+        point rk mode costs about 20 ms per click, too much for a horizon of
+        tau(1e-12) = 68/gamma; there the horizon is 6/gamma, and the interval
+        is tested under the law truncated at the horizon left after the
+        first click, which is uniform once passed through its own CDF."""
+        gen = self.generator(omega, gamma, mode)
+        drained = self.drained(omega, gamma)
+        horizon, n_traj = ((drained + 10.0 / gamma, 120) if mode == "eig"
+                           else (6.0 / gamma, 30))
+        levels = []
+        for index in range(n_traj):
+            record, _ = run_trajectory(KET0, gen, horizon, seed=8, index=index)
+            if not record.events:
+                continue
+            t1 = record.events[0][0]
+            if mode == "eig" and horizon - t1 < drained:
+                continue
+            if len(record.events) >= 2:
+                left = 1.0 - post_jump_survival(omega, gamma, horizon - t1)
+                tau = record.events[1][0] - t1
+                levels.append((1.0 - post_jump_survival(omega, gamma, tau)) / left)
+            else:
+                assert mode == "rk", "an uncensored interval was lost"
+        assert len(levels) >= (100 if mode == "eig" else 10)
+        assert kstest(levels, "uniform").pvalue > 1e-7
+
+    @CASES
+    def test_from_the_ground_state_through_sample_jump_times(self, omega, gamma, mode):
+        gen = self.generator(omega, gamma, mode)
+        stream = Generator(Philox(key=np.array([8, 1], dtype=np.uint64)))
+        us = 1e-12 + (1.0 - 2e-12) * stream.random(5000 if mode == "eig" else 400)
+        taus = sample_jump_times(KET1, gen, us, self.drained(omega, gamma))
+        assert np.isfinite(taus).all()
+        surv = post_jump_survival(omega, gamma, taus)
+        np.testing.assert_allclose(surv, us, rtol=1e-8, atol=1e-12)
+        assert kstest(taus, lambda t: 1.0 - post_jump_survival(omega, gamma, t)).pvalue > 1e-7
+
+
 class TestWorkPerTrajectory:
     """The survival at the horizon is formed before any crossing is sought,
     so a trajectory makes one grid pass per click and none for its no-jump
-    tail."""
+    tail; the Newton probes of a solve start from the bracket's lower grid
+    row, never from the state at the start of the solve."""
 
     @staticmethod
     def count_states(monkeypatch):
@@ -360,6 +454,25 @@ class TestWorkPerTrajectory:
         monkeypatch.setattr(operator_core.Propagator, "states", counting)
         return calls
 
+    @staticmethod
+    def count_marches(monkeypatch):
+        """[number of stops, right-hand-side calls] of every RK45 `march`."""
+        marches = []
+        march = operator_core.march
+
+        def counting(fun, y0, ts, *args):
+            entry = [len(ts), 0]
+            marches.append(entry)
+
+            def rhs(y):
+                entry[1] += 1
+                return fun(y)
+
+            yield from march(rhs, y0, ts, *args)
+
+        monkeypatch.setattr(operator_core, "march", counting)
+        return marches
+
     def test_dark_state_makes_no_states_call(self, monkeypatch):
         calls = self.count_states(monkeypatch)
         record, psi = run_trajectory(KET0, decay_generator(1.5), 4.0, seed=7)
@@ -372,8 +485,37 @@ class TestWorkPerTrajectory:
         record, psi = run_trajectory(KET1, decay_generator(1.0), 30.0, seed=7)
         assert len(record.events) == 1
         assert np.allclose(psi, KET0, atol=1e-14)
-        assert calls.count(trajectories._GRID_POINTS + 1) == 1
-        assert set(calls) == {trajectories._GRID_POINTS + 1, 1}
+        assert calls == [trajectories._GRID_POINTS + 1]
+
+    def test_driven_clicks_make_one_states_call_each(self, monkeypatch):
+        calls = self.count_states(monkeypatch)
+        record, _ = run_trajectory(KET1, driven_decay_generator(1.3, 0.9), 12.0, seed=1)
+        assert len(record.events) >= 3
+        assert calls == [trajectories._GRID_POINTS + 1] * len(record.events)
+
+    def test_rk_probes_cost_a_few_steps(self, monkeypatch):
+        """On a forced-rk dim-70 solve the probes and the state at the click
+        cost under 5% of the grid pass's right-hand-side calls; probes that
+        re-integrated from the start of the solve cost 75% of it here."""
+        monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
+        rng = np.random.default_rng(3)
+        dim = 70
+        # every level but |0> decays into |0> through one channel, and |0> is
+        # dark and uncoupled, so the trajectory clicks at most once
+        c = np.concatenate([[0.0], rng.normal(size=dim - 1)])
+        c /= np.linalg.norm(c)
+        gen = LindbladGenerator(np.diag(np.concatenate([[0.0], rng.normal(size=dim - 1)])),
+                                ((0.3, np.outer(np.eye(dim)[0], c)),))
+        marches = self.count_marches(monkeypatch)
+        record, _ = run_trajectory(c, gen, 6.0, seed=5)
+        assert trajectories._propagator(gen)[0].mode == "rk"
+        assert len(record.events) == 1
+        # the end state at the horizon, then the grid, then the solve's
+        # probes and its state at the click, then the end state after it
+        (end, _), (grid, grid_rhs), *solve, (after, _) = marches
+        assert (end, grid, after) == (1, trajectories._GRID_POINTS, 1)
+        assert solve and all(stops == 1 for stops, _ in solve)
+        assert sum(rhs for _, rhs in solve) < 0.05 * grid_rhs
 
 
 class TestPropagatorCache:
