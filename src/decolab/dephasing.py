@@ -234,7 +234,8 @@ def _matsubara_sum(d: int, c: float, w: float, y: float) -> float:
 def F_th(j: SpectralDensity, temperature, t) -> float:
     """Thermal excess decay function, weight coth(w/2T) - 1 on top of J/w^2,
     as the series of the module docstring. A value beyond the float range
-    raises, naming a, T/omega_c and T t."""
+    raises, naming a, T/omega_c and T t, and so does a T/omega_c beyond it,
+    where the d = 1 series would round to 0."""
     temperature, t = float(temperature), float(t)
     if temperature < 0:
         raise PhysicsError("temperature must be nonnegative")
@@ -245,7 +246,7 @@ def F_th(j: SpectralDensity, temperature, t) -> float:
     c = temperature / j.omega_c
     y = temperature * t
     th = j.a * (2.0 * _matsubara_sum(j.d, c, 1.0 + c, y))
-    if not math.isfinite(th):
+    if not (math.isfinite(th) and math.isfinite(c)):
         raise PhysicsError(f"F_th overflows: a = {j.a!r}, T/omega_c = {c!r}, T t = {y!r}")
     return th
 

@@ -276,6 +276,8 @@ class Propagator:
         if t == 0.0:
             return x.copy()
         if self.mode == "eig":
+            if x.ndim == 1:
+                return self._vecs @ (np.exp(t * self._rates) * (self._inv @ x))
             cols = self._inv @ x.reshape(self.n, -1)
             return (self._vecs @ (np.exp(t * self._rates)[:, None] * cols)
                     ).reshape(x.shape)

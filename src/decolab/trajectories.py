@@ -62,11 +62,10 @@ def _norm_sq(rows) -> np.ndarray:
 
 
 def _grid(prop: Propagator, psi, t_max: float):
-    """The 257-point grid over [0, t_max], its rows and their running-minimum
-    survival, which brackets each level u at its first point <= u."""
+    """The 257-point grid over [0, t_max] and its running-minimum survival,
+    which brackets each level u at its first point <= u."""
     grid = t_max * _UNIT_GRID
-    rows = prop.states(psi, grid)
-    return grid, rows, np.minimum.accumulate(_norm_sq(rows))
+    return grid, np.minimum.accumulate(_norm_sq(prop.states(psi, grid)))
 
 
 def _start(lo, hi, a, b, log_u):
@@ -92,34 +91,33 @@ def _update(tau, lo, hi, last, f, step):
     return new, lo, hi, done
 
 
-def _waiting_time(prop: Propagator, decay, psi, u: float, t_max: float):
-    """First tau with survival(tau) = u and the unnormalized state there, or
-    (inf, None) where survival(t_max) > u. Each probe propagates the lower
-    grid row of the bracket, and f' = -<psi|decay|psi>/survival is exact."""
-    grid, rows, surv = _grid(prop, psi, t_max)
-    j = int(np.searchsorted(-surv, -u, side="left"))
-    if j == 0:
-        return 0.0, psi
-    if j > _GRID_POINTS:
-        return math.inf, None
-    lo, hi, row, log_u = float(grid[j - 1]), float(grid[j]), rows[j - 1], math.log(u)
-    with np.errstate(divide="ignore"):
-        a, b = np.log(surv[j - 1:j + 1]).tolist()
-    base, tau, last = lo, _start(lo, hi, a, b, log_u), hi - lo
+def _waiting_time(prop: Propagator, decay, psi, u: float, t_max: float, s_end: float):
+    """First tau with survival(tau) = u and the unnormalized state there, for
+    a level the survival s_end at t_max has reached (s_end <= u). Survival
+    never rises, so [0, t_max] brackets it without a grid. Each probe
+    propagates the bracket's lower state, which a probe above the level
+    replaces, and f' = -<psi|decay|psi>/survival is exact."""
+    log_u = math.log(u)
+    b = math.log(s_end) if s_end > 0.0 else -math.inf
+    lo, hi, row = 0.0, t_max, psi
+    base, tau, last = lo, _start(lo, hi, 0.0, b, log_u), hi - lo
     while True:
         v = prop.apply(row, tau - base)
         s, rate = float(np.vdot(v, v).real), float(np.vdot(v, decay @ v).real)
         f = (math.log(s) if s > 0.0 else -math.inf) - log_u
         new, lo, hi, done = _update(tau, lo, hi, last, f, f * s / rate if rate else math.nan)
+        if f > 0.0:
+            base, row = tau, v
         if done:
             return new, prop.apply(row, max(new - base, 0.0))
         tau, last = new, abs(new - tau)
 
 
 def _waiting_times(prop: Propagator, decay, psi, us, t_max: float) -> np.ndarray:
-    """`_waiting_time` for an array of levels, inf where survival(t_max) > u.
-    Each round probes every pending level from psi in one `states` call."""
-    grid, _, surv = _grid(prop, psi, t_max)
+    """Waiting times for an array of levels, inf where survival(t_max) > u.
+    A 257-point grid brackets every level, and each Newton round probes
+    every pending level from psi in one `states` call."""
+    grid, surv = _grid(prop, psi, t_max)
     idx = np.searchsorted(-surv, -us, side="left")
     out = np.where(idx == 0, 0.0, np.inf)
     work = np.nonzero((idx >= 1) & (idx <= _GRID_POINTS))[0]
@@ -222,9 +220,10 @@ def _run(psi0, gen, horizon, rng):
         # the state at the horizon first: no crossing is sought unless its
         # survival has fallen to u, and it is the end state when none follows
         end = prop.apply(psi, horizon - t)
+        s_end = float(np.vdot(end, end).real)
         jump = False
-        if np.vdot(end, end).real <= u:
-            tau, at = _waiting_time(prop, decay, psi, u, horizon - t)
+        if s_end <= u:
+            tau, at = _waiting_time(prop, decay, psi, u, horizon - t, s_end)
             # a crossing rounded onto the horizon itself counts as no jump: the
             # record invariant keeps click times strictly inside the window
             jump = t + tau < horizon

@@ -319,6 +319,16 @@ class TestThermalDecay:
         assert F_th(j, 0.0, 5.0) == 0.0
         assert F_th(j, 2.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_raises_where_the_cutoff_ratio_overflows(self, d):
+        """T/omega_c = 1e320 rounds to inf. F_th is about (d - 1)! a T t^2
+        omega_c there, which the series cannot reach, so every d raises
+        naming a, T/omega_c and T t; d = 1 once returned 0.0."""
+        j = SpectralDensity(a=1.0, omega_c=1e-160, d=d)
+        with pytest.raises(PhysicsError,
+                           match=r"a = 1\.0, T/omega_c = inf, T t = 1e\+160"):
+            F_th(j, 1e160, 1.0)
+
     def test_long_time_linear_in_t(self):
         # deep thermal regime: slope approaches a/t_T with O(t_T/t) correction
         j = SpectralDensity(a=0.7, omega_c=1.0)

@@ -191,6 +191,16 @@ class TestPropagator:
             with pytest.raises(PhysicsError, match="nonnegative"):
                 prop.states(psi, np.array([0.3, bad]))
 
+    def test_vector_apply_is_one_column_apply(self, rng):
+        """Eig mode contracts a vector directly, with no reshape to a column;
+        the result is the one-column matrix result bit for bit."""
+        for dim in range(2, 71, 4):
+            prop = oc.Propagator(effective_hamiltonian(random_generator(rng, dim, 1)))
+            assert prop.mode == "eig"
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            for t in (0.05, 0.7, 3.0):
+                assert np.array_equal(prop.apply(psi, t), prop.apply(psi[:, None], t)[:, 0])
+
     def test_derivative_route(self, rng):
         drift = effective_hamiltonian(random_generator(rng, 4))
         prop = oc.Propagator(derivative=lambda y: -1j * drift @ y)
