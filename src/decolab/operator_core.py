@@ -252,6 +252,7 @@ class Propagator:
 
     def __init__(self, k=None, derivative=None, rtol=1e-10, atol=1e-13):
         self.rtol, self.atol, self._fun, self.n = rtol, atol, derivative, None
+        self._stack = None
         if k is None:
             self.mode = "rk"
             return
@@ -303,6 +304,86 @@ class Propagator:
                     rows[i] = y.reshape(x.shape)
                     i += 1
         return rows[where]
+
+    def segment(self, x):
+        """The evolution y(t) = exp(-i t K) x of one vector x, for a caller
+        that seeks where |y|^2 first falls to a level: an `_EigSegment` or an
+        `_RkSegment`, which share one interface."""
+        x = np.asarray(x, dtype=complex)
+        if self.n is not None and x.shape != (self.n,):
+            raise DimensionError(f"segment of a state of shape {x.shape} for K of order {self.n}")
+        if self.mode == "rk":
+            return _RkSegment(self, x)
+        if self._stack is None:
+            # [V; V diag(rates)] maps eigen coordinates w to [y; dy/dt]
+            self._stack = np.vstack([self._vecs, self._vecs * self._rates])
+        return _EigSegment(self, x)
+
+
+def _norm_sq(y) -> float:
+    return float(np.vdot(y, y).real)
+
+
+class _EigSegment:
+    """y(t) from the eigen coordinates c = V^-1 x, formed once: every state
+    is V (e^{t rates} * c), bit for bit `Propagator.apply(x, t)`, and none
+    is propagated from another.
+
+    `bracket(level, t_end)` returns (lo, hi, |y(lo)|^2, |y(hi)|^2, y(hi))
+    with lo = 0 and hi = t_end. `probe(t)` returns y(t), |y(t)|^2 and its
+    rate of loss -d|y|^2/dt = -2 Re <y|dy/dt>, all from one product with
+    [V; V diag(rates)]. `at(t)` returns y(t)."""
+
+    def __init__(self, prop: Propagator, x):
+        self._rates, self._vecs, self._stack = prop._rates, prop._vecs, prop._stack
+        self._n, self._c, self._s0 = prop.n, prop._inv @ x, _norm_sq(x)
+
+    def at(self, t: float) -> np.ndarray:
+        return self._vecs @ (np.exp(t * self._rates) * self._c)
+
+    def bracket(self, level: float, t_end: float):
+        end = self.at(t_end)
+        return 0.0, t_end, self._s0, _norm_sq(end), end
+
+    def probe(self, t: float):
+        both, n = self._stack @ (np.exp(t * self._rates) * self._c), self._n
+        y, dy = both[:n], both[n:]
+        return y, _norm_sq(y), -2.0 * float(np.vdot(y, dy).real)
+
+
+class _RkSegment:
+    """y(t) by RK45, with the `_EigSegment` interface. `bracket` makes one
+    `march` from x toward t_end and leaves it at the first accepted step
+    with |y|^2 <= level, so nothing past the crossing is integrated: that
+    step is hi and the one before it lo. Without a crossing the march ends
+    at hi = t_end, and y(hi) is the end state. After it, `probe(t)` and
+    `at(t)` for t >= lo make one-stop marches from y(lo), and the probe's
+    rate of loss is -2 Re <y|fun(y)>."""
+
+    def __init__(self, prop: Propagator, x):
+        self._prop, self._x, self._lo, self._y_lo = prop, x, 0.0, x
+
+    def at(self, t: float) -> np.ndarray:
+        prop, y = self._prop, self._y_lo
+        if t > self._lo:
+            for _, y in march(prop._fun, y, (t - self._lo,), prop.rtol, prop.atol):
+                pass
+        return y
+
+    def bracket(self, level: float, t_end: float):
+        prop, lo, y_lo = self._prop, 0.0, self._x
+        s_lo = _norm_sq(y_lo)
+        for hi, y in march(prop._fun, y_lo, (t_end,), prop.rtol, prop.atol):
+            s = _norm_sq(y)
+            if s <= level:
+                break
+            lo, y_lo, s_lo = hi, y, s
+        self._lo, self._y_lo = float(lo), y_lo
+        return self._lo, float(hi), s_lo, s, y
+
+    def probe(self, t: float):
+        y = self.at(t)
+        return y, _norm_sq(y), -2.0 * float(np.vdot(y, self._prop._fun(y)).real)
 
 
 def trace_distance(rho, sigma) -> float:

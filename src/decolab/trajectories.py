@@ -10,6 +10,7 @@ deterministic master-equation solution.
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -91,25 +92,21 @@ def _update(tau, lo, hi, last, f, step):
     return new, lo, hi, done
 
 
-def _waiting_time(prop: Propagator, decay, psi, u: float, t_max: float, s_end: float):
-    """First tau with survival(tau) = u and the unnormalized state there, for
-    a level the survival s_end at t_max has reached (s_end <= u). Survival
-    never rises, so [0, t_max] brackets it without a grid. Each probe
-    propagates the bracket's lower state, which a probe above the level
-    replaces, and f' = -<psi|decay|psi>/survival is exact."""
+def _waiting_time(seg, u: float, lo: float, hi: float, s_lo: float, s_hi: float) -> float:
+    """First tau with survival(tau) = u on the segment `seg`
+    (`Propagator.segment`), given the bracket [lo, hi] of its `bracket` call
+    with survivals s_lo > u >= s_hi. Each probe reads the survival s and
+    its rate of loss from `seg.probe`, so f = log s - log u has the exact
+    f' = -rate/s."""
     log_u = math.log(u)
-    b = math.log(s_end) if s_end > 0.0 else -math.inf
-    lo, hi, row = 0.0, t_max, psi
-    base, tau, last = lo, _start(lo, hi, 0.0, b, log_u), hi - lo
+    b = math.log(s_hi) if s_hi > 0.0 else -math.inf
+    tau, last = _start(lo, hi, math.log(s_lo), b, log_u), hi - lo
     while True:
-        v = prop.apply(row, tau - base)
-        s, rate = float(np.vdot(v, v).real), float(np.vdot(v, decay @ v).real)
+        _, s, rate = seg.probe(tau)
         f = (math.log(s) if s > 0.0 else -math.inf) - log_u
         new, lo, hi, done = _update(tau, lo, hi, last, f, f * s / rate if rate else math.nan)
-        if f > 0.0:
-            base, row = tau, v
         if done:
-            return new, prop.apply(row, max(new - base, 0.0))
+            return new
         tau, last = new, abs(new - tau)
 
 
@@ -204,30 +201,47 @@ class JumpRecord:
             last = t
 
 
+# one reusable Philox per thread: resetting its state costs a fraction of
+# constructing one, and each thread resets only its own
+_STREAMS = threading.local()
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
 def _stream(base_seed: int, index: int) -> Generator:
-    # counter-based streams: trajectory i of seed s draws from key (s, i),
-    # so distinct seeds or indices never share a stream
-    return Generator(Philox(key=np.array([base_seed, index], dtype=np.uint64)))
+    """The Generator of key (seed, index), reset to the state a fresh
+    `Generator(Philox(key=...))` starts from, so it gives the same draws.
+    Counter-based streams: distinct seeds or indices never share a stream.
+    The Generator is this thread's only one, valid until the next call."""
+    key = np.array([base_seed, index], dtype=np.uint64)
+    rng = getattr(_STREAMS, "rng", None)
+    if rng is None:
+        rng = _STREAMS.rng = Generator(Philox(key=key))
+    else:
+        rng.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _run(psi0, gen, horizon, rng):
-    prop, decay = _propagator(gen)
+    prop = _propagator(gen)[0]
     psi, t, events = np.array(psi0, dtype=complex), 0.0, []
     while t < horizon:
         u = rng.random()
         while u == 0.0:
             u = rng.random()
-        # the state at the horizon first: no crossing is sought unless its
-        # survival has fallen to u, and it is the end state when none follows
-        end = prop.apply(psi, horizon - t)
-        s_end = float(np.vdot(end, end).real)
+        # one segment per stretch between clicks: its bracket forms the state
+        # at the horizon (in rk mode, unless the survival falls to u on the
+        # way), and no crossing is sought unless the survival has fallen to u
+        seg, t_max = prop.segment(psi), horizon - t
+        lo, hi, s_lo, s_hi, psi = seg.bracket(u, t_max)
         jump = False
-        if s_end <= u:
-            tau, at = _waiting_time(prop, decay, psi, u, horizon - t, s_end)
+        if s_hi <= u:
+            tau = _waiting_time(seg, u, lo, hi, s_lo, s_hi)
             # a crossing rounded onto the horizon itself counts as no jump: the
             # record invariant keeps click times strictly inside the window
             jump = t + tau < horizon
-        psi = at if jump else end
+            psi = seg.at(tau if jump else t_max)
         norm = math.sqrt(np.vdot(psi, psi).real)
         if norm == 0.0:
             raise PhysicsError("trajectory state collapsed to zero")
@@ -244,7 +258,7 @@ def _initial_state(psi0) -> np.ndarray:
     """psi0 as a complex array; PhysicsError unless its norm is within
     _NORM_TOL of 1 (so a NaN or inf entry fails)."""
     psi0 = np.asarray(psi0, dtype=complex)
-    if not abs(np.linalg.norm(psi0) - 1.0) <= _NORM_TOL:
+    if not abs(math.sqrt(np.vdot(psi0, psi0).real) - 1.0) <= _NORM_TOL:
         raise PhysicsError("initial state must be normalized")
     return psi0
 

@@ -201,6 +201,66 @@ class TestPropagator:
             for t in (0.05, 0.7, 3.0):
                 assert np.array_equal(prop.apply(psi, t), prop.apply(psi[:, None], t)[:, 0])
 
+    def test_eig_segment_states_are_apply_bit_for_bit(self, rng):
+        """An eig-mode segment forms c = V^-1 x once. Its end state, every
+        probe state and every state `at` a time equal `apply(x, t)` bit for
+        bit, whatever order the times come in, and a probe's rate of loss
+        is <y|i(K - K†)|y>."""
+        for dim in range(2, 71, 4):
+            drift = effective_hamiltonian(random_generator(rng, dim, 1))
+            prop = oc.Propagator(drift)
+            assert prop.mode == "eig"
+            loss = 1j * (drift - drift.conj().T)
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            seg = prop.segment(psi)
+            lo, hi, s_lo, s_hi, end = seg.bracket(0.5, 2.5)
+            want = prop.apply(psi, 2.5)
+            assert (lo, hi, s_lo) == (0.0, 2.5, float(np.vdot(psi, psi).real))
+            assert np.array_equal(end, want) and s_hi == float(np.vdot(want, want).real)
+            for t in rng.permutation(np.concatenate([rng.uniform(0.0, 2.5, 8), [2.5]])):
+                want = prop.apply(psi, t)
+                y, s, rate = seg.probe(t)
+                assert np.array_equal(y, want) and np.array_equal(seg.at(t), want)
+                assert s == float(np.vdot(want, want).real)
+                assert rate == pytest.approx(np.vdot(want, loss @ want).real, rel=1e-9)
+
+    def test_rk_segment_stops_at_the_crossing(self, rng, monkeypatch):
+        """An rk-mode segment's bracket leaves its one `march` at the first
+        accepted step whose |y|^2 is at or below the level, and probes march
+        from the step before; without a crossing it ends on the state
+        `apply` forms, bit for bit."""
+        self.force(monkeypatch, "rk")
+        drift = effective_hamiltonian(random_generator(rng, 6))
+        prop = oc.Propagator(drift)
+        assert prop.mode == "rk"
+        psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+        psi /= np.linalg.norm(psi)
+        steps, march = [], oc.march
+
+        def recording(fun, y0, ts, *args):
+            for t, y in march(fun, y0, ts, *args):
+                steps.append(t)
+                yield t, y
+
+        monkeypatch.setattr(oc, "march", recording)
+        lo, hi, s_lo, s_end, end = prop.segment(psi).bracket(0.0, 4.0)
+        assert hi == 4.0 and s_end > 0.0
+        assert np.array_equal(end, prop.apply(psi, 4.0))
+        level = 0.5 * (1.0 + s_end)
+        steps.clear()
+        seg = prop.segment(psi)
+        lo, hi, s_lo, s_hi, y_hi = seg.bracket(level, 4.0)
+        assert steps[-2:] == [lo, hi] and hi < 4.0
+        assert s_lo > level >= s_hi
+        np.testing.assert_allclose(y_hi, expm(-1j * hi * drift) @ psi, rtol=0, atol=1e-9)
+        for t in (lo, 0.5 * (lo + hi), hi):
+            y, s, rate = seg.probe(t)
+            want = expm(-1j * t * drift) @ psi
+            np.testing.assert_allclose(y, want, rtol=0, atol=1e-9)
+            assert np.array_equal(seg.at(t), y)
+            assert rate == pytest.approx(
+                np.vdot(want, 1j * (drift - drift.conj().T) @ want).real, rel=1e-8)
+
     def test_derivative_route(self, rng):
         drift = effective_hamiltonian(random_generator(rng, 4))
         prop = oc.Propagator(derivative=lambda y: -1j * drift @ y)

@@ -4,6 +4,8 @@ import csv
 import gc
 import json
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -14,7 +16,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
-from decolab.errors import PhysicsError
+from decolab.errors import DimensionError, PhysicsError
 from decolab.lindblad import (
     CoherentStateSpec,
     LindbladGenerator,
@@ -215,9 +217,10 @@ class TestWaitingTimes:
 
 
 class TestDriversAgree:
-    """The one-level driver `_run` uses brackets a level by [0, t_max] and
-    the end survival; `sample_jump_times` brackets it on a 257-point grid.
-    Each is the other's oracle over levels from a fixed stream."""
+    """The one-level driver that `_run` uses takes its bracket from a
+    `Propagator.segment` (in eig mode [0, t_max] and the end survival);
+    `sample_jump_times` brackets a level on a 257-point grid. Each is the
+    other's oracle over levels from a fixed stream."""
 
     @pytest.mark.parametrize("gen, psi", [
         (driven_decay_generator(1.3, 0.9), (KET0 + 0.5j * KET1) / math.sqrt(1.25)),
@@ -225,7 +228,7 @@ class TestDriversAgree:
         (decay_generator(0.7), (KET0 + KET1) / math.sqrt(2.0)),
     ], ids=["driven", "decay", "decay-to-half"])
     def test_grid_free_driver_matches_grid_driver(self, gen, psi):
-        prop, decay = trajectories._propagator(gen)
+        prop = trajectories._propagator(gen)[0]
         assert prop.mode == "eig"
         t_max = 12.0
         end = prop.apply(psi, t_max)
@@ -236,10 +239,40 @@ class TestDriversAgree:
         assert us.size >= 200
         taus = sample_jump_times(psi, gen, us, t_max)
         for u, want in zip(us.tolist(), taus.tolist()):
-            tau, at = trajectories._waiting_time(prop, decay, psi, u, t_max, s_end)
+            seg = prop.segment(psi)
+            tau = trajectories._waiting_time(seg, u, *seg.bracket(u, t_max)[:4])
             assert tau == pytest.approx(want, rel=1e-12)
             ref = no_jump_propagate(psi, gen, tau)
-            assert np.linalg.norm(at - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.linalg.norm(seg.at(tau) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestRkSegment:
+    """In rk mode the one-level driver solves on a segment whose bracket
+    march stopped at the crossing, and probes march from the step before;
+    waiting times and states at the click hold the `expm` oracle to the
+    1e-9 bar of rk mode."""
+
+    US = [0.01, 0.05, 0.2, 0.45, 0.7, 0.93]
+
+    def test_waiting_time_and_state_match_expm(self, monkeypatch):
+        monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
+        gen = driven_decay_generator(1.3, 0.9)
+        prop = trajectories._propagator(gen)[0]
+        assert prop.mode == "rk"
+        psi = (KET0 + 0.5j * KET1) / math.sqrt(1.25)
+        h_c = effective_hamiltonian(gen)
+        t_max = 12.0
+        for u in self.US:
+            seg = prop.segment(psi)
+            lo, hi, s_lo, s_hi, _ = seg.bracket(u, t_max)
+            assert s_lo > u >= s_hi and hi < t_max
+            tau = trajectories._waiting_time(seg, u, lo, hi, s_lo, s_hi)
+            want = brentq(lambda t: math.log(
+                np.linalg.norm(expm(-1j * t * h_c) @ psi) ** 2 / u),
+                0.0, t_max, xtol=1e-14, rtol=1e-15)
+            assert tau == pytest.approx(want, rel=1e-9)
+            ref = expm(-1j * tau * h_c) @ psi
+            assert np.linalg.norm(seg.at(tau) - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 class TestPropagatorModes:
@@ -427,8 +460,9 @@ class TestPostJumpWaitingTimes:
         """The interval between the first and second clicks, each from a
         trajectory whose first click leaves enough horizon that the survival
         falls below 1e-12, so no interval is censored. At the exceptional
-        point rk mode costs about 20 ms per click, too much for a horizon of
-        tau(1e-12) = 68/gamma; there the horizon is 6/gamma, and the interval
+        point rk mode costs about 5 ms per click, so 120 trajectories past a
+        horizon of tau(1e-12) = 68/gamma would take about 9 s; there the
+        horizon is 6/gamma, and the interval
         is tested under the law truncated at the horizon left after the
         first click, which is uniform once passed through its own CDF."""
         gen = self.generator(omega, gamma, mode)
@@ -465,12 +499,12 @@ class TestPostJumpWaitingTimes:
 
 
 class TestWorkPerTrajectory:
-    """The survival at the horizon is formed before any crossing is sought,
-    and survival never rises, so a click's level is bracketed by [0, time
-    left] with no grid pass: in eig mode a trajectory makes no
-    `Propagator.states` call at all. Each probe of a solve propagates the
-    bracket's current lower state over the step to it, so in rk mode every
-    march has one stop."""
+    """Each stretch between clicks is one `Propagator.segment`. Survival
+    never rises, so a click's level is bracketed with no grid pass: in eig
+    mode by [0, time left] and the end survival, and a trajectory makes no
+    `Propagator.states` call at all. In rk mode the bracket march stops at
+    the first step at or below the level, the probes march from the step
+    before, and every march has one stop, so nothing is integrated twice."""
 
     @staticmethod
     def count_states(monkeypatch):
@@ -525,9 +559,10 @@ class TestWorkPerTrajectory:
 
     def test_rk_probes_cost_a_few_steps(self, monkeypatch):
         """On a forced-rk dim-70 one-click trajectory every RK45 `march` has
-        one stop: the end states, the probes and the state at the click.
-        Their right-hand-side calls (4950 here) stay under a ceiling about
-        10% above that."""
+        one stop: the bracket marches, the probes and the state at the
+        click. Their right-hand-side calls (670 here, 4950 when the end
+        state was formed before the solve re-integrated toward the crossing)
+        stay under a ceiling about 10% above that."""
         monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
         rng = np.random.default_rng(3)
         dim = 70
@@ -541,11 +576,27 @@ class TestWorkPerTrajectory:
         record, _ = run_trajectory(c, gen, 6.0, seed=5)
         assert trajectories._propagator(gen)[0].mode == "rk"
         assert len(record.events) == 1
-        # the end state at the horizon, then the probes, the state at the
-        # click and the end state after it
+        # the bracket march to the crossing, then the probes, the state at
+        # the click and the bracket march to the horizon after it
         assert len(marches) >= 4
         assert all(stops == 1 for stops, _ in marches)
-        assert sum(rhs for _, rhs in marches) < 5500
+        assert sum(rhs for _, rhs in marches) < 740
+
+    def test_rk_oscillator_integrates_nothing_twice(self, monkeypatch):
+        """Five forced-rk trajectories of a dim-20 damped oscillator from a
+        coherent state (12 clicks): right-hand-side calls stay under a
+        ceiling about 10% above the 21790 measured, where forming each end
+        state and then re-integrating toward the crossing took 79018."""
+        monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
+        gen = damped_oscillator_generator(1.0, 0.5, 20)
+        psi = coherent_vector(CoherentStateSpec(2.0, 20))
+        marches = self.count_marches(monkeypatch)
+        clicks = sum(len(run_trajectory(psi, gen, 3.0, seed=1, index=i)[0].events)
+                     for i in range(5))
+        assert trajectories._propagator(gen)[0].mode == "rk"
+        assert clicks == 12
+        assert all(stops == 1 for stops, _ in marches)
+        assert sum(rhs for _, rhs in marches) < 24000
 
 
 class TestPropagatorCache:
@@ -583,6 +634,52 @@ class TestPropagatorCache:
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+class TestStreams:
+    """Trajectory `index` of `seed` draws from Philox key (seed, index).
+    Each thread resets one Generator to that key instead of building one,
+    and the draws are those of a fresh `Generator(Philox(key=...))`."""
+
+    @staticmethod
+    def draws(rng):
+        # an odd number of 32-bit draws leaves half a 64-bit word buffered
+        return [rng.random(5), rng.integers(0, 2**32, 3, dtype=np.uint32),
+                rng.random(), rng.standard_normal(4), rng.integers(0, 7, 5)]
+
+    def test_interleaved_keys_match_fresh_generators(self):
+        for key in [(5, 3), (7, 0), (5, 3), (0, 2**64 - 1), (7, 0), (5, 3)]:
+            want = self.draws(Generator(Philox(key=np.array(key, dtype=np.uint64))))
+            got = self.draws(trajectories._stream(*key))
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_two_threads_keep_their_own_streams(self):
+        """Two threads running trajectories at once, with the interpreter
+        switching between them every microsecond, give the records of one
+        thread alone."""
+        gen = driven_decay_generator(1.3, 0.9)
+        n = 40
+        want = [run_trajectory(KET0, gen, 4.0, seed=6, index=i)[0] for i in range(n)]
+        got = [[], []]
+
+        def work(out):
+            for i in range(n):
+                out.append(run_trajectory(KET0, gen, 4.0, seed=6, index=i)[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in got]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(len(r.events) for r in want) >= n
+        assert got == [want, want]
 
 
 class TestJumps:
@@ -743,6 +840,17 @@ class TestRunTrajectory:
         gen = decay_generator(1.0)
         with pytest.raises(PhysicsError):
             run_trajectory(KET1, gen, 0.0, seed=0)
+
+    @pytest.mark.parametrize("psi0", [np.array([0, 1, 0], dtype=complex), KET1[:, None]],
+                             ids=["length-3", "column"])
+    def test_state_of_another_shape_refused(self, psi0):
+        """A trajectory propagates one vector of the generator's dimension;
+        a longer one, or a column, is DimensionError."""
+        gen = decay_generator(1.0)
+        with pytest.raises(DimensionError):
+            run_trajectory(psi0, gen, 2.0, seed=0)
+        with pytest.raises(DimensionError):
+            ensemble_average(psi0, gen, 2.0, 2, 0)
 
     @pytest.mark.parametrize("horizon", BAD_HORIZONS)
     def test_horizon_refused(self, horizon):
