@@ -53,7 +53,7 @@ from .lindblad import (
 )
 from .pointer_states import (
     evolve_robust,
-    qbm_pointer_generator,
+    qbm_pointer_particle,
     qbm_soliton_width,
     state_width,
 )
@@ -324,6 +324,10 @@ _LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 # the click rate gamma |<0|psi>|^2 never exceeds gamma, so n_traj * gamma *
 # horizon bounds the expected clicks of a traject run; above this it is refused
 _MAX_CLICKS = 1e7
+# accepted RK45 steps of the pointer flow grow as t_max * rho, rho its
+# spectral radius, and each keeps a snapshot of grid_points values; above
+# this t_max * rho * grid_points a pointer run is refused
+_MAX_FLOW_WORK = 5e7
 
 
 def _run_dephase(cfg):
@@ -339,7 +343,7 @@ def _run_dephase(cfg):
         regimes = [""] * len(ts)
     columns = {"t": [float(t) for t in ts], "f_vac": f_vac, "f_th": f_th,
                "visibility": visibility, "regime": regimes}
-    summary = [f"visibility at t = {p['t_max']:g}: {visibility[-1]:.6g}"]
+    summary = [f"visibility at t = {ts[-1]:g}: {visibility[-1]:.6g}"]
     if j.d == 1:
         summary.append(f"final regime: {regimes[-1]}")
     return columns, summary
@@ -524,11 +528,19 @@ def _run_pointer(cfg):
     span = p["span"] if p["span"] is not None else 20.0 * sigma0
     width0 = p["width0"] if p["width0"] is not None else 2.0 * sigma0
     grid = np.linspace(-0.5 * span, 0.5 * span, p["grid_points"])
-    gen = qbm_pointer_generator(p["mass"], p["gamma"], p["temperature"], grid)
+    particle = qbm_pointer_particle(p["mass"], p["gamma"], p["temperature"], grid)
+    work = p["t_max"] * particle.spectral_radius * grid.size
+    if work > _MAX_FLOW_WORK:
+        raise PhysicsError(
+            f"flow work t_max * spectral radius * grid_points = {work:.3g}, "
+            f"above the cost bound {_MAX_FLOW_WORK:.0e}")
     xi0 = np.exp(-grid**2 / (4.0 * width0**2)).astype(complex)
     xi0 /= np.linalg.norm(xi0)
-    snaps = evolve_robust(xi0, gen, p["t_max"])
-    picks = sorted(set(np.linspace(0, len(snaps) - 1, p["n_points"]).astype(int)))
+    snaps = evolve_robust(xi0, particle, p["t_max"])
+    last = len(snaps) - 1
+    # a single row is the final state, not the initial one
+    picks = sorted(set(np.linspace(0, last, p["n_points"]).astype(int))) \
+        if p["n_points"] > 1 else [last]
     cols = {"t": [snaps[i].t for i in picks],
             "width": [state_width(grid, snaps[i].xi) for i in picks]}
     return cols, [f"stationary width sigma0 = {sigma0:.6g}",

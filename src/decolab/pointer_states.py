@@ -6,7 +6,9 @@ flow evolves a single pure state so that its projector follows the double
 commutator [P, [P, L(P)]], staying exactly pure; its operator work is
 compiled once per generator, a diagonal channel kept as a vector. For a free
 particle whose position is monitored, the flow has Gaussian fixed points of a
-definite width, computed here on a position grid with spectral momentum.
+definite width, computed here on a periodic position grid: the kinetic term
+acts through the FFT and the monitor as a diagonal, so no n x n matrix is
+formed.
 """
 
 from __future__ import annotations
@@ -27,13 +29,35 @@ _RTOL = 1e-8
 _ATOL = 1e-10
 
 
+@dataclass(frozen=True, eq=False)
+class MonitoredParticle:
+    """Free particle on a periodic uniform grid with its position monitored:
+    H has the unitary-DFT eigenvalues `kinetic` (numpy FFT order), and the
+    one channel, at `rate`, is diagonal in x with diagonal `monitor`. Built
+    by `qbm_pointer_particle`, which copies the grid and makes all three
+    arrays read-only."""
+
+    grid: np.ndarray
+    kinetic: np.ndarray
+    rate: float
+    monitor: np.ndarray
+
+    @property
+    def spectral_radius(self) -> float:
+        """Stiffness estimate of the flow: the largest kinetic eigenvalue
+        plus rate/2 times the squared range of the monitor diagonal, the
+        largest decay rate the channel term can reach on the grid."""
+        spread = float(self.monitor.max() - self.monitor.min())
+        return float(np.abs(self.kinetic).max()) + 0.5 * self.rate * spread**2
+
+
 @dataclass(frozen=True)
 class RobustStateFlow:
     """Accepted-step snapshot of the nonlinear flow: a normalized pure state
     vector, the generator driving it, and the time it was reached."""
 
     xi: np.ndarray
-    gen: LindbladGenerator
+    gen: LindbladGenerator | MonitoredParticle
     t: float
 
     def __post_init__(self):
@@ -53,7 +77,7 @@ def linear_entropy_rate(rho, gen: LindbladGenerator) -> float:
     return float(-2.0 * np.trace(rho @ apply_generator(gen, rho)).real)
 
 
-def nonlinear_rhs(xi, gen: LindbladGenerator) -> np.ndarray:
+def nonlinear_rhs(xi, gen: LindbladGenerator | MonitoredParticle) -> np.ndarray:
     """Pure-state flow derivative: -iH xi plus, per channel with rate g,
     g[<L+>(L - <L>) - (L+L - <L+L>)/2] xi, expectations taken in xi.
 
@@ -64,9 +88,14 @@ def nonlinear_rhs(xi, gen: LindbladGenerator) -> np.ndarray:
     return _flow_rhs(gen)(xi)
 
 
-def _flow_rhs(gen: LindbladGenerator):
-    """`nonlinear_rhs` compiled for one generator: L+L formed once per
-    channel, and a diagonal L kept as its diagonal d, with L+L = |d|^2."""
+def _flow_rhs(gen: LindbladGenerator | MonitoredParticle):
+    """`nonlinear_rhs` compiled for one generator. A MonitoredParticle applies
+    H as ifft(kinetic * fft(xi)) and folds its real monitor diagonal d into
+    one coefficient vector, rate [<d> d - d^2/2 + <d^2>/2 - <d>^2], with <.>
+    taken in xi. A LindbladGenerator forms L+L once per channel and keeps a
+    diagonal L as its diagonal d, with L+L = |d|^2."""
+    if isinstance(gen, MonitoredParticle):
+        return _particle_rhs(gen)
     h, terms = gen.hamiltonian, []
     for rate, op in gen.channels:
         diag = np.diagonal(op)
@@ -89,6 +118,24 @@ def _flow_rhs(gen: LindbladGenerator):
     return rhs
 
 
+def _particle_rhs(particle: MonitoredParticle):
+    fft, ifft = np.fft.fft, np.fft.ifft
+    phases, rate, d = -1j * particle.kinetic, particle.rate, particle.monitor
+    half_d2 = 0.5 * rate * d * d
+
+    def rhs(xi):
+        xi = np.asarray(xi, dtype=complex)
+        weight = xi.real**2 + xi.imag**2
+        mean = float(weight @ d)
+        coef = (rate * mean) * d
+        coef -= half_d2
+        coef += float(weight @ half_d2) - rate * mean * mean
+        out = ifft(phases * fft(xi))
+        out += coef * xi
+        return out
+    return rhs
+
+
 def projector_flow_rhs(rho, gen: LindbladGenerator) -> np.ndarray:
     """Double-commutator form [P, [P, L(P)]] of the same flow, for
     cross-checking the vector equation."""
@@ -97,7 +144,8 @@ def projector_flow_rhs(rho, gen: LindbladGenerator) -> np.ndarray:
     return rho @ z + z @ rho - 2.0 * rho @ z @ rho
 
 
-def evolve_robust(xi0, gen: LindbladGenerator, t_final: float) -> tuple:
+def evolve_robust(xi0, gen: LindbladGenerator | MonitoredParticle,
+                  t_final: float) -> tuple:
     """Integrate the nonlinear flow by one `march` (rtol _RTOL, atol _ATOL)
     of the right-hand side compiled once, in `_flow_rhs`. The equation
     preserves the norm only to first order, so the state is renormalized
@@ -140,19 +188,22 @@ def qbm_soliton_width(m: float, gamma: float, temperature: float,
     return width
 
 
-def qbm_pointer_generator(m: float, gamma: float, temperature: float,
-                          grid) -> LindbladGenerator:
-    """Free particle with monitored position on a uniform 1D grid:
-    H = p^2/2m via spectral differentiation, the circulant of the real, even
-    ifft(k^2/2m), and one channel (gamma, 2 sqrt(mT) x). The grid must
-    contain and resolve the stationary width: span >= 10 sigma_0, at least
-    256 points, sigma_0 >= 4 dx."""
-    grid = np.asarray(grid, dtype=float)
+def qbm_pointer_particle(m: float, gamma: float, temperature: float,
+                         grid) -> MonitoredParticle:
+    """Free particle with monitored position on a uniform periodic 1D grid:
+    H = p^2/2m by spectral differentiation, with eigenvalues the FFT of the
+    symmetrized real column ifft(k^2/2m), and one channel (gamma,
+    2 sqrt(mT) x). The grid must contain and resolve the stationary width:
+    span >= 10 sigma_0, at least 256 points, sigma_0 >= 4 dx."""
+    grid = np.array(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 256:
         raise PhysicsError("grid needs at least 256 points")
     steps = np.diff(grid)
     dx = float(steps[0])
-    if dx <= 0 or not np.allclose(steps, dx, rtol=1e-12, atol=0.0):
+    # each point is rounded to within eps |x| / 2, so a step can be off by
+    # eps max|x| however fine the grid
+    rounding = 4.0 * np.finfo(float).eps * float(np.abs(grid).max())
+    if dx <= 0 or not np.allclose(steps, dx, rtol=1e-12, atol=rounding):
         raise PhysicsError("grid must be uniform and increasing")
     sigma0 = qbm_soliton_width(m, gamma, temperature)
     if grid[-1] - grid[0] < 10.0 * sigma0:
@@ -160,15 +211,16 @@ def qbm_pointer_generator(m: float, gamma: float, temperature: float,
     if sigma0 < 4.0 * dx:
         raise PhysicsError("grid too coarse: stationary width under 4 dx")
 
-    n = grid.size
-    k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.size, d=dx)
     column = np.fft.ifft(k**2 / (2.0 * m)).real
-    # symmetrize c[j] and c[-j] so the circulant is exactly symmetric
+    # symmetrize c[j] and c[-j] so the circulant is exactly symmetric and
+    # its spectrum real
     column = 0.5 * (column + np.roll(column[::-1], 1))
-    # circulant: kinetic[i, j] = column[(i - j) % n]
-    kinetic = column[(np.arange(n)[:, None] - np.arange(n)) % n]
-    monitor = 2.0 * math.sqrt(m * temperature) * np.diag(grid).astype(complex)
-    return LindbladGenerator(hamiltonian=kinetic, channels=((gamma, monitor),))
+    kinetic = np.fft.fft(column).real.copy()
+    monitor = 2.0 * math.sqrt(m * temperature) * grid
+    for array in (grid, kinetic, monitor):
+        array.setflags(write=False)
+    return MonitoredParticle(grid=grid, kinetic=kinetic, rate=gamma, monitor=monitor)
 
 
 def state_width(grid, xi) -> float:

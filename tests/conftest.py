@@ -38,3 +38,16 @@ def random_generator(rng, dim, n_channels=2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260821)
+
+
+# The five `pointer` parameter sets of perfbench's `statevector` workload
+# (perfbench/jobs.py POINTER_POOL): 256-point grids and one 512-point grid,
+# each over 20 sigma_0 from a Gaussian of width 2 sigma_0.
+POINTER_POOL = (
+    {"mass": 1.0, "gamma": 1.0, "temperature": 1.0, "t_max": 0.3},
+    {"mass": 2.0, "gamma": 0.5, "temperature": 1.5, "t_max": 0.3},
+    {"mass": 0.5, "gamma": 2.0, "temperature": 0.5, "t_max": 0.25},
+    {"mass": 1.5, "gamma": 0.8, "temperature": 2.0, "t_max": 0.2},
+    {"mass": 1.0, "gamma": 1.0, "temperature": 1.0, "t_max": 0.03,
+     "grid_points": 512},
+)

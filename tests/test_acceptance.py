@@ -62,7 +62,7 @@ from decolab.lindblad import (
 from decolab.operator_core import partial_trace, spost, spre, trace_distance
 from decolab.pointer_states import (
     evolve_robust,
-    qbm_pointer_generator,
+    qbm_pointer_particle,
     qbm_soliton_width,
     state_width,
 )
@@ -436,7 +436,7 @@ def test_12_pointer_states():
     mon = 0.125
     sigma0 = (1.0 / (8.0 * mon * m * m * temp)) ** 0.25
     grid = np.linspace(-10.0, 10.0, 256)
-    qbm_gen = qbm_pointer_generator(m, mon, temp, grid)
+    qbm_gen = qbm_pointer_particle(m, mon, temp, grid)
     start = np.exp(-grid**2 / (4.0 * (2.0 * sigma0) ** 2)).astype(complex)
     start /= np.linalg.norm(start)
     final = evolve_robust(start, qbm_gen, 6.0)[-1]

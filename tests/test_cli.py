@@ -761,6 +761,66 @@ class TestExitCodes:
         assert main(["run", write_config(tmp_path, bad)]) == 3
         assert "error: physics" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params", [
+        {"gamma": 0.125, "t_max": 1e9},
+        {"gamma": 1.0, "grid_points": 2**20},
+    ], ids=["t_max-1e9", "grid_points-2**20"])
+    def test_pointer_cost_bound_exits_3(self, tmp_path, capsys, monkeypatch, params):
+        # refused before the flow starts, naming the estimate
+        def never(*args):
+            raise AssertionError("the flow was integrated")
+        monkeypatch.setattr(cli, "evolve_robust", never)
+        cfg = write_config(tmp_path, {"scenario": "pointer", "params": dict(
+            {"mass": 1.0, "temperature": 1.0}, **params)})
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "slow.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "t_max * spectral radius * grid_points" in err and "cost bound" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_pointer_cost_bound_admits_documented_runs(self):
+        """The default config (7419 accepted steps), the 512-point run to
+        the default t_max (about 36000), the benchmark's configs and the
+        test suite's grids all sit under the bound."""
+        from conftest import POINTER_POOL
+
+        from decolab.pointer_states import qbm_pointer_particle, qbm_soliton_width
+
+        def work(params, span_widths=20.0):
+            p = resolve_config({"scenario": "pointer", "params": params}).params
+            sigma0 = qbm_soliton_width(p["mass"], p["gamma"], p["temperature"])
+            grid = np.linspace(-0.5 * span_widths * sigma0, 0.5 * span_widths * sigma0,
+                               p["grid_points"])
+            particle = qbm_pointer_particle(p["mass"], p["gamma"], p["temperature"], grid)
+            return p["t_max"] * particle.spectral_radius * grid.size
+
+        unit = {"mass": 1.0, "gamma": 1.0, "temperature": 1.0}
+        runs = [work(unit), work(dict(unit, grid_points=512)),
+                work(dict(unit, gamma=0.125), span_widths=60.0)]
+        runs += [work(params) for params in POINTER_POOL]
+        assert max(runs) == runs[1] < cli._MAX_FLOW_WORK
+
+    def test_single_row_is_the_last_time(self, tmp_path, capsys):
+        """n_points 1 writes and prints the final state (pointer) or labels
+        the value with its own time, t_min (dephase); more rows keep t_max."""
+        base = {"scenario": "pointer", "params": {
+            "mass": 1.0, "gamma": 1.0, "temperature": 1.0, "t_max": 0.2}}
+        rows, printed = {}, {}
+        for n in (1, 2):
+            out = tmp_path / f"pointer{n}.csv"
+            cfg = dict(base, params=dict(base["params"], n_points=n))
+            assert main(["run", write_config(tmp_path, cfg), "--output", str(out)]) == 0
+            printed[n] = capsys.readouterr().out.splitlines()[1]
+            rows[n] = read_csv(out)[1]
+        assert rows[1] == rows[2][1:] and rows[1][0][0] == "0.2"
+        assert printed[1] == printed[2] == "final fitted width: 0.662863"
+        for n, label in ((1, "0.01"), (5, "100")):
+            cfg = dict(DEPHASE, params=dict(DEPHASE["params"], n_points=n))
+            assert main(["run", write_config(tmp_path, cfg),
+                         "--output", str(tmp_path / "dephase.csv")]) == 0
+            assert capsys.readouterr().out.startswith(f"visibility at t = {label}: ")
+
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path, DEPHASE)
         target = tmp_path / "no" / "such" / "dir" / "out.csv"

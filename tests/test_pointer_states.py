@@ -1,11 +1,13 @@
 """Pointer-state tests: sieve oracles by 2x2 and coherent-state algebra,
 vector-vs-projector flow consistency, grid soliton convergence, the Riccati
-closed form of Gaussian widths, and the per-call flow derivative and dense
-DFT kinetic matrix kept as oracles for the compiled routes."""
+closed form of Gaussian widths, and the per-call flow derivative, the dense
+DFT kinetic matrix and the dense circulant pointer generator kept as oracles
+for the compiled routes."""
 
 import cmath
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,13 +24,14 @@ from decolab.lindblad import (
 )
 from decolab.operator_core import dag, herm_part
 from decolab.pointer_states import (
+    MonitoredParticle,
     RobustStateFlow,
     _flow_rhs,
     evolve_robust,
     linear_entropy_rate,
     nonlinear_rhs,
     projector_flow_rhs,
-    qbm_pointer_generator,
+    qbm_pointer_particle,
     qbm_soliton_width,
     state_width,
 )
@@ -81,6 +84,28 @@ def dft_kinetic(grid, m):
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=grid[1] - grid[0])
     f = dft(n, scale="sqrtn")
     return herm_part(f.conj().T @ ((k**2)[:, None] / (2.0 * m) * f))
+
+
+def circulant_generator(m, gamma, temperature, grid):
+    """The pointer model as a dense LindbladGenerator: H the scipy circulant
+    of the real ifft(k^2/2m) column, c[j] and c[-j] averaged so it is exactly
+    symmetric, and the channel (gamma, 2 sqrt(mT) x) as a complex diagonal
+    matrix. O(n^2) to build and to apply."""
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.size, d=grid[1] - grid[0])
+    column = np.fft.ifft(k**2 / (2.0 * m)).real
+    column = 0.5 * (column + np.roll(column[::-1], 1))
+    monitor = 2.0 * math.sqrt(m * temperature) * np.diag(grid).astype(complex)
+    return LindbladGenerator(hamiltonian=circulant(column),
+                             channels=((gamma, monitor),))
+
+
+def pointer_start(params):
+    """The `pointer` scenario's grid (20 sigma_0 wide) and its initial
+    Gaussian of width 2 sigma_0, normalized."""
+    sigma0 = qbm_soliton_width(params["mass"], params["gamma"], params["temperature"])
+    grid = np.linspace(-10.0 * sigma0, 10.0 * sigma0, params.get("grid_points", 256))
+    xi0 = np.exp(-grid**2 / (4.0 * (2.0 * sigma0) ** 2)).astype(complex)
+    return grid, xi0 / np.linalg.norm(xi0)
 
 
 def riccati_width(m, gamma, temperature, width0, t):
@@ -302,7 +327,7 @@ class TestEvolveRobust:
         sigma0 = qbm_soliton_width(m, gamma, temp)
         assert sigma0 == pytest.approx(1.0, rel=1e-12)
         grid = np.linspace(-10.0, 10.0, 256)
-        gen = qbm_pointer_generator(m, gamma, temp, grid)
+        gen = qbm_pointer_particle(m, gamma, temp, grid)
         xi0 = np.exp(-grid**2 / (4.0 * (2.0 * sigma0) ** 2)).astype(complex)
         xi0 /= np.linalg.norm(xi0)
         assert state_width(grid, xi0) == pytest.approx(2.0 * sigma0, rel=1e-3)
@@ -317,7 +342,7 @@ class TestEvolveRobust:
         so the initial state's cut-off tail stays below the bar."""
         sigma0 = qbm_soliton_width(m, gamma, temp)
         grid = np.linspace(-30.0 * sigma0, 30.0 * sigma0, 256)
-        gen = qbm_pointer_generator(m, gamma, temp, grid)
+        gen = qbm_pointer_particle(m, gamma, temp, grid)
         xi0 = np.exp(-grid**2 / (4.0 * (2.0 * sigma0) ** 2)).astype(complex)
         xi0 /= np.linalg.norm(xi0)
         snaps = evolve_robust(xi0, gen, 2.0)
@@ -331,53 +356,86 @@ class TestQbmPointerModel:
     @pytest.mark.parametrize("n", [256, 512])
     def test_kinetic_matches_dense_dft_product(self, n):
         grid = np.linspace(-10.0, 10.0, n)
-        h = qbm_pointer_generator(1.0, 1.0 / 8.0, 1.0, grid).hamiltonian
+        h = circulant_generator(1.0, 1.0 / 8.0, 1.0, grid).hamiltonian
         oracle = dft_kinetic(grid, 1.0)
         assert np.max(np.abs(h - oracle)) <= 1e-12 * np.max(np.abs(oracle))
         assert not np.any(h.imag)
         assert np.array_equal(h, h.T)
-        assert np.array_equal(h, circulant(h[:, 0]))
 
-    @pytest.mark.parametrize("n", [256, 512])
-    def test_kinetic_is_the_scipy_circulant_bit_for_bit(self, n):
-        """The index-arithmetic circulant equals scipy.linalg.circulant of the
-        symmetrized column, the matrix the generator was built from before."""
+    @pytest.mark.parametrize("n", [256, 257, 512])
+    def test_kinetic_is_the_circulant_spectrum(self, n):
+        """The particle's kinetic eigenvalues are the FFT of the oracle
+        circulant's first column, bit for bit, and the diagonal of the dense
+        DFT product in the unitary DFT basis, numpy's FFT order."""
         grid = np.linspace(-10.0, 10.0, n)
-        h = qbm_pointer_generator(1.3, 1.0 / 8.0, 1.0, grid).hamiltonian
-        k = 2.0 * math.pi * np.fft.fftfreq(n, d=grid[1] - grid[0])
-        column = np.fft.ifft(k**2 / (2.0 * 1.3)).real
-        assert np.array_equal(h, circulant(0.5 * (column + np.roll(column[::-1], 1))))
+        particle = qbm_pointer_particle(1.3, 1.0 / 8.0, 1.0, grid)
+        column = circulant_generator(1.3, 1.0 / 8.0, 1.0, grid).hamiltonian[:, 0]
+        assert np.array_equal(particle.kinetic, np.fft.fft(column).real)
+        f = dft(n, scale="sqrtn")
+        diagonal = np.diag(f @ dft_kinetic(grid, 1.3) @ f.conj().T)
+        scale = np.max(np.abs(diagonal))
+        assert np.max(np.abs(particle.kinetic - diagonal)) <= 1e-12 * scale
 
     def test_kinetic_term_is_spectral(self):
+        """A grid plane wave is an eigenvector of H with eigenvalue k0^2/2m,
+        through the flow's FFT route (rate 0) and through the dense oracle."""
         grid = np.linspace(-10.0, 10.0, 256)
-        gen = qbm_pointer_generator(1.0, 1.0 / 8.0, 1.0, grid)
+        particle = qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, grid)
         dx = grid[1] - grid[0]
         k0 = 2.0 * math.pi * 5 / (256 * dx)
         wave = np.exp(1j * k0 * grid) / math.sqrt(256)
-        applied = gen.hamiltonian @ wave
+        unitary = MonitoredParticle(grid, particle.kinetic, 0.0, particle.monitor)
+        applied = 1j * nonlinear_rhs(wave, unitary)
         assert np.allclose(applied, (k0**2 / 2.0) * wave, rtol=1e-10, atol=1e-12)
+        dense = circulant_generator(1.0, 1.0 / 8.0, 1.0, grid).hamiltonian @ wave
+        assert np.allclose(dense, (k0**2 / 2.0) * wave, rtol=1e-10, atol=1e-12)
 
     def test_monitor_channel(self):
         grid = np.linspace(-10.0, 10.0, 256)
         m, temp, gamma = 1.0, 0.5, 1.0 / 8.0
-        gen = qbm_pointer_generator(m, gamma, temp, grid)
-        assert len(gen.channels) == 1
-        rate, op = gen.channels[0]
-        assert rate == gamma
-        assert np.array_equal(np.diag(op).real, 2.0 * math.sqrt(m * temp) * grid)
+        particle = qbm_pointer_particle(m, gamma, temp, grid)
+        assert particle.rate == gamma
+        assert np.array_equal(particle.monitor, 2.0 * math.sqrt(m * temp) * grid)
+        grid[0] = -11.0
+        assert particle.grid[0] == -10.0
+        for array in (particle.grid, particle.kinetic, particle.monitor):
+            assert not array.flags.writeable
+
+    def test_spectral_radius(self):
+        """Largest kinetic eigenvalue, (pi/dx)^2/2m on an even grid, plus
+        gamma/2 times the squared monitor range 2 sqrt(mT) span."""
+        grid = np.linspace(-10.0, 10.0, 256)
+        m, temp, gamma = 1.5, 0.5, 1.0 / 8.0
+        particle = qbm_pointer_particle(m, gamma, temp, grid)
+        kinetic = (math.pi / (grid[1] - grid[0])) ** 2 / (2.0 * m)
+        monitor = 0.5 * gamma * (2.0 * math.sqrt(m * temp) * 20.0) ** 2
+        assert particle.spectral_radius == pytest.approx(kinetic + monitor, rel=1e-12)
 
     def test_grid_validation(self):
         with pytest.raises(PhysicsError):
-            qbm_pointer_generator(1.0, 1.0 / 8.0, 1.0, np.linspace(-10, 10, 100))
+            qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, np.linspace(-10, 10, 100))
         with pytest.raises(PhysicsError):
-            qbm_pointer_generator(1.0, 1.0 / 8.0, 1.0, np.linspace(-4, 4, 256))
+            qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, np.linspace(-4, 4, 256))
         # stationary width far below the grid spacing
         with pytest.raises(PhysicsError):
-            qbm_pointer_generator(1.0, 1e8, 1.0, np.linspace(-10, 10, 256))
+            qbm_pointer_particle(1.0, 1e8, 1.0, np.linspace(-10, 10, 256))
         uneven = np.linspace(-10, 10, 256)
         uneven[100] += 0.01
         with pytest.raises(PhysicsError):
-            qbm_pointer_generator(1.0, 1.0 / 8.0, 1.0, uneven)
+            qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, uneven)
+
+    def test_fine_linspace_grid_is_uniform(self):
+        """Steps of a linspace grid vary by the rounding of its points,
+        eps max|x|, which passes 1e-12 dx from about 10^4 points on; such a
+        grid was once refused as not uniform."""
+        grid = np.linspace(-10.0, 10.0, 2**14)
+        steps = np.diff(grid)
+        assert np.max(np.abs(steps - steps[0])) > 1e-12 * steps[0]
+        assert qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, grid).grid.size == 2**14
+        uneven = grid.copy()
+        uneven[100] += 1e-9 * steps[0]
+        with pytest.raises(PhysicsError, match="uniform"):
+            qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, uneven)
 
     def test_width_formula_and_scaling(self):
         assert qbm_soliton_width(1.0, 1.0 / 8.0, 1.0) == pytest.approx(1.0, rel=1e-12)
@@ -417,6 +475,79 @@ class TestQbmPointerModel:
             qbm_soliton_width(1e-320, 1e-320, 1e-320)
         with pytest.raises(PhysicsError, match="off the float range"):
             qbm_soliton_width(1e308, 1e308, 1e308, si=True)
+
+
+class TestParticleRoute:
+    """The FFT route of the monitored particle against the dense circulant
+    oracle."""
+
+    @pytest.mark.parametrize("n", [256, 257, 512])
+    def test_rhs_matches_dense_oracle(self, rng, n):
+        """Within 10 eps max|kinetic| |xi|: the FFT pair and the dense matvec
+        each round to a few eps of that (measured up to 2.2 eps on random
+        and Gaussian states)."""
+        grid = np.linspace(-10.0, 10.0, n)
+        particle = qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, grid)
+        fast, dense = _flow_rhs(particle), _flow_rhs(circulant_generator(1.0, 1.0 / 8.0,
+                                                                        1.0, grid))
+        bound = 10.0 * np.finfo(float).eps * np.max(np.abs(particle.kinetic))
+        gaussian = np.exp(-(grid - 1.0) ** 2 / 8.0 + 0.7j * grid).astype(complex)
+        from conftest import random_state
+        for xi in [gaussian / np.linalg.norm(gaussian)] + [random_state(rng, n)
+                                                          for _ in range(3)]:
+            assert np.linalg.norm(fast(xi) - dense(xi)) <= bound * np.linalg.norm(xi)
+            assert np.array_equal(nonlinear_rhs(xi, particle), fast(xi))
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_benchmark_pool_keeps_oracle_steps(self, index):
+        """Each `pointer` parameter set of the benchmark takes the oracle's
+        accepted steps, with t and widths within 1e-8 relative (measured
+        1.9e-9 and 6.1e-10)."""
+        from conftest import POINTER_POOL
+        params = POINTER_POOL[index]
+        grid, xi0 = pointer_start(params)
+        model = (params["mass"], params["gamma"], params["temperature"], grid)
+        fast = evolve_robust(xi0, qbm_pointer_particle(*model), params["t_max"])
+        dense = evolve_robust(xi0, circulant_generator(*model), params["t_max"])
+        assert len(fast) == len(dense) > 100
+        for a, b in zip(fast[1:], dense[1:]):
+            assert a.t == pytest.approx(b.t, rel=1e-8, abs=0.0)
+            assert state_width(grid, a.xi) == pytest.approx(state_width(grid, b.xi),
+                                                            rel=1e-8, abs=0.0)
+        assert fast[-1].t == dense[-1].t == params["t_max"]
+
+    def test_no_square_matrix(self):
+        """Building the particle and one right-hand side call at 2048 points
+        stay under 1 MiB of allocations; a dense 2048^2 complex matrix alone
+        is 64 MiB."""
+        n = 2048
+        warm = np.linspace(-10.0, 10.0, 256)
+        _flow_rhs(qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, warm))(warm.astype(complex))
+        grid = np.linspace(-10.0, 10.0, n)
+        xi = np.exp(-grid**2 / 4.0).astype(complex)
+        xi /= np.linalg.norm(xi)
+        tracemalloc.start()
+        try:
+            _flow_rhs(qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, grid))(xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_particle_freed_without_cycle_collector(self):
+        grid = np.linspace(-10.0, 10.0, 256)
+        particle = qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, grid)
+        refs = [weakref.ref(particle), weakref.ref(particle.kinetic),
+                weakref.ref(particle.monitor)]
+        _, xi0 = pointer_start({"mass": 1.0, "gamma": 1.0 / 8.0, "temperature": 1.0})
+        gc.disable()
+        try:
+            snaps = evolve_robust(xi0, particle, 0.05)
+            assert len(snaps) > 2
+            del snaps, particle
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 class TestStateWidth:

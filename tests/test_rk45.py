@@ -31,7 +31,7 @@ from decolab.operator_core import Propagator, _DormandPrince, march
 from decolab.pointer_states import (
     _flow_rhs,
     evolve_robust,
-    qbm_pointer_generator,
+    qbm_pointer_particle,
     qbm_soliton_width,
 )
 from decolab.trajectories import effective_hamiltonian, no_jump_propagate
@@ -109,7 +109,7 @@ def complex_van_der_pol(z, mu=5.0):
 def pointer_case(t_max=0.1):
     sigma0 = qbm_soliton_width(1.0, 1.0, 1.0)
     grid = np.linspace(-10.0 * sigma0, 10.0 * sigma0, 256)
-    gen = qbm_pointer_generator(1.0, 1.0, 1.0, grid)
+    gen = qbm_pointer_particle(1.0, 1.0, 1.0, grid)
     xi0 = np.exp(-grid ** 2 / (16.0 * sigma0 ** 2)).astype(complex)
     return gen, xi0 / np.linalg.norm(xi0), t_max
 
