@@ -53,6 +53,7 @@ from .lindblad import (
 )
 from .pointer_states import (
     evolve_robust,
+    qbm_flow_spectral_radius,
     qbm_pointer_particle,
     qbm_soliton_width,
     state_width,
@@ -527,13 +528,16 @@ def _run_pointer(cfg):
     sigma0 = qbm_soliton_width(p["mass"], p["gamma"], p["temperature"])
     span = p["span"] if p["span"] is not None else 20.0 * sigma0
     width0 = p["width0"] if p["width0"] is not None else 2.0 * sigma0
-    grid = np.linspace(-0.5 * span, 0.5 * span, p["grid_points"])
-    particle = qbm_pointer_particle(p["mass"], p["gamma"], p["temperature"], grid)
-    work = p["t_max"] * particle.spectral_radius * grid.size
+    # bounded from the config alone, before any grid-sized allocation
+    rho = qbm_flow_spectral_radius(p["mass"], p["gamma"], p["temperature"], span,
+                                   p["grid_points"])
+    work = p["t_max"] * rho * p["grid_points"]
     if work > _MAX_FLOW_WORK:
         raise PhysicsError(
             f"flow work t_max * spectral radius * grid_points = {work:.3g}, "
             f"above the cost bound {_MAX_FLOW_WORK:.0e}")
+    grid = np.linspace(-0.5 * span, 0.5 * span, p["grid_points"])
+    particle = qbm_pointer_particle(p["mass"], p["gamma"], p["temperature"], grid)
     xi0 = np.exp(-grid**2 / (4.0 * width0**2)).astype(complex)
     xi0 /= np.linalg.norm(xi0)
     snaps = evolve_robust(xi0, particle, p["t_max"])

@@ -230,7 +230,9 @@ def march(fun, y0, ts, rtol, atol, after_step=None):
     """Yield (t, y) after every accepted step of one `_DormandPrince` run of
     dy/dt = fun(y) from t = 0; each time of the sorted, positive `ts` ends a
     step, and the run stops at the last. `after_step(y)` returns the state
-    that replaces y, and the FSAL derivative is refreshed from that state."""
+    that replaces y. The FSAL derivative fun(y) of the step is kept, not
+    re-evaluated, so `after_step` may move y by rounding or local-error size
+    only, as a renormalization of a norm-preserving flow does."""
     stepper = _DormandPrince(fun, y0, ts[-1], rtol, atol)
     for t_stop in ts:
         stepper.t_bound = float(t_stop)
@@ -238,7 +240,6 @@ def march(fun, y0, ts, rtol, atol, after_step=None):
             stepper.step()
             if after_step is not None:
                 stepper.y = after_step(stepper.y)
-                stepper.f = fun(stepper.y)
             yield stepper.t, stepper.y
 
 

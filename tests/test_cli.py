@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -754,12 +755,14 @@ class TestExitCodes:
         assert float(rows[0][0]) == pytest.approx(width, rel=1e-11, abs=5e-324)
 
     def test_physics_failure_exits_3(self, tmp_path, capsys):
-        # span far below the 10 sigma0 floor trips the grid validation
+        # span far below the 10 sigma0 floor trips the grid validation; a
+        # short t_max keeps the fine grid under the cost bound checked first
         bad = {"scenario": "pointer",
                "params": {"mass": 1.0, "gamma": 0.125, "temperature": 1.0,
-                          "span": 0.5}}
+                          "span": 0.5, "t_max": 0.1}}
         assert main(["run", write_config(tmp_path, bad)]) == 3
-        assert "error: physics" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: physics" in err and "10 stationary widths" in err
 
     @pytest.mark.parametrize("params", [
         {"gamma": 0.125, "t_max": 1e9},
@@ -779,21 +782,35 @@ class TestExitCodes:
         assert "t_max * spectral radius * grid_points" in err and "cost bound" in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_pointer_cost_bound_refuses_before_allocating(self, tmp_path, capsys):
+        """The 2**20-point run is refused from its config alone: the refused
+        `run` allocates under 1 MiB, where its grid alone would be 8 MiB."""
+        cfg = write_config(tmp_path, {"scenario": "pointer", "params": {
+            "mass": 1.0, "gamma": 1.0, "temperature": 1.0, "grid_points": 2**20}})
+        out = tmp_path / "slow.csv"
+        tracemalloc.start()
+        try:
+            code = main(["run", cfg, "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and "cost bound" in capsys.readouterr().err
+        assert peak < 2**20
+
     def test_pointer_cost_bound_admits_documented_runs(self):
-        """The default config (7419 accepted steps), the 512-point run to
+        """The default config (7424 accepted steps), the 512-point run to
         the default t_max (about 36000), the benchmark's configs and the
         test suite's grids all sit under the bound."""
         from conftest import POINTER_POOL
 
-        from decolab.pointer_states import qbm_pointer_particle, qbm_soliton_width
+        from decolab.pointer_states import qbm_flow_spectral_radius, qbm_soliton_width
 
         def work(params, span_widths=20.0):
             p = resolve_config({"scenario": "pointer", "params": params}).params
-            sigma0 = qbm_soliton_width(p["mass"], p["gamma"], p["temperature"])
-            grid = np.linspace(-0.5 * span_widths * sigma0, 0.5 * span_widths * sigma0,
-                               p["grid_points"])
-            particle = qbm_pointer_particle(p["mass"], p["gamma"], p["temperature"], grid)
-            return p["t_max"] * particle.spectral_radius * grid.size
+            model = p["mass"], p["gamma"], p["temperature"]
+            span = span_widths * qbm_soliton_width(*model)
+            rho = qbm_flow_spectral_radius(*model, span, p["grid_points"])
+            return p["t_max"] * rho * p["grid_points"]
 
         unit = {"mass": 1.0, "gamma": 1.0, "temperature": 1.0}
         runs = [work(unit), work(dict(unit, grid_points=512)),

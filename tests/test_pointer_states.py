@@ -31,6 +31,7 @@ from decolab.pointer_states import (
     linear_entropy_rate,
     nonlinear_rhs,
     projector_flow_rhs,
+    qbm_flow_spectral_radius,
     qbm_pointer_particle,
     qbm_soliton_width,
     state_width,
@@ -411,6 +412,19 @@ class TestQbmPointerModel:
         monitor = 0.5 * gamma * (2.0 * math.sqrt(m * temp) * 20.0) ** 2
         assert particle.spectral_radius == pytest.approx(kinetic + monitor, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [256, 257, 512, 1000, 4097])
+    def test_spectral_radius_before_the_grid(self, n):
+        """`qbm_flow_spectral_radius` gives the built particle's
+        `spectral_radius` from the parameters alone, odd counts included
+        (measured within 4e-13)."""
+        for (m, gamma, temp), widths in [((1.0, 1.0, 1.0), 20.0), ((1.5, 0.125, 0.5), 60.0),
+                                         ((3.7, 0.02, 2.2), 10.5)]:
+            span = widths * qbm_soliton_width(m, gamma, temp)
+            grid = np.linspace(-0.5 * span, 0.5 * span, n)
+            particle = qbm_pointer_particle(m, gamma, temp, grid)
+            assert qbm_flow_spectral_radius(m, gamma, temp, span, n) == pytest.approx(
+                particle.spectral_radius, rel=1e-12, abs=0.0)
+
     def test_grid_validation(self):
         with pytest.raises(PhysicsError):
             qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, np.linspace(-10, 10, 100))
@@ -497,6 +511,10 @@ class TestParticleRoute:
                                                           for _ in range(3)]:
             assert np.linalg.norm(fast(xi) - dense(xi)) <= bound * np.linalg.norm(xi)
             assert np.array_equal(nonlinear_rhs(xi, particle), fast(xi))
+        # strided and real input give what a contiguous complex copy gives
+        xi = gaussian / np.linalg.norm(gaussian)
+        assert np.array_equal(fast(np.repeat(xi, 2)[::2]), fast(xi))
+        assert np.array_equal(fast(xi.real), fast(xi.real.astype(complex)))
 
     @pytest.mark.parametrize("index", range(5))
     def test_benchmark_pool_keeps_oracle_steps(self, index):

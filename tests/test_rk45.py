@@ -1,11 +1,12 @@
 """The package's Dormand-Prince 5(4) stepping loop, `march`, against
 scipy's RK45, its oracle: accepted t, y and next trial step agree bit for
-bit, step by step, for the pointer flow (renormalized through `after_step`,
-derivative refreshed) and for plain cases that reject steps, cap the step,
-run real-valued and clip the last step. `lindblad.evolve` and the rk-mode
-no-jump propagation match `solve_ivp` end states bit for bit, and rk-mode
-`Propagator.states` rows are the states of one scipy RK45 run whose end is
-moved through the sorted times. Failure paths: a right-hand side that turns NaN ends in step-size
+bit, step by step, for the pointer flow (renormalized through `after_step`
+with the FSAL derivative kept, six right-hand sides per trial step) and for
+plain cases that reject steps, cap the step, run real-valued and clip the
+last step. `lindblad.evolve` and the rk-mode no-jump propagation match
+`solve_ivp` end states bit for bit, and rk-mode `Propagator.states` rows
+are the states of one scipy RK45 run whose end is moved through the sorted
+times. Failure paths: a right-hand side that turns NaN ends in step-size
 underflow with t and the step in the message; invalid tolerances and step
 caps raise PhysicsError."""
 
@@ -53,22 +54,23 @@ class Counted:
 
 
 def oracle_steps(fun, y0, t_bound, rtol, atol, renormalize=False):
-    """(t, y, next trial step) after each accepted step of scipy's RK45."""
+    """(t, y, next trial step) after each accepted step of scipy's RK45;
+    `renormalize` divides solver.y by its norm in place and keeps solver.f."""
     solver = RK45(lambda _, y: fun(y), 0.0, y0, t_bound, rtol=rtol, atol=atol)
     out = []
     while solver.status == "running":
         assert solver.step() is None
         if renormalize:
             solver.y /= np.linalg.norm(solver.y)
-            solver.f = solver.fun(solver.t, solver.y)
         out.append((solver.t, solver.y.copy(), solver.h_abs))
     return out
 
 
 def stepper_steps(fun, y0, t_bound, rtol, atol, renormalize=False):
     """(t, y, next trial step) after each accepted step of `march` to
-    t_bound, renormalizing through `after_step`. The trial step is read
-    from a stepper subclass that notes it after every accepted step."""
+    t_bound, renormalizing through `after_step`, which keeps the FSAL
+    derivative. The trial step is read from a stepper subclass that notes
+    it after every accepted step."""
     trials = []
 
     class Noting(_DormandPrince):
@@ -91,9 +93,9 @@ def assert_bitwise(ours, oracle):
         assert y.dtype == y_o.dtype and y.tobytes() == y_o.tobytes()
 
 
-def rejections(fun: Counted, accepted, refreshes=0):
+def rejections(fun: Counted, accepted):
     """Rejected trials: two calls for the first step, six per trial (FSAL)."""
-    return (fun.calls - 2 - refreshes) // 6 - accepted
+    return (fun.calls - 2) // 6 - accepted
 
 
 def van_der_pol(y, mu=5.0):
@@ -115,17 +117,35 @@ def pointer_case(t_max=0.1):
 
 
 class TestAgainstScipyRK45:
-    def test_pointer_flow_renormalized_with_fsal_refresh(self):
+    def test_pointer_flow_renormalized_with_fsal_kept(self):
         gen, xi0, t_max = pointer_case()
         rhs = Counted(_flow_rhs(gen))
         ours = stepper_steps(rhs, xi0, t_max, 1e-8, 1e-10, renormalize=True)
-        assert len(ours) > 100 and rejections(rhs, len(ours), len(ours)) >= 1
+        assert len(ours) > 100 and rejections(rhs, len(ours)) >= 1
         oracle = oracle_steps(_flow_rhs(gen), xi0, t_max, 1e-8, 1e-10, renormalize=True)
         assert_bitwise(ours, oracle)
         # evolve_robust is this loop: its snapshots are the oracle's states
         snaps = evolve_robust(xi0, gen, t_max)[1:]
         assert [s.t for s in snaps] == [t for t, _, _ in oracle]
         assert all(s.xi.tobytes() == y.tobytes() for s, (_, y, _) in zip(snaps, oracle))
+
+    def test_pointer_flow_makes_six_calls_per_trial(self, monkeypatch):
+        """`evolve_robust` evaluates the flow twice to start and six times
+        per trial step, accepted or rejected: the renormalization costs no
+        call. The trial count is scipy's on the same flow."""
+        compiled, counted = pointer_states._flow_rhs, []
+
+        def counting(gen):
+            counted.append(Counted(compiled(gen)))
+            return counted[-1]
+        monkeypatch.setattr(pointer_states, "_flow_rhs", counting)
+        gen, xi0, t_max = pointer_case()
+        accepted = len(evolve_robust(xi0, gen, t_max)) - 1
+        oracle = Counted(compiled(gen))
+        assert len(oracle_steps(oracle, xi0, t_max, 1e-8, 1e-10, renormalize=True)) == accepted
+        (rhs,) = counted
+        rejected = rejections(rhs, accepted)
+        assert rejected >= 1 and rhs.calls == 2 + 6 * (accepted + rejected) == oracle.calls
 
     def test_rejected_steps(self):
         fun = Counted(complex_van_der_pol)
