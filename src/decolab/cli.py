@@ -528,7 +528,8 @@ def _run_pointer(cfg):
     sigma0 = qbm_soliton_width(p["mass"], p["gamma"], p["temperature"])
     span = p["span"] if p["span"] is not None else 20.0 * sigma0
     width0 = p["width0"] if p["width0"] is not None else 2.0 * sigma0
-    # bounded from the config alone, before any grid-sized allocation
+    # the grid rules, then the cost bound, from the config alone, before any
+    # grid-sized allocation
     rho = qbm_flow_spectral_radius(p["mass"], p["gamma"], p["temperature"], span,
                                    p["grid_points"])
     work = p["t_max"] * rho * p["grid_points"]

@@ -164,8 +164,8 @@ class _DormandPrince:
     refers back to it, so reference counting frees it once dropped."""
 
     def __init__(self, fun, y0, t_bound, rtol, atol):
-        if not t_bound > 0:
-            raise PhysicsError(f"integration end {t_bound!r} must be positive")
+        if not 0 < t_bound < math.inf:
+            raise PhysicsError(f"integration end {t_bound!r} must be positive and finite")
         if atol < 0:
             raise PhysicsError(f"atol {atol!r} must be nonnegative")
         y0 = np.asarray(y0)
@@ -270,8 +270,8 @@ class Propagator:
     def apply(self, x, t: float) -> np.ndarray:
         """exp(-i t K) applied to a vector or to each column of a matrix; a
         derivative-built propagator steps x.ravel() as one state."""
-        if not t >= 0:
-            raise PhysicsError(f"propagation time must be nonnegative, got {t}")
+        if not 0 <= t < math.inf:
+            raise PhysicsError(f"propagation time must be nonnegative and finite, got {t}")
         x = np.asarray(x, dtype=complex)
         if self.n is not None and x.shape[0] != self.n:
             raise DimensionError(f"state of length {x.shape[0]} for K of order {self.n}")
@@ -283,28 +283,7 @@ class Propagator:
             cols = self._inv @ x.reshape(self.n, -1)
             return (self._vecs @ (np.exp(t * self._rates)[:, None] * cols)
                     ).reshape(x.shape)
-        return self.states(x, np.array([t]))[0]
-
-    def states(self, x, ts) -> np.ndarray:
-        """Rows exp(-i t K) x of a vector x, one for each t of a 1-d array.
-        In rk mode one `march` over the sorted distinct times ends an
-        accepted step on each, so no row is interpolated."""
-        if not (ts >= 0).all():
-            raise PhysicsError("propagation times must be nonnegative")
-        if self.mode == "eig":
-            phases = np.exp(np.multiply.outer(ts, self._rates))
-            return (phases * (self._inv @ x)) @ self._vecs.T
-        x = np.asarray(x, dtype=complex)
-        stops, where = np.unique(ts, return_inverse=True)
-        rows = np.empty((stops.size,) + x.shape, dtype=complex)
-        i = int(np.count_nonzero(stops == 0.0))
-        rows[:i] = x
-        if i < stops.size:
-            for t, y in march(self._fun, x.ravel(), stops[i:], self.rtol, self.atol):
-                if t == stops[i]:
-                    rows[i] = y.reshape(x.shape)
-                    i += 1
-        return rows[where]
+        return _RkSegment(self, x.ravel()).at(t).reshape(x.shape)
 
     def segment(self, x):
         """The evolution y(t) = exp(-i t K) x of one vector x, for a caller

@@ -195,14 +195,25 @@ def qbm_soliton_width(m: float, gamma: float, temperature: float,
     return width
 
 
+def _check_grid_holds_width(m, gamma, temperature, span, dx):
+    """PhysicsError unless span >= 10 sigma_0 and sigma_0 >= 4 dx."""
+    sigma0 = qbm_soliton_width(m, gamma, temperature)
+    if span < 10.0 * sigma0:
+        raise PhysicsError("grid span must cover 10 stationary widths")
+    if sigma0 < 4.0 * dx:
+        raise PhysicsError("grid too coarse: stationary width under 4 dx")
+
+
 def qbm_flow_spectral_radius(m: float, gamma: float, temperature: float,
                              span: float, points: int) -> float:
     """`spectral_radius` of the particle that `qbm_pointer_particle` builds
     on `points` uniform points across `span`, from those numbers alone:
     (2 pi floor(n/2) / (n dx))^2 / 2m with dx = span/(n - 1), the largest
     kinetic eigenvalue, plus gamma/2 times (2 sqrt(mT) span)^2, so a run's
-    cost can be bounded before any grid is allocated."""
+    cost can be bounded before any grid is allocated. PhysicsError, as from
+    `qbm_pointer_particle`, if the span or step cannot hold sigma_0."""
     dx = span / (points - 1)
+    _check_grid_holds_width(m, gamma, temperature, span, dx)
     k_max = 2.0 * math.pi * (points // 2) / (points * dx)
     return k_max**2 / (2.0 * m) + 2.0 * gamma * m * temperature * span**2
 
@@ -224,11 +235,7 @@ def qbm_pointer_particle(m: float, gamma: float, temperature: float,
     rounding = 4.0 * np.finfo(float).eps * float(np.abs(grid).max())
     if dx <= 0 or not np.allclose(steps, dx, rtol=1e-12, atol=rounding):
         raise PhysicsError("grid must be uniform and increasing")
-    sigma0 = qbm_soliton_width(m, gamma, temperature)
-    if grid[-1] - grid[0] < 10.0 * sigma0:
-        raise PhysicsError("grid span must cover 10 stationary widths")
-    if sigma0 < 4.0 * dx:
-        raise PhysicsError("grid too coarse: stationary width under 4 dx")
+    _check_grid_holds_width(m, gamma, temperature, grid[-1] - grid[0], dx)
 
     k = 2.0 * math.pi * np.fft.fftfreq(grid.size, d=dx)
     column = np.fft.ifft(k**2 / (2.0 * m)).real

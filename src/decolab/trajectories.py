@@ -21,9 +21,6 @@ from .errors import DimensionError, PhysicsError
 from .lindblad import LindbladGenerator
 from .operator_core import Propagator, as_operator, dag
 
-_GRID_POINTS = 256
-# k / _GRID_POINTS is exact, so t_max * _UNIT_GRID is linspace(0, t_max, 257)
-_UNIT_GRID = np.linspace(0.0, 1.0, _GRID_POINTS + 1)
 _BISECT_REL = 1e-10
 _DARK_WEIGHT = 1e-14
 _NORM_TOL = 1e-10
@@ -37,36 +34,23 @@ def effective_hamiltonian(gen: LindbladGenerator) -> np.ndarray:
     return h_c
 
 
-# one (Propagator of H_C, decay operator) per generator: generators are
-# immutable and hash by identity, and an entry holds no reference to its
-# generator, so it lives exactly as long as the generator it was built from
+# one Propagator of H_C per generator: generators are immutable and hash by
+# identity, and a Propagator holds no reference to its generator, so it lives
+# exactly as long as the generator it was built from
 _PROPAGATORS = weakref.WeakKeyDictionary()
 
 
-def _propagator(gen: LindbladGenerator):
-    entry = _PROPAGATORS.get(gen)
-    if entry is None:
-        h_c = effective_hamiltonian(gen)
-        # decay = sum_k gamma_k L_k†L_k = i (H_C - H_C†); -d|psi|^2/dtau = <psi|decay|psi>
-        entry = _PROPAGATORS[gen] = Propagator(h_c), 1j * (h_c - h_c.conj().T)
-    return entry
+def _propagator(gen: LindbladGenerator) -> Propagator:
+    prop = _PROPAGATORS.get(gen)
+    if prop is None:
+        prop = _PROPAGATORS[gen] = Propagator(effective_hamiltonian(gen))
+    return prop
 
 
 def no_jump_propagate(psi, gen: LindbladGenerator, tau: float) -> np.ndarray:
     """Unnormalized conditioned state exp(-i tau H_C) psi; its squared norm
     is the probability that no jump occurred up to tau."""
-    return _propagator(gen)[0].apply(psi, tau)
-
-
-def _norm_sq(rows) -> np.ndarray:
-    return np.einsum("ij,ij->i", rows.conj(), rows).real
-
-
-def _grid(prop: Propagator, psi, t_max: float):
-    """The 257-point grid over [0, t_max] and its running-minimum survival,
-    which brackets each level u at its first point <= u."""
-    grid = t_max * _UNIT_GRID
-    return grid, np.minimum.accumulate(_norm_sq(prop.states(psi, grid)))
+    return _propagator(gen).apply(psi, tau)
 
 
 def _start(lo, hi, a, b, log_u):
@@ -110,41 +94,6 @@ def _waiting_time(seg, u: float, lo: float, hi: float, s_lo: float, s_hi: float)
         tau, last = new, abs(new - tau)
 
 
-def _waiting_times(prop: Propagator, decay, psi, us, t_max: float) -> np.ndarray:
-    """Waiting times for an array of levels, inf where survival(t_max) > u.
-    A 257-point grid brackets every level, and each Newton round probes
-    every pending level from psi in one `states` call."""
-    grid, surv = _grid(prop, psi, t_max)
-    idx = np.searchsorted(-surv, -us, side="left")
-    out = np.where(idx == 0, 0.0, np.inf)
-    work = np.nonzero((idx >= 1) & (idx <= _GRID_POINTS))[0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_surv = np.log(surv)
-        # one (index, tau, lo, hi, log u, last step) per pending level
-        low = idx[work] - 1
-        levels = [(i, _start(lo, hi, a, b, log_u), lo, hi, log_u, hi - lo)
-                  for i, lo, hi, a, b, log_u in zip(
-                      work.tolist(), grid[low].tolist(), grid[low + 1].tolist(),
-                      log_surv[low].tolist(), log_surv[low + 1].tolist(),
-                      np.log(us[work]).tolist())]
-        while levels:
-            _, taus, _, _, log_us, _ = zip(*levels)
-            rows = prop.states(psi, np.array(taus))
-            s = _norm_sq(rows)
-            rate = np.einsum("ij,ij->i", rows.conj(), rows @ decay.T).real
-            f = np.log(s) - log_us
-            pending = []
-            for (i, tau, lo, hi, log_u, last), f_i, step in zip(
-                    levels, f.tolist(), (f * s / rate).tolist()):
-                new, lo, hi, done = _update(tau, lo, hi, last, f_i, step)
-                if done:
-                    out[i] = new
-                else:
-                    pending.append((i, new, lo, hi, log_u, abs(new - tau)))
-            levels = pending
-    return out
-
-
 def sample_jump_time(psi, gen: LindbladGenerator, u: float, t_max: float):
     """Waiting time by survival inversion: first tau with
     |no_jump_propagate(psi, tau)|^2 = u; None when no jump occurs by t_max."""
@@ -153,17 +102,30 @@ def sample_jump_time(psi, gen: LindbladGenerator, u: float, t_max: float):
 
 
 def sample_jump_times(psi, gen: LindbladGenerator, us, t_max: float) -> np.ndarray:
-    """Waiting times for an array of survival levels; no-jump entries are inf."""
+    """Waiting times for an array of survival levels: 0.0 where the survival
+    of psi is already at or below u, inf where it stays above u up to t_max.
+    Each level is solved alone by `_waiting_time` on one segment of psi,
+    whose `bracket` starts from psi every time."""
     us = np.asarray(us, dtype=float)
     if not np.all((us > 0.0) & (us < 1.0)):
         raise PhysicsError("u must lie in (0, 1)")
-    if not t_max > 0:
-        raise PhysicsError("t_max must be positive")
+    t_max = float(t_max)
+    if not 0.0 < t_max < math.inf:
+        raise PhysicsError(f"t_max must be positive and finite, got {t_max!r}")
     psi = np.asarray(psi, dtype=complex)
     if not np.all(np.isfinite(psi)):
         raise PhysicsError("state has non-finite entries")
-    return _waiting_times(*_propagator(gen), psi, us.ravel(),
-                          float(t_max)).reshape(us.shape)
+    seg = _propagator(gen).segment(psi)
+    out = np.empty(us.size)
+    for i, u in enumerate(us.ravel().tolist()):
+        lo, hi, s_lo, s_hi, _ = seg.bracket(u, t_max)
+        if s_lo <= u:
+            out[i] = 0.0
+        elif s_hi > u:
+            out[i] = math.inf
+        else:
+            out[i] = _waiting_time(seg, u, lo, hi, s_lo, s_hi)
+    return out.reshape(us.shape)
 
 
 def apply_jump(psi, gen: LindbladGenerator, rng: Generator):
@@ -224,7 +186,7 @@ def _stream(base_seed: int, index: int) -> Generator:
 
 
 def _run(psi0, gen, horizon, rng):
-    prop = _propagator(gen)[0]
+    prop = _propagator(gen)
     psi, t, events = np.array(psi0, dtype=complex), 0.0, []
     while t < horizon:
         u = rng.random()
@@ -281,7 +243,7 @@ def run_trajectory(psi0, gen: LindbladGenerator, horizon: float, seed: int,
 def record_operator(record: JumpRecord, gen: LindbladGenerator) -> np.ndarray:
     """Compound conditioning operator M_R: no-jump stretches interleaved with
     the recorded jump operators, ending at the horizon."""
-    prop = _propagator(gen)[0]
+    prop = _propagator(gen)
     m = np.eye(gen.dim, dtype=complex)
     t_prev = 0.0
     for t_i, k_i in record.events:

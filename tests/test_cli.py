@@ -754,12 +754,16 @@ class TestExitCodes:
         assert header == ["sigma0"]
         assert float(rows[0][0]) == pytest.approx(width, rel=1e-11, abs=5e-324)
 
-    def test_physics_failure_exits_3(self, tmp_path, capsys):
-        # span far below the 10 sigma0 floor trips the grid validation; a
-        # short t_max keeps the fine grid under the cost bound checked first
+    def test_physics_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        """A span far below the 10 sigma0 floor trips the grid rules from
+        the config alone, before the cost bound, which this fine grid at the
+        default t_max would exceed, and before any grid is built."""
+        def never(*args):
+            raise AssertionError("the particle was built")
+        monkeypatch.setattr(cli, "qbm_pointer_particle", never)
         bad = {"scenario": "pointer",
                "params": {"mass": 1.0, "gamma": 0.125, "temperature": 1.0,
-                          "span": 0.5, "t_max": 0.1}}
+                          "span": 0.5}}
         assert main(["run", write_config(tmp_path, bad)]) == 3
         err = capsys.readouterr().err
         assert "error: physics" in err and "10 stationary widths" in err

@@ -601,3 +601,11 @@ class TestGeneratorProperties:
         gen = random_generator(rng, 2)
         with pytest.raises(PhysicsError):
             evolve(gen, np.eye(2) / 2, -1.0)
+
+    @pytest.mark.parametrize("dim", [2, 14], ids=["dense", "rk"])
+    def test_evolve_rejects_infinite_time(self, rng, dim):
+        """t = inf once gave NaN from the dense superoperator and, above
+        dim 12, an RK45 step of inf that never ended."""
+        gen = random_generator(rng, dim)
+        with pytest.raises(PhysicsError, match="nonnegative and finite"):
+            evolve(gen, np.eye(dim) / dim, math.inf)

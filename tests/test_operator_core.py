@@ -166,30 +166,25 @@ class TestPropagator:
         prop = oc.Propagator(drift)
         assert prop.mode == mode
         psi = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
-        ts = np.array([0.9, 0.0, 0.3])
-        rows = prop.states(psi[:, 0], ts)
-        for t, row in zip(ts, rows):
+        for t in (0.9, 0.0, 0.3):
             want = expm(-1j * t * drift) @ psi
             np.testing.assert_allclose(prop.apply(psi, t), want, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(row, want[:, 0], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(prop.apply(psi[:, 0], t), want[:, 0], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("mode", ["eig", "rk"])
     def test_states_zero_repeated_and_negative_times(self, rng, monkeypatch, mode):
-        """A repeated time gives the same row twice and a time of 0 gives x
-        (in rk mode x itself). A negative or NaN time is PhysicsError in
-        `apply` and in `states`, in either mode."""
+        """A repeated time gives the same state twice and a time of 0 gives
+        a copy of x. A negative, infinite or NaN time is PhysicsError, in
+        either mode."""
         self.force(monkeypatch, mode)
         prop = oc.Propagator(effective_hamiltonian(random_generator(rng, 4)))
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rows = prop.states(psi, np.array([0.5, 0.0, 0.5, 0.2]))
-        assert np.array_equal(rows[0], rows[2])
-        np.testing.assert_allclose(rows[1], psi, rtol=0, atol=1e-13)
-        assert mode == "eig" or np.array_equal(rows[1], psi)
-        for bad in (-0.1, np.nan):
+        assert np.array_equal(prop.apply(psi, 0.5), prop.apply(psi, 0.5))
+        zero = prop.apply(psi, 0.0)
+        assert np.array_equal(zero, psi) and zero is not psi
+        for bad in (-0.1, np.inf, np.nan):
             with pytest.raises(PhysicsError, match="nonnegative"):
                 prop.apply(psi, bad)
-            with pytest.raises(PhysicsError, match="nonnegative"):
-                prop.states(psi, np.array([0.3, bad]))
 
     def test_vector_apply_is_one_column_apply(self, rng):
         """Eig mode contracts a vector directly, with no reshape to a column;

@@ -437,6 +437,11 @@ class TestQbmPointerModel:
         uneven[100] += 0.01
         with pytest.raises(PhysicsError):
             qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, uneven)
+        # the span and step rules again, from the numbers alone
+        with pytest.raises(PhysicsError, match="10 stationary widths"):
+            qbm_flow_spectral_radius(1.0, 1.0 / 8.0, 1.0, 8.0, 256)
+        with pytest.raises(PhysicsError, match="under 4 dx"):
+            qbm_flow_spectral_radius(1.0, 1e8, 1.0, 20.0, 256)
 
     def test_fine_linspace_grid_is_uniform(self):
         """Steps of a linspace grid vary by the rounding of its points,

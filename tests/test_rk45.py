@@ -4,11 +4,11 @@ bit, step by step, for the pointer flow (renormalized through `after_step`
 with the FSAL derivative kept, six right-hand sides per trial step) and for
 plain cases that reject steps, cap the step, run real-valued and clip the
 last step. `lindblad.evolve` and the rk-mode no-jump propagation match
-`solve_ivp` end states bit for bit, and rk-mode `Propagator.states` rows
-are the states of one scipy RK45 run whose end is moved through the sorted
-times. Failure paths: a right-hand side that turns NaN ends in step-size
-underflow with t and the step in the message; invalid tolerances and step
-caps raise PhysicsError."""
+`solve_ivp` end states bit for bit, and a multi-stop `march` is one scipy
+RK45 run whose end is moved through the sorted stops. Failure paths: a
+right-hand side that turns NaN ends in step-size underflow with t and the
+step in the message; invalid tolerances, step caps and ends raise
+PhysicsError."""
 
 import math
 import re
@@ -206,28 +206,29 @@ class TestEndStates:
         assert sol.success and sol.t.size > 100
         assert no_jump_propagate(psi, gen, 0.5).tobytes() == sol.y[:, -1].tobytes()
 
-    def test_rk_mode_states_are_one_run_dim_70(self, monkeypatch):
-        """An rk-mode `states` call makes one RK45 run from 0: each row is
-        where an accepted step ends once t_bound is moved to its time, bit
-        for bit scipy's RK45 continued the same way."""
-        monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
+    def test_rk_mode_states_are_one_run_dim_70(self):
+        """A multi-stop `march` is one RK45 run from 0: each stop ends an
+        accepted step once t_bound is moved to it, and every step is bit for
+        bit scipy's RK45 continued the same way."""
         h_c = effective_hamiltonian(damped_oscillator_generator(1.0, 0.3, 70))
-        prop = Propagator(h_c)
-        assert prop.mode == "rk"
+
+        def fun(y):
+            return -1j * (h_c @ y.reshape(70, -1)).ravel()
+
         psi = coherent_vector(CoherentStateSpec(2.0, 70))
-        ts = np.array([0.3, 0.0, 0.05, 0.3, 0.5, 0.125])
-        solver = RK45(lambda _, y: -1j * (h_c @ y.reshape(70, -1)).ravel(), 0.0,
-                      psi, 0.5, rtol=1e-10, atol=1e-13)
-        want, steps = {0.0: psi}, 0
-        for t in sorted(set(ts) - {0.0}):
+        stops = [0.05, 0.125, 0.3, 0.5]
+        solver = RK45(lambda _, y: fun(y), 0.0, psi, stops[-1], rtol=1e-10, atol=1e-13)
+        want = []
+        for t in stops:
             solver.t_bound, solver.status = t, "running"
             while solver.status == "running":
                 assert solver.step() is None
-                steps += 1
-            want[t] = solver.y
-        assert steps > 50
-        rows = prop.states(psi, ts)
-        assert rows.tobytes() == np.array([want[t] for t in ts]).tobytes()
+                want.append((solver.t, solver.y.copy()))
+        assert len(want) > 50
+        got = [(t, y.copy()) for t, y in march(fun, psi, stops, 1e-10, 1e-13)]
+        assert [t for t, _ in got] == [t for t, _ in want]
+        assert set(stops) <= {t for t, _ in got}
+        assert np.array([y for _, y in got]).tobytes() == np.array([y for _, y in want]).tobytes()
 
 
 class TestFailurePaths:
@@ -285,6 +286,13 @@ class TestFailurePaths:
 class TestArguments:
     """Invalid arguments fail as PhysicsError where scipy raised a bare
     ValueError."""
+
+    @pytest.mark.parametrize("t_bound", [math.inf, math.nan, 0.0, -1.0])
+    def test_end_not_positive_and_finite(self, t_bound):
+        """An infinite end once gave an infinite step, a NaN error norm and
+        a march that never returned."""
+        with pytest.raises(PhysicsError, match="must be positive and finite"):
+            next(march(lambda y: -y, np.ones(2), [t_bound], 1e-8, 1e-10))
 
     @pytest.mark.parametrize("atol", [-1e-10, -1.0])
     def test_negative_atol(self, atol):

@@ -145,6 +145,14 @@ class TestNoJumpPropagation:
         with pytest.raises(PhysicsError):
             no_jump_propagate(KET0, decay_generator(1.0), -0.1)
 
+    def test_infinite_time_rejected(self):
+        """An infinite time or horizon once gave NaN states silently."""
+        gen = decay_generator(1.0)
+        with pytest.raises(PhysicsError, match="nonnegative and finite"):
+            no_jump_propagate(KET1, gen, math.inf)
+        with pytest.raises(PhysicsError, match="nonnegative and finite"):
+            record_operator(JumpRecord((), math.inf), gen)
+
     def test_overflowing_drift_raises(self):
         """A valid generator whose H_C overflows is refused, where a NaN
         survival once gave the waiting time 0.00390625 without an error.
@@ -182,16 +190,17 @@ class TestWaitingTimes:
         assert float(np.vdot(out, out).real) == pytest.approx(0.4, abs=1e-8)
 
     def test_batch_matches_scalar(self, rng):
+        """Every level is solved alone on the one segment of psi, so a batch,
+        the same batch reversed and one level at a time agree bit for bit."""
         gen = random_generator(rng, 3)
         psi = random_state(rng, 3)
         us = np.concatenate([rng.uniform(0.01, 0.99, size=8), [0.999, 1e-4]])
         batch = sample_jump_times(psi, gen, us, 2.0)
+        assert np.isinf(batch).any() and np.isfinite(batch).any()
+        assert sample_jump_times(psi, gen, us[::-1], 2.0).tolist() == batch[::-1].tolist()
         for u, t_batch in zip(us, batch):
             t_single = sample_jump_time(psi, gen, float(u), 2.0)
-            if t_single is None:
-                assert np.isinf(t_batch)
-            else:
-                assert t_batch == pytest.approx(t_single, rel=1e-12)
+            assert t_batch == (math.inf if t_single is None else t_single)
 
     def test_waiting_time_distribution(self):
         """Sampled waiting times follow the exponential law (KS test)."""
@@ -215,35 +224,47 @@ class TestWaitingTimes:
         with pytest.raises(PhysicsError, match="non-finite"):
             sample_jump_times(np.array([bad, 0j]), decay_generator(1.0), [0.5], 1.0)
 
+    @pytest.mark.parametrize("t_max", BAD_HORIZONS)
+    def test_bad_t_max_rejected(self, t_max):
+        """An infinite t_max, which the segment's bracket would march toward
+        forever in rk mode, is refused with the others."""
+        with pytest.raises(PhysicsError, match="t_max must be positive and finite"):
+            sample_jump_times(KET1, decay_generator(1.0), [0.5], t_max)
+
+    @pytest.mark.parametrize("psi", [np.ones(3) / math.sqrt(3.0), np.eye(2)],
+                             ids=["length-3", "2-d"])
+    def test_wrong_shape_state_rejected(self, psi):
+        with pytest.raises(DimensionError, match="for K of order 2"):
+            sample_jump_times(psi, decay_generator(1.0), [0.5], 1.0)
+
 
 class TestDriversAgree:
-    """The one-level driver that `_run` uses takes its bracket from a
-    `Propagator.segment` (in eig mode [0, t_max] and the end survival);
-    `sample_jump_times` brackets a level on a 257-point grid. Each is the
-    other's oracle over levels from a fixed stream."""
+    """`sample_jump_times` and every `traject` click solve a level with the
+    one solver `_waiting_time` on a `Propagator.segment`. Over levels from a
+    fixed stream, its eig-mode waiting times hold brentq on the
+    `scipy.linalg.expm` survival to 1e-12 relative."""
 
     @pytest.mark.parametrize("gen, psi", [
         (driven_decay_generator(1.3, 0.9), (KET0 + 0.5j * KET1) / math.sqrt(1.25)),
         (decay_generator(0.7), KET1),
         (decay_generator(0.7), (KET0 + KET1) / math.sqrt(2.0)),
     ], ids=["driven", "decay", "decay-to-half"])
-    def test_grid_free_driver_matches_grid_driver(self, gen, psi):
-        prop = trajectories._propagator(gen)[0]
-        assert prop.mode == "eig"
+    def test_grid_free_solver_matches_expm(self, gen, psi):
+        assert trajectories._propagator(gen).mode == "eig"
+        h_c = effective_hamiltonian(gen)
         t_max = 12.0
-        end = prop.apply(psi, t_max)
+        end = expm(-1j * t_max * h_c) @ psi
         s_end = float(np.vdot(end, end).real)
         stream = Generator(Philox(key=np.array([11, 0], dtype=np.uint64)))
         us = stream.random(500)
         us = us[us >= s_end]
         assert us.size >= 200
         taus = sample_jump_times(psi, gen, us, t_max)
-        for u, want in zip(us.tolist(), taus.tolist()):
-            seg = prop.segment(psi)
-            tau = trajectories._waiting_time(seg, u, *seg.bracket(u, t_max)[:4])
+        for u, tau in zip(us.tolist(), taus.tolist()):
+            want = brentq(lambda t: math.log(
+                np.linalg.norm(expm(-1j * t * h_c) @ psi) ** 2 / u),
+                0.0, t_max, xtol=1e-15, rtol=1e-15)
             assert tau == pytest.approx(want, rel=1e-12)
-            ref = no_jump_propagate(psi, gen, tau)
-            assert np.linalg.norm(seg.at(tau) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestRkSegment:
@@ -257,7 +278,7 @@ class TestRkSegment:
     def test_waiting_time_and_state_match_expm(self, monkeypatch):
         monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
         gen = driven_decay_generator(1.3, 0.9)
-        prop = trajectories._propagator(gen)[0]
+        prop = trajectories._propagator(gen)
         assert prop.mode == "rk"
         psi = (KET0 + 0.5j * KET1) / math.sqrt(1.25)
         h_c = effective_hamiltonian(gen)
@@ -290,7 +311,7 @@ class TestPropagatorModes:
         gen = driven_decay_generator(1.3, 0.9)
         with monkeypatch.context() as patch:
             self.force(patch, mode)
-            assert trajectories._propagator(gen)[0].mode == mode
+            assert trajectories._propagator(gen).mode == mode
             psi = (KET0 + 0.5j * KET1) / math.sqrt(1.25)
             batch = sample_jump_times(psi, gen, self.US, 4.0)
             single = [sample_jump_time(psi, gen, u, 4.0) for u in self.US]
@@ -318,8 +339,7 @@ class TestPropagatorModes:
         assert np.isinf(ref_times).any() and np.isfinite(ref_times).sum() >= 5
         for mode in ("eig", "rk"):
             times, single, op = self.results(monkeypatch, mode)
-            np.testing.assert_allclose(
-                times, [np.inf if t is None else t for t in single], rtol=1e-12)
+            assert times.tolist() == [math.inf if t is None else t for t in single]
             np.testing.assert_allclose(times, ref_times, rtol=1e-9)
             np.testing.assert_allclose(op, ref_op, rtol=0, atol=1e-9)
 
@@ -330,11 +350,11 @@ class TestPropagatorModes:
         gen = damped_oscillator_generator(1.0, 0.5, 70)
         psi = coherent_vector(CoherentStateSpec(2.0, 70))
         us = np.array([0.05, 0.3, 0.8])
-        assert trajectories._propagator(gen)[0].mode == "eig"
+        assert trajectories._propagator(gen).mode == "eig"
         eig_times = sample_jump_times(psi, gen, us, 3.0)
         self.force(monkeypatch, "rk")
         rk_gen = damped_oscillator_generator(1.0, 0.5, 70)
-        assert trajectories._propagator(rk_gen)[0].mode == "rk"
+        assert trajectories._propagator(rk_gen).mode == "rk"
         assert np.isfinite(eig_times).all()
         np.testing.assert_allclose(sample_jump_times(psi, rk_gen, us, 3.0),
                                    eig_times, rtol=1e-9)
@@ -438,7 +458,7 @@ class TestPostJumpWaitingTimes:
     @staticmethod
     def generator(omega, gamma, mode):
         gen = LindbladGenerator(omega * SX, ((gamma, SP),))
-        assert trajectories._propagator(gen)[0].mode == mode
+        assert trajectories._propagator(gen).mode == mode
         return gen
 
     @staticmethod
@@ -501,22 +521,10 @@ class TestPostJumpWaitingTimes:
 class TestWorkPerTrajectory:
     """Each stretch between clicks is one `Propagator.segment`. Survival
     never rises, so a click's level is bracketed with no grid pass: in eig
-    mode by [0, time left] and the end survival, and a trajectory makes no
-    `Propagator.states` call at all. In rk mode the bracket march stops at
-    the first step at or below the level, the probes march from the step
-    before, and every march has one stop, so nothing is integrated twice."""
-
-    @staticmethod
-    def count_states(monkeypatch):
-        calls = []
-        states = operator_core.Propagator.states
-
-        def counting(self, x, ts):
-            calls.append(len(ts))
-            return states(self, x, ts)
-
-        monkeypatch.setattr(operator_core.Propagator, "states", counting)
-        return calls
+    mode by [0, time left] and the end survival. In rk mode the bracket
+    march stops at the first step at or below the level, the probes march
+    from the step before, and every march has one stop, so nothing is
+    integrated twice."""
 
     @staticmethod
     def count_marches(monkeypatch):
@@ -537,25 +545,19 @@ class TestWorkPerTrajectory:
         monkeypatch.setattr(operator_core, "march", counting)
         return marches
 
-    def test_dark_state_makes_no_states_call(self, monkeypatch):
-        calls = self.count_states(monkeypatch)
+    def test_dark_state_makes_no_states_call(self):
         record, psi = run_trajectory(KET0, decay_generator(1.5), 4.0, seed=7)
         assert record.events == ()
         assert np.array_equal(psi, KET0)
-        assert calls == []
 
-    def test_one_click_decay_makes_no_states_call(self, monkeypatch):
-        calls = self.count_states(monkeypatch)
+    def test_one_click_decay_makes_no_states_call(self):
         record, psi = run_trajectory(KET1, decay_generator(1.0), 30.0, seed=7)
         assert len(record.events) == 1
         assert np.allclose(psi, KET0, atol=1e-14)
-        assert calls == []
 
-    def test_driven_clicks_make_no_states_call(self, monkeypatch):
-        calls = self.count_states(monkeypatch)
+    def test_driven_clicks_make_no_states_call(self):
         record, _ = run_trajectory(KET1, driven_decay_generator(1.3, 0.9), 12.0, seed=1)
         assert len(record.events) >= 3
-        assert calls == []
 
     def test_rk_probes_cost_a_few_steps(self, monkeypatch):
         """On a forced-rk dim-70 one-click trajectory every RK45 `march` has
@@ -574,7 +576,7 @@ class TestWorkPerTrajectory:
                                 ((0.3, np.outer(np.eye(dim)[0], c)),))
         marches = self.count_marches(monkeypatch)
         record, _ = run_trajectory(c, gen, 6.0, seed=5)
-        assert trajectories._propagator(gen)[0].mode == "rk"
+        assert trajectories._propagator(gen).mode == "rk"
         assert len(record.events) == 1
         # the bracket march to the crossing, then the probes, the state at
         # the click and the bracket march to the horizon after it
@@ -593,7 +595,7 @@ class TestWorkPerTrajectory:
         marches = self.count_marches(monkeypatch)
         clicks = sum(len(run_trajectory(psi, gen, 3.0, seed=1, index=i)[0].events)
                      for i in range(5))
-        assert trajectories._propagator(gen)[0].mode == "rk"
+        assert trajectories._propagator(gen).mode == "rk"
         assert clicks == 12
         assert all(stops == 1 for stops, _ in marches)
         assert sum(rhs for _, rhs in marches) < 24000
@@ -625,10 +627,8 @@ class TestPropagatorCache:
         gc.disable()
         try:
             run_trajectory(KET0, gen, 2.0, seed=3)
-            entry = trajectories._propagator(gen)
-            assert trajectories._propagator(gen) is entry
-            prop = entry[0]
-            del entry
+            prop = trajectories._propagator(gen)
+            assert trajectories._propagator(gen) is prop
             refs = [weakref.ref(gen), weakref.ref(prop)]
             del gen, prop
             assert [ref() for ref in refs] == [None, None]
