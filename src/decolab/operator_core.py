@@ -147,21 +147,37 @@ _DP_A = np.array([
     [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
 _DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+# the stage rows a[s, :s], B and E in each state dtype, cast once here rather
+# than by np.dot on every stage: the cast values are the ones np.dot forms
+_DP_TABLEAU = {dtype: ([_DP_A[s, :s].astype(dtype) for s in range(6)],
+                       _DP_B.astype(dtype), _DP_E.astype(dtype))
+               for dtype in (np.dtype(float), np.dtype(complex))}
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 5
 _RTOL_MIN = 100 * np.finfo(float).eps
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+def vector_norm(x) -> float:
+    """np.linalg.norm of a 1-d array by its own operations, Re.Re + Im.Im
+    then the square root, without its per-call dispatch: the same bits."""
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
+def _rms(x) -> float:
+    return vector_norm(x) / x.size ** 0.5
 
 
 class _DormandPrince:
     """Adaptive explicit RK45 for the autonomous dy/dt = fun(y) on [0, t_bound],
     driven by `march` alone: `step` makes one accepted step to `t`, a new
     array `y` that no later step writes, `f` = fun(y) and the next trial
-    step `h_abs`. rtol below 100 eps is raised to 100 eps. Nothing held
-    refers back to it, so reference counting frees it once dropped."""
+    step `h_abs`. Stage states, the error estimate and its scale are formed
+    in buffers of the stepper, never handed out. rtol below 100 eps is
+    raised to 100 eps. Nothing held refers back to it, so reference
+    counting frees it once dropped."""
 
     def __init__(self, fun, y0, t_bound, rtol, atol):
         if not 0 < t_bound < math.inf:
@@ -177,27 +193,36 @@ class _DormandPrince:
         self.t = 0.0
         self.f = fun(self.y)
         self.h_abs = self._initial_step()
-        self._k = np.empty((7, self.y.size), dtype=self.y.dtype)
+        n, dtype = self.y.size, self.y.dtype
+        self._k = np.empty((7, n), dtype=dtype)
+        self._stage, self._err = np.empty(n, dtype=dtype), np.empty(n, dtype=dtype)
+        self._scale, self._abs = np.empty(n), np.empty(n)
+        self._tableau = _DP_TABLEAU[dtype]
 
     def _initial_step(self):
-        """Starting step of Hairer, Norsett & Wanner, Solving ODEs I, II.4."""
+        """Starting step of Hairer, Norsett & Wanner, Solving ODEs I, II.4.
+        Its norms are numpy scalars, so an infinite or zero one gives inf or
+        NaN, as in scipy, not a ZeroDivisionError."""
         y0, f0 = self.y, self.f
         scale = self.atol + np.abs(y0) * self.rtol
-        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        d0, d1 = np.float64(_rms(y0 / scale)), np.float64(_rms(f0 / scale))
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, self.t_bound)
-        d2 = _rms((self.fun(y0 + h0 * f0) - f0) / scale) / h0
+        d2 = np.float64(_rms((self.fun(y0 + h0 * f0) - f0) / scale)) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-        return min(100 * h0, h1, self.t_bound)
+        return float(min(100 * h0, h1, self.t_bound))
 
     def step(self):
         """One accepted step, clipped at t_bound. Raises QuadratureError
-        once the trial step falls below 10 ulp of t (a NaN step included)."""
-        t, y, k = self.t, self.y, self._k
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        once the trial step falls below 10 ulp of t (a NaN step included).
+        Each sum is scipy's with its factors swapped, y + dot(K.T, a) h as
+        dot(K.T, a) h + y, which IEEE arithmetic leaves bit for bit."""
+        t, y, k, stage = self.t, self.y, self._k, self._stage
+        rows, b, e = self._tableau
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
         rejected, error_norm = False, math.nan
         while True:
@@ -211,11 +236,22 @@ class _DormandPrince:
             h_abs = abs(h)
             k[0] = self.f
             for s in range(1, 6):
-                k[s] = self.fun(y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
-            y_new = y + h * np.dot(k[:-1].T, _DP_B)
+                np.dot(k[:s].T, rows[s], out=stage)
+                stage *= h
+                stage += y
+                k[s] = self.fun(stage)
+            y_new = np.dot(k[:-1].T, b)
+            y_new *= h
+            y_new += y
             f_new = k[-1] = self.fun(y_new)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = _rms(np.dot(k.T, _DP_E) * h / scale)
+            scale = np.abs(y, out=self._scale)
+            np.maximum(scale, np.abs(y_new, out=self._abs), out=scale)
+            scale *= self.rtol
+            scale += self.atol
+            err = np.dot(k.T, e, out=self._err)
+            err *= h
+            err /= scale
+            error_norm = _rms(err)
             if error_norm < 1:
                 factor = _MAX_FACTOR if error_norm == 0 else \
                     min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
@@ -310,20 +346,27 @@ class _EigSegment:
     is propagated from another.
 
     `bracket(level, t_end)` returns (lo, hi, |y(lo)|^2, |y(hi)|^2, y(hi))
-    with lo = 0 and hi = t_end. `probe(t)` returns y(t), |y(t)|^2 and its
-    rate of loss -d|y|^2/dt = -2 Re <y|dy/dt>, all from one product with
-    [V; V diag(rates)]. `at(t)` returns y(t)."""
+    with lo = 0 and hi = t_end. The end state and its survival do not
+    depend on the level, so they are formed once per t_end and kept: a
+    caller that brackets many levels to one t_end gets the same array back
+    each time and must not write it. `probe(t)` returns y(t), |y(t)|^2 and
+    its rate of loss -d|y|^2/dt = -2 Re <y|dy/dt>, all from one product
+    with [V; V diag(rates)]. `at(t)` returns y(t)."""
 
     def __init__(self, prop: Propagator, x):
         self._rates, self._vecs, self._stack = prop._rates, prop._vecs, prop._stack
         self._n, self._c, self._s0 = prop.n, prop._inv @ x, _norm_sq(x)
+        self._end = None
 
     def at(self, t: float) -> np.ndarray:
         return self._vecs @ (np.exp(t * self._rates) * self._c)
 
     def bracket(self, level: float, t_end: float):
-        end = self.at(t_end)
-        return 0.0, t_end, self._s0, _norm_sq(end), end
+        if self._end is None or self._end[0] != t_end:
+            end = self.at(t_end)
+            self._end = t_end, end, _norm_sq(end)
+        _, end, s_end = self._end
+        return 0.0, t_end, self._s0, s_end, end
 
     def probe(self, t: float):
         both, n = self._stack @ (np.exp(t * self._rates) * self._c), self._n

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PhysicsError
 from .lindblad import LindbladGenerator, apply_generator
-from .operator_core import dag, march
+from .operator_core import dag, march, vector_norm
 from .units import HBAR, K_B
 
 _NORM_TOL = 1e-9
@@ -62,7 +62,7 @@ class RobustStateFlow:
     t: float
 
     def __post_init__(self):
-        norm = float(np.linalg.norm(self.xi))
+        norm = vector_norm(np.ravel(self.xi))
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise PhysicsError(f"flow state norm {norm!r} drifted off unity")
 
@@ -120,22 +120,34 @@ def _flow_rhs(gen: LindbladGenerator | MonitoredParticle):
 
 
 def _particle_rhs(particle: MonitoredParticle):
+    """The particle's compiled right-hand side. Its moment, coefficient and
+    spectrum vectors are buffers of this compile, so one compiled rhs must
+    not run in two threads at once; the array it returns is new. The 1/n of
+    the inverse transform rides in the kinetic phases, so ifft runs
+    unscaled: on a power-of-two grid, where 1/n is exact, that moves no
+    bit."""
     fft, ifft = np.fft.fft, np.fft.ifft
-    phases, rate, d = -1j * particle.kinetic, particle.rate, particle.monitor
+    n = particle.kinetic.size
+    phases, rate, d = -1j * particle.kinetic / n, particle.rate, particle.monitor
     half_d2 = 0.5 * rate * d * d
     # rows d and rate d^2/2 with each entry twice: against the squared float
     # view (re, im, re, ...) of xi one product gives <d> and <rate d^2/2>
     table = np.repeat(np.stack((d, half_d2)), 2, axis=1)
+    squares, coefs, spectra = np.empty(2 * n), np.empty(n), np.empty(n, dtype=complex)
 
     def rhs(xi):
         xi = np.ascontiguousarray(xi, dtype=complex)
-        parts = xi.view(float)
-        mean, half_d2_mean = (table @ (parts * parts)).tolist()
-        coef = (rate * mean) * d
+        # the buffers are rebound here: `-=` on a closure name would make it
+        # a local of rhs, unbound at its first use
+        parts, coef, spec = xi.view(float), coefs, spectra
+        mean, half_d2_mean = (table @ np.multiply(parts, parts, out=squares)).tolist()
+        np.multiply(d, rate * mean, out=coef)
         coef -= half_d2
         coef += half_d2_mean - rate * mean * mean
-        out = ifft(phases * fft(xi))
-        out += coef * xi
+        fft(xi, out=spec)
+        spec *= phases
+        out = ifft(spec, norm="forward")
+        out += np.multiply(coef, xi, out=spec)
         return out
     return rhs
 
@@ -170,7 +182,7 @@ def evolve_robust(xi0, gen: LindbladGenerator | MonitoredParticle,
     snapshots = [RobustStateFlow(xi=xi0.copy(), gen=gen, t=0.0)]
     if t_final != 0.0:
         steps = march(_flow_rhs(gen), xi0, [t_final], _RTOL, _ATOL,
-                      after_step=lambda y: np.divide(y, np.linalg.norm(y), out=y))
+                      after_step=lambda y: np.divide(y, vector_norm(y), out=y))
         snapshots += (RobustStateFlow(xi=y, gen=gen, t=float(t)) for t, y in steps)
     return tuple(snapshots)
 

@@ -1,8 +1,8 @@
 """Pointer-state tests: sieve oracles by 2x2 and coherent-state algebra,
 vector-vs-projector flow consistency, grid soliton convergence, the Riccati
-closed form of Gaussian widths, and the per-call flow derivative, the dense
-DFT kinetic matrix and the dense circulant pointer generator kept as oracles
-for the compiled routes."""
+closed form of Gaussian widths, and the per-call flow derivative, the
+per-call FFT pair, the dense DFT kinetic matrix and the dense circulant
+pointer generator kept as oracles for the compiled routes."""
 
 import cmath
 import gc
@@ -98,6 +98,25 @@ def circulant_generator(m, gamma, temperature, grid):
     monitor = 2.0 * math.sqrt(m * temperature) * np.diag(grid).astype(complex)
     return LindbladGenerator(hamiltonian=circulant(column),
                              channels=((gamma, monitor),))
+
+
+def fft_pair_rhs(xi, particle):
+    """The particle's flow derivative with every vector formed per call:
+    ifft(-i kinetic * fft(xi)), numpy's inverse with its own 1/n pass, plus
+    the coefficient vector rate [<d> d - d^2/2 + <d^2>/2 - <d>^2] times xi,
+    both moments from one product with the squared float view of xi."""
+    xi = np.ascontiguousarray(xi, dtype=complex)
+    rate, d = particle.rate, particle.monitor
+    half_d2 = 0.5 * rate * d * d
+    table = np.repeat(np.stack((d, half_d2)), 2, axis=1)
+    parts = xi.view(float)
+    mean, half_d2_mean = (table @ (parts * parts)).tolist()
+    coef = (rate * mean) * d
+    coef -= half_d2
+    coef += half_d2_mean - rate * mean * mean
+    out = np.fft.ifft(-1j * particle.kinetic * np.fft.fft(xi))
+    out += coef * xi
+    return out
 
 
 def pointer_start(params):
@@ -520,6 +539,34 @@ class TestParticleRoute:
         xi = gaussian / np.linalg.norm(gaussian)
         assert np.array_equal(fast(np.repeat(xi, 2)[::2]), fast(xi))
         assert np.array_equal(fast(xi.real), fast(xi.real.astype(complex)))
+
+    @pytest.mark.parametrize("n", [256, 257, 512])
+    def test_rhs_matches_fft_pair_oracle(self, rng, n):
+        """The compiled rhs carries the inverse transform's 1/n in its
+        phases and reuses its vectors between calls. Where 1/n is exact, on
+        256 and 512 points, it is the per-call FFT pair bit for bit; at 257
+        points it is within 4 eps max|kinetic| |xi| (measured 1.0). Strided
+        and real inputs included. Each call returns a new array, and a
+        repeated call gives the same bytes."""
+        grid = np.linspace(-10.0, 10.0, n)
+        particle = qbm_pointer_particle(1.0, 1.0 / 8.0, 1.0, grid)
+        fast = _flow_rhs(particle)
+        gaussian = np.exp(-(grid - 1.0) ** 2 / 8.0 + 0.7j * grid)
+        gaussian /= np.linalg.norm(gaussian)
+        from conftest import random_state
+        states = [gaussian, np.repeat(gaussian, 2)[::2], gaussian.real]
+        states += [random_state(rng, n) for _ in range(3)]
+        bound = 4.0 * np.finfo(float).eps * np.max(np.abs(particle.kinetic))
+        outs = []
+        for xi in states:
+            got, want = fast(xi), fft_pair_rhs(xi, particle)
+            if n & (n - 1) == 0:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.linalg.norm(got - want) <= bound * np.linalg.norm(xi)
+            outs.append(got)
+        assert fast(gaussian).tobytes() == outs[0].tobytes()
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(outs) for b in outs[i + 1:])
 
     @pytest.mark.parametrize("index", range(5))
     def test_benchmark_pool_keeps_oracle_steps(self, index):

@@ -5,7 +5,9 @@ with the FSAL derivative kept, six right-hand sides per trial step) and for
 plain cases that reject steps, cap the step, run real-valued and clip the
 last step. `lindblad.evolve` and the rk-mode no-jump propagation match
 `solve_ivp` end states bit for bit, and a multi-stop `march` is one scipy
-RK45 run whose end is moved through the sorted stops. Failure paths: a
+RK45 run whose end is moved through the sorted stops. The states `march`
+yields and the `evolve_robust` snapshots keep their bytes after the run and
+share no memory with each other or with the stepper's buffers. Failure paths: a
 right-hand side that turns NaN ends in step-size underflow with t and the
 step in the message; invalid tolerances, step caps and ends raise
 PhysicsError."""
@@ -66,6 +68,10 @@ def oracle_steps(fun, y0, t_bound, rtol, atol, renormalize=False):
     return out
 
 
+def renormalized(y):
+    return np.divide(y, np.linalg.norm(y), out=y)
+
+
 def stepper_steps(fun, y0, t_bound, rtol, atol, renormalize=False):
     """(t, y, next trial step) after each accepted step of `march` to
     t_bound, renormalizing through `after_step`, which keeps the FSAL
@@ -78,7 +84,7 @@ def stepper_steps(fun, y0, t_bound, rtol, atol, renormalize=False):
             super().step()
             trials.append(self.h_abs)
 
-    after = (lambda y: np.divide(y, np.linalg.norm(y), out=y)) if renormalize else None
+    after = renormalized if renormalize else None
     with mock.patch.object(operator_core, "_DormandPrince", Noting):
         steps = [(t, y.copy()) for t, y in march(fun, y0, [t_bound], rtol, atol, after)]
     assert len(trials) == len(steps)
@@ -179,6 +185,62 @@ class TestAgainstScipyRK45:
         with pytest.warns(UserWarning, match="rtol"):
             oracle = oracle_steps(fun, y0, 0.1, 1e-20, 1e-30)
         assert_bitwise(stepper_steps(fun, y0, 0.1, 1e-20, 1e-30), oracle)
+
+
+class TestYieldedStates:
+    """The stepper forms its stage states, error estimate and scale in
+    arrays it reuses from step to step; every state `march` yields is its
+    own. After the run each yielded (t, y) keeps the bytes it had when it
+    was yielded, and no yielded array shares memory with another one or
+    with any array the stepper holds but its current state."""
+
+    @pytest.fixture
+    def steppers(self, monkeypatch):
+        made = []
+
+        class Kept(_DormandPrince):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(operator_core, "_DormandPrince", Kept)
+        return made
+
+    @staticmethod
+    def assert_apart(states, stepper):
+        held = [a for name, a in vars(stepper).items()
+                if isinstance(a, np.ndarray) and name != "y"]
+        assert len(held) > 1 and stepper.y is states[-1]
+        for i, y in enumerate(states):
+            assert not any(np.shares_memory(y, a) for a in held)
+            assert not any(np.shares_memory(y, z) for z in states[i + 1:])
+
+    @pytest.mark.parametrize("case", ["pointer", "real", "rejecting"])
+    def test_march_states_are_kept(self, steppers, case):
+        if case == "pointer":
+            gen, y0, t_bound = pointer_case()
+            fun, rtol, atol, after = Counted(_flow_rhs(gen)), 1e-8, 1e-10, renormalized
+        else:
+            fun = Counted(van_der_pol if case == "real" else complex_van_der_pol)
+            y0 = np.array([2.0, 0.0]) if case == "real" else np.array([2.0 + 0.0j, 0.5 + 0.1j])
+            t_bound, rtol, atol, after = 6.0, 1e-6, 1e-9, None
+        seen = [(t, y, y.tobytes()) for t, y in march(fun, y0, [t_bound], rtol, atol, after)]
+        assert len(seen) > 50 and rejections(fun, len(seen)) >= 1
+        assert seen[-1][1].dtype == (np.float64 if case == "real" else np.complex128)
+        assert all(y.tobytes() == kept for _, y, kept in seen)
+        (stepper,) = steppers
+        self.assert_apart([y for _, y, _ in seen], stepper)
+
+    def test_evolve_robust_snapshots_are_kept(self, steppers):
+        """Snapshots hold the states a `march` of the same flow yields, with
+        the bytes they had when yielded."""
+        gen, xi0, t_max = pointer_case()
+        seen = [(t, y.tobytes()) for t, y in march(_flow_rhs(gen), xi0, [t_max], 1e-8,
+                                                    1e-10, renormalized)]
+        snaps = evolve_robust(xi0, gen, t_max)
+        assert [(s.t, s.xi.tobytes()) for s in snaps[1:]] == seen
+        _, stepper = steppers
+        self.assert_apart([s.xi for s in snaps], stepper)
 
 
 class TestEndStates:

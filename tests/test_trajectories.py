@@ -202,6 +202,27 @@ class TestWaitingTimes:
             t_single = sample_jump_time(psi, gen, float(u), 2.0)
             assert t_batch == (math.inf if t_single is None else t_single)
 
+    @pytest.mark.parametrize("levels", [1, 2000])
+    def test_one_end_state_per_call(self, monkeypatch, levels):
+        """Every level is bracketed to the same t_max, so one call forms the
+        end state of its segment once, whatever the number of levels, and a
+        batch still gives each level's time alone bit for bit."""
+        at, calls = operator_core._EigSegment.at, []
+
+        def counting(seg, t):
+            calls.append(t)
+            return at(seg, t)
+
+        monkeypatch.setattr(operator_core._EigSegment, "at", counting)
+        gen = driven_decay_generator(1.3, 0.9)
+        assert trajectories._propagator(gen).mode == "eig"
+        us = np.random.default_rng(4).uniform(0.02, 0.98, levels)
+        taus = sample_jump_times(KET1, gen, us, 5.0)
+        assert calls == [5.0]
+        assert np.isfinite(taus).any()
+        singles = [sample_jump_times(KET1, gen, [u], 5.0)[0] for u in us[:20].tolist()]
+        assert taus[:20].tolist() == singles
+
     def test_waiting_time_distribution(self):
         """Sampled waiting times follow the exponential law (KS test)."""
         gen = decay_generator(1.0)
