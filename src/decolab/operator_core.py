@@ -11,7 +11,9 @@ to and from SI happens only at the CLI boundary.
 
 from __future__ import annotations
 
+import cmath
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -129,6 +131,10 @@ def partial_trace(rho_tot, dims, keep) -> np.ndarray:
 # Propagator modes: an eigenbasis with cond < _EIG_COND_MAX costs O(n^2) per
 # t; without one, RK45 steps y -> -i K y
 _EIG_COND_MAX = 1e8
+# a survival law tabulates |y|^2 at this many evenly spaced times, down to
+# 2**-53, the smallest nonzero level numpy's `Generator.random` draws
+_LAW_NODES = 257
+_LAW_FLOOR = 2.0 ** -53
 
 
 # -- adaptive Dormand-Prince 5(4) ------------------------------------------------
@@ -289,7 +295,7 @@ class Propagator:
 
     def __init__(self, k=None, derivative=None, rtol=1e-10, atol=1e-13):
         self.rtol, self.atol, self._fun, self.n = rtol, atol, derivative, None
-        self._stack = None
+        self._stack = self._gram = None
         if k is None:
             self.mode = "rk"
             return
@@ -335,6 +341,17 @@ class Propagator:
             self._stack = np.vstack([self._vecs, self._vecs * self._rates])
         return _EigSegment(self, x)
 
+    def law(self, x, bras):
+        """The survival law of one vector x in eig mode, a `_SurvivalLaw`:
+        the segment of x as sums on Python floats, with the overlaps of y(t)
+        with each row of the matrix `bras`. G = V†V is formed once here."""
+        x = np.asarray(x, dtype=complex)
+        if x.shape != (self.n,):
+            raise DimensionError(f"law of a state of shape {x.shape} for K of order {self.n}")
+        if self._gram is None:
+            self._gram = self._vecs.conj().T @ self._vecs
+        return _SurvivalLaw(self, x, np.asarray(bras, dtype=complex))
+
 
 def _norm_sq(y) -> float:
     return float(np.vdot(y, y).real)
@@ -348,10 +365,11 @@ class _EigSegment:
     `bracket(level, t_end)` returns (lo, hi, |y(lo)|^2, |y(hi)|^2, y(hi))
     with lo = 0 and hi = t_end. The end state and its survival do not
     depend on the level, so they are formed once per t_end and kept: a
-    caller that brackets many levels to one t_end gets the same array back
-    each time and must not write it. `probe(t)` returns y(t), |y(t)|^2 and
-    its rate of loss -d|y|^2/dt = -2 Re <y|dy/dt>, all from one product
-    with [V; V diag(rates)]. `at(t)` returns y(t)."""
+    caller that brackets many levels to one t_end, or asks `at(t_end)`
+    after its bracket, gets the same array back each time and must not
+    write it. `probe(t)` returns y(t), |y(t)|^2 and its rate of loss
+    -d|y|^2/dt = -2 Re <y|dy/dt>, all from one product with
+    [V; V diag(rates)]. `at(t)` returns y(t)."""
 
     def __init__(self, prop: Propagator, x):
         self._rates, self._vecs, self._stack = prop._rates, prop._vecs, prop._stack
@@ -359,6 +377,8 @@ class _EigSegment:
         self._end = None
 
     def at(self, t: float) -> np.ndarray:
+        if self._end is not None and self._end[0] == t:
+            return self._end[1]
         return self._vecs @ (np.exp(t * self._rates) * self._c)
 
     def bracket(self, level: float, t_end: float):
@@ -372,6 +392,81 @@ class _EigSegment:
         both, n = self._stack @ (np.exp(t * self._rates) * self._c), self._n
         y, dy = both[:n], both[n:]
         return y, _norm_sq(y), -2.0 * float(np.vdot(y, dy).real)
+
+
+class _SurvivalLaw:
+    """The segment y(t) = V (e^{t rates} * c) of x, c = V^-1 x, with the
+    `_EigSegment` interface, whose survival is the exponential sum
+    S(t) = Re sum_{j<=k} A_jk e^{E_jk t}: A_jk = w conj(c_j) c_k G_jk with
+    G = V†V and w = 1 on the diagonal, 2 off it, and E_jk = conj(r_j) + r_k
+    for the rates r. `probe` sums it and its rate of loss -dS/dt on Python
+    floats and forms no state, so the state slots of `probe` and `bracket`
+    are None; `at(t)` forms y(t) as `_EigSegment` does.
+
+    A table of S at `_LAW_NODES` even times spans [0, T], where T doubles
+    from the fastest decay time 1/max(-Re E) until S falls to `_LAW_FLOOR`
+    or falls by no more than that from T to 2T, at most 53 times: a rate
+    below 2**-53 of the fastest is rounding in the eigenvalues.
+    `bracket(level, t_end)` bisects it for the nodes around the crossing,
+    cut at t_end, so the first probe placed in that bracket does not depend
+    on t_end. Without a decaying term there is no table and the bracket is
+    [0, t_end]. `amplitudes(t)` returns the overlaps <b_k|y(t)> with the
+    rows of `bras`, n-term sums over the rows <b_k|V formed here. It keeps
+    arrays and lists of the propagator, never the propagator itself."""
+
+    def __init__(self, prop: Propagator, x, bras):
+        rates, vecs, n = prop._rates, prop._vecs, prop.n
+        c = prop._inv @ x
+        self._rates, self._vecs, self._c = rates, vecs, c
+        r, w, g = rates.tolist(), c.tolist(), prop._gram.tolist()
+        terms = [((2.0 if j < k else 1.0) * g[j][k] * w[j].conjugate() * w[k],
+                  r[j].conjugate() + r[k]) for j in range(n) for k in range(j, n)]
+        self._terms = [(amp, exp_, amp * exp_) for amp, exp_ in terms if amp]
+        self._coords = list(zip(r, w))
+        self._rows = (bras @ vecs).tolist()
+        self._s0 = self.probe(0.0)[1]
+        self._table = None
+        fastest = max((-exp_.real for _, exp_, _ in self._terms), default=0.0)
+        if fastest > 0.0:
+            span = 1.0 / fastest
+            s = self.probe(span)[1]
+            for _ in range(53):
+                s_next = self.probe(2.0 * span)[1]
+                if s <= _LAW_FLOOR or s - s_next <= _LAW_FLOOR:
+                    break
+                span, s = 2.0 * span, s_next
+            amp, exps, _ = np.array(self._terms).T
+            step = span / (_LAW_NODES - 1)
+            times = np.arange(_LAW_NODES) * step
+            self._table = step, (-np.exp(np.outer(times, exps)) @ amp).real.tolist()
+
+    def at(self, t: float) -> np.ndarray:
+        return self._vecs @ (np.exp(t * self._rates) * self._c)
+
+    def bracket(self, level: float, t_end: float):
+        lo, s_lo = 0.0, self._s0
+        if self._table is not None:
+            # the table holds -S at the times i * step, and S(lo) > level >= S(hi)
+            # at lo = (i - 1) step, hi = i step, whether or not S is sorted
+            step, neg = self._table
+            i = bisect_left(neg, -level)
+            if 0 < i < len(neg) and i * step <= t_end:
+                return (i - 1) * step, i * step, -neg[i - 1], -neg[i], None
+            if 0 < i and (i - 1) * step < t_end:
+                lo, s_lo = (i - 1) * step, -neg[i - 1]
+        return lo, t_end, s_lo, self.probe(t_end)[1], None
+
+    def probe(self, t: float):
+        s = rate = 0.0
+        for amp, exp_, slope in self._terms:
+            w = cmath.exp(exp_ * t)
+            s += (amp * w).real
+            rate -= (slope * w).real
+        return None, s, rate
+
+    def amplitudes(self, t: float) -> list:
+        z = [cmath.exp(r * t) * c for r, c in self._coords]
+        return [sum(b * w for b, w in zip(row, z)) for row in self._rows]
 
 
 class _RkSegment:

@@ -24,6 +24,10 @@ from .operator_core import Propagator, as_operator, dag
 _BISECT_REL = 1e-10
 _DARK_WEIGHT = 1e-14
 _NORM_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
+# a survival law sums n(n+1)/2 exponentials per probe on Python floats; from
+# dimension 6 on, a segment's one numpy product per probe was cheaper per click
+_LAW_MAX_DIM = 5
 
 
 def effective_hamiltonian(gen: LindbladGenerator) -> np.ndarray:
@@ -128,13 +132,12 @@ def sample_jump_times(psi, gen: LindbladGenerator, us, t_max: float) -> np.ndarr
     return out.reshape(us.shape)
 
 
-def apply_jump(psi, gen: LindbladGenerator, rng: Generator):
-    """Pick channel k with probability gamma_k |L_k psi|^2 / total and collapse."""
-    psi = np.asarray(psi, dtype=complex)
-    jumps = [math.sqrt(rate) * (op @ psi) for rate, op in gen.channels]
-    weights = [float(np.vdot(v, v).real) for v in jumps]
+def _channel(weights, norm_sq: float, rng: Generator) -> int:
+    """Channel k with probability weights[k] / total, from one draw of rng;
+    PhysicsError when total / norm_sq, the click rate of the normalized
+    state, is _DARK_WEIGHT or less."""
     total = sum(weights)
-    if total <= _DARK_WEIGHT:
+    if total <= _DARK_WEIGHT * norm_sq:
         raise PhysicsError("all jump amplitudes vanish: dark state cannot jump")
     # k = number of cumulative fractions <= r, capped at the last channel
     k, acc, r = 0, 0.0, rng.random()
@@ -143,6 +146,15 @@ def apply_jump(psi, gen: LindbladGenerator, rng: Generator):
         if acc / total > r:
             break
         k += 1
+    return k
+
+
+def apply_jump(psi, gen: LindbladGenerator, rng: Generator):
+    """Pick channel k with probability gamma_k |L_k psi|^2 / total and collapse."""
+    psi = np.asarray(psi, dtype=complex)
+    jumps = [math.sqrt(rate) * (op @ psi) for rate, op in gen.channels]
+    weights = [float(np.vdot(v, v).real) for v in jumps]
+    k = _channel(weights, 1.0, rng)
     return k, jumps[k] / math.sqrt(weights[k])
 
 
@@ -185,35 +197,111 @@ def _stream(base_seed: int, index: int) -> Generator:
     return rng
 
 
+class _Renewal:
+    """Clicks that reset the state. Every channel of the generator has rank
+    one, L_k = s_k |a_k><b_k|, so a click in channel k leaves |a_k> times
+    the phase of <b_k|psi>, and the stretch after it is the survival law of
+    |a_k> (`Propagator.law`) whatever came before: a renewal process
+    (Cohen-Tannoudji & Dalibard, Europhys. Lett. 1, 441 (1986)). Each law
+    is built at the first click into its channel, and one more serves the
+    last initial state, so at most len(channels) + 1 are kept. A law's
+    amplitudes are over the rows sqrt(gamma_k) s_k <b_k|, whose squared
+    moduli are the channel weights at a click."""
+
+    def __init__(self, kets, bras):
+        self._kets, self._bras = kets, bras
+        self._laws = [None] * len(kets)
+        self._initial = None, None
+
+    def initial(self, prop: Propagator, psi0):
+        """The law of psi0 (DimensionError for a state of another shape)."""
+        key = psi0.shape, psi0.tobytes()
+        last, law = self._initial
+        if last != key:
+            law = prop.law(psi0, self._bras)
+            self._initial = key, law
+        return law
+
+    def click(self, prop: Propagator, law, tau: float, level: float, rng: Generator):
+        """(channel k, law of |a_k>, phase) of a click at tau on `law`, whose
+        survival there is the level solved for; the phase multiplies the
+        phase carried before the click."""
+        amps = law.amplitudes(tau)
+        k = _channel([(a * a.conjugate()).real for a in amps], level, rng)
+        reset = self._laws[k]
+        if reset is None:
+            reset = self._laws[k] = prop.law(self._kets[k], self._bras)
+        return k, reset, amps[k] / abs(amps[k])
+
+
+# the `_Renewal` of each generator, or None where a click need not reset the
+# state; built by a generator's first trajectory and kept, like its
+# propagator, for the generator's life
+_RENEWALS = weakref.WeakKeyDictionary()
+
+
+def _renewal(gen: LindbladGenerator, prop: Propagator):
+    """gen's `_Renewal`: None outside eig mode, above `_LAW_MAX_DIM`, without
+    channels, or with a channel whose second singular value exceeds eps
+    times its first."""
+    renewal = _RENEWALS.get(gen, False)
+    if renewal is not False:
+        return renewal
+    renewal = None
+    if prop.mode == "eig" and gen.channels and gen.dim <= _LAW_MAX_DIM:
+        kets, bras = [], []
+        for rate, op in gen.channels:
+            u, s, vh = np.linalg.svd(op)
+            if s.size > 1 and s[1] > _EPS * s[0]:
+                break
+            kets.append(u[:, 0])
+            bras.append(math.sqrt(rate) * s[0] * vh[0])
+        else:
+            renewal = _Renewal(kets, np.array(bras))
+    _RENEWALS[gen] = renewal
+    return renewal
+
+
+def _normalized(psi) -> np.ndarray:
+    norm = math.sqrt(np.vdot(psi, psi).real)
+    if norm == 0.0:
+        raise PhysicsError("trajectory state collapsed to zero")
+    return psi / norm
+
+
 def _run(psi0, gen, horizon, rng):
     prop = _propagator(gen)
+    renewal = _renewal(gen, prop)
     psi, t, events = np.array(psi0, dtype=complex), 0.0, []
-    while t < horizon:
+    # under a renewal every stretch is a survival law, which forms no state
+    # between clicks: the state is law.at(t) times `phase`, normalized;
+    # otherwise each stretch is one segment of the state psi
+    law = renewal.initial(prop, psi) if renewal else None
+    phase = 1.0
+    while True:
         u = rng.random()
         while u == 0.0:
             u = rng.random()
-        # one segment per stretch between clicks: its bracket forms the state
-        # at the horizon (in rk mode, unless the survival falls to u on the
-        # way), and no crossing is sought unless the survival has fallen to u
-        seg, t_max = prop.segment(psi), horizon - t
-        lo, hi, s_lo, s_hi, psi = seg.bracket(u, t_max)
-        jump = False
-        if s_hi <= u:
-            tau = _waiting_time(seg, u, lo, hi, s_lo, s_hi)
-            # a crossing rounded onto the horizon itself counts as no jump: the
-            # record invariant keeps click times strictly inside the window
-            jump = t + tau < horizon
-            psi = seg.at(tau if jump else t_max)
-        norm = math.sqrt(np.vdot(psi, psi).real)
-        if norm == 0.0:
-            raise PhysicsError("trajectory state collapsed to zero")
-        psi = psi / norm
-        if not jump:
+        # the bracket forms the end survival (and, for a segment, the state at
+        # the horizon, or in rk mode the state where the survival falls to u on
+        # the way), and no crossing is sought unless it has fallen to u
+        seg, t_max = law or prop.segment(psi), horizon - t
+        lo, hi, s_lo, s_hi, _ = seg.bracket(u, t_max)
+        if s_hi > u:
+            break
+        tau = _waiting_time(seg, u, lo, hi, s_lo, s_hi)
+        # a crossing rounded onto the horizon itself counts as no jump: the
+        # record invariant keeps click times strictly inside the window
+        if not t + tau < horizon:
             break
         t += tau
-        k, psi = apply_jump(psi, gen, rng)
+        if law is None:
+            k, psi = apply_jump(_normalized(seg.at(tau)), gen, rng)
+        else:
+            k, law, turn = renewal.click(prop, law, tau, u, rng)
+            phase *= turn
         events.append((t, k))
-    return JumpRecord(tuple(events), horizon), psi
+    return JumpRecord(tuple(events), horizon), phase * _normalized(seg.at(t_max))
 
 
 def _initial_state(psi0) -> np.ndarray:

@@ -539,13 +539,138 @@ class TestPostJumpWaitingTimes:
         assert kstest(taus, lambda t: 1.0 - post_jump_survival(omega, gamma, t)).pvalue > 1e-7
 
 
+def segment_run(psi0, gen, horizon, seed, index):
+    """Trajectory `index` of `seed` by the loop `_run` ran before survival
+    laws: one `Propagator.segment` of the state per stretch, the shared
+    `_waiting_time`, and `apply_jump` on the normalized state at each click.
+    Returns (events, final state)."""
+    prop = trajectories._propagator(gen)
+    rng = Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
+    psi, t, events = np.array(psi0, dtype=complex), 0.0, []
+    while True:
+        u = rng.random()
+        while u == 0.0:
+            u = rng.random()
+        seg, t_max = prop.segment(psi), horizon - t
+        lo, hi, s_lo, s_hi, psi = seg.bracket(u, t_max)
+        jump = False
+        if s_hi <= u:
+            tau = trajectories._waiting_time(seg, u, lo, hi, s_lo, s_hi)
+            jump = t + tau < horizon
+            psi = seg.at(tau if jump else t_max)
+        psi = psi / math.sqrt(np.vdot(psi, psi).real)
+        if not jump:
+            return events, psi
+        t += tau
+        k, psi = apply_jump(psi, gen, rng)
+        events.append((t, k))
+
+
+def lambda_generator():
+    """A Lambda atom: |e> = |2> driven from |0> and |1> (couplings Omega_0,
+    Omega_1) on two-photon resonance, so Omega_1|0> - Omega_0|1> is dark, and
+    decaying into |0> and |1> at different rates: two rank-one channels."""
+    h = np.zeros((3, 3), dtype=complex)
+    h[2, 0] = h[0, 2] = 0.7
+    h[2, 1] = h[1, 2] = 1.1
+    h[2, 2] = 0.4
+    down = [np.outer(np.eye(3)[j], np.eye(3)[2]) for j in (0, 1)]
+    return LindbladGenerator(h, ((0.6, down[0]), (1.4, down[1])))
+
+
+def complex_rank_one_generator():
+    """A dim-3 drift and one channel 0.8 |a><b| with complex |a>, |b> off
+    every basis vector."""
+    rng = np.random.default_rng(12)
+    a, b = random_state(rng, 3), random_state(rng, 3)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    return LindbladGenerator(h + h.conj().T, ((0.8, np.outer(a, b.conj())),))
+
+
+class TestRenewal:
+    """Every channel below has rank one, so `_run` runs on survival laws:
+    one per reset state, solved and clicked on Python floats, with the
+    post-click phase carried apart. It holds the segment-only loop
+    `segment_run`: the same channels and counts, event times within 1e-12
+    relative and final states within 1e-12 entrywise, phase included."""
+
+    @pytest.mark.parametrize("gen, psi0, horizon", [
+        (decay_generator(0.7), KET1, 4.0),
+        (driven_decay_generator(0.125, 1.0), KET1, 8.0),
+        (driven_decay_generator(1.0, 1.0), KET1, 6.0),
+        (driven_decay_generator(3.0, 1.0), KET1, 5.0),
+        (lambda_generator(), np.eye(3)[2].astype(complex), 8.0),
+        (complex_rank_one_generator(), random_state(np.random.default_rng(5), 3), 6.0),
+        (driven_decay_generator(1.3, 0.9), (KET0 + 0.5j * KET1) / math.sqrt(1.25), 6.0),
+    ], ids=["decay", "omega=gamma/8", "omega=gamma", "omega=3gamma", "lambda",
+            "complex-rank-one", "initial-superposition"])
+    def test_matches_the_segment_loop(self, gen, psi0, horizon):
+        prop = trajectories._propagator(gen)
+        assert trajectories._renewal(gen, prop) is not None
+        clicks = set()
+        for index in range(60):
+            record, psi = run_trajectory(psi0, gen, horizon, seed=4, index=index)
+            want, want_psi = segment_run(psi0, gen, horizon, 4, index)
+            assert [k for _, k in record.events] == [k for _, k in want]
+            np.testing.assert_allclose([t for t, _ in record.events],
+                                       [t for t, _ in want], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(psi, want_psi, rtol=0, atol=1e-12)
+            clicks.update(record.events)
+        assert {k for _, k in clicks} == set(range(len(gen.channels)))
+        assert len(clicks) >= 20
+
+    @pytest.mark.parametrize("omega", [1.0, 0.251], ids=["omega=gamma", "omega=0.251gamma"])
+    def test_probes_per_click_do_not_grow_with_the_horizon(self, monkeypatch, omega):
+        """Each stretch's first probe lies in one interval of its law's
+        table, wherever the horizon is. With n_traj * horizon fixed at 3e4,
+        probes per click at horizon 3e4 stay within one of those at horizon
+        3. Bracketing [0, time left] made 5.4 and 17.5 at omega = gamma, and
+        4.5 and 15.3 at omega = 0.251 gamma."""
+        gen = driven_decay_generator(omega, 1.0)
+        probes = []
+        update = trajectories._update
+
+        def counting(*args):
+            probes.append(None)
+            return update(*args)
+
+        monkeypatch.setattr(trajectories, "_update", counting)
+        per_click = []
+        for horizon, n_traj in ((3.0, 10_000), (3e4, 1)):
+            probes.clear()
+            clicks = sum(len(run_trajectory(KET1, gen, horizon, seed=1, index=i)[0].events)
+                         for i in range(n_traj))
+            assert clicks > 4000
+            per_click.append(len(probes) / clicks)
+        assert abs(per_click[1] - per_click[0]) <= 1.0, per_click
+
+
 class TestWorkPerTrajectory:
-    """Each stretch between clicks is one `Propagator.segment`. Survival
-    never rises, so a click's level is bracketed with no grid pass: in eig
-    mode by [0, time left] and the end survival. In rk mode the bracket
-    march stops at the first step at or below the level, the probes march
-    from the step before, and every march has one stop, so nothing is
-    integrated twice."""
+    """Under rank-one channels in eig mode each stretch is a survival law,
+    built once per reset state. Otherwise each stretch between clicks is one
+    `Propagator.segment`. Survival never rises, so a click's level is
+    bracketed with no grid pass: in eig mode by [0, time left] and the end
+    survival. In rk mode the bracket march stops at the first step at or
+    below the level, the probes march from the step before, and every march
+    has one stop, so nothing is integrated twice."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The states of every `Propagator.law` and `Propagator.segment` call."""
+        laws, segments = [], []
+        law, segment = operator_core.Propagator.law, operator_core.Propagator.segment
+
+        def counting_law(prop, x, bras):
+            laws.append(np.array(x))
+            return law(prop, x, bras)
+
+        def counting_segment(prop, x):
+            segments.append(np.array(x))
+            return segment(prop, x)
+
+        monkeypatch.setattr(operator_core.Propagator, "law", counting_law)
+        monkeypatch.setattr(operator_core.Propagator, "segment", counting_segment)
+        return laws, segments
 
     @staticmethod
     def count_marches(monkeypatch):
@@ -566,19 +691,42 @@ class TestWorkPerTrajectory:
         monkeypatch.setattr(operator_core, "march", counting)
         return marches
 
-    def test_dark_state_makes_no_states_call(self):
-        record, psi = run_trajectory(KET0, decay_generator(1.5), 4.0, seed=7)
-        assert record.events == ()
-        assert np.array_equal(psi, KET0)
+    def test_cli_job_builds_two_laws_and_no_segment(self, tmp_path, monkeypatch):
+        """A 200-trajectory `traject` job builds the law of |e>, its initial
+        state, and of |g>, where every click leaves it, and no segment."""
+        laws, segments = self.count_builds(monkeypatch)
+        config = tmp_path / "traject.json"
+        config.write_text(json.dumps({
+            "scenario": "traject", "seed": 5,
+            "params": {"gamma": 1.0, "omega": 1.0, "horizon": 3.0, "n_traj": 200}}))
+        out = tmp_path / "traject.csv"
+        assert main(["run", str(config), "--output", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 200 and sum(int(row["n_events"]) for row in rows) > 200
+        assert segments == []
+        assert [np.abs(x).round(15).tolist() for x in laws] == [[1.0, 0.0], [0.0, 1.0]]
 
-    def test_one_click_decay_makes_no_states_call(self):
-        record, psi = run_trajectory(KET1, decay_generator(1.0), 30.0, seed=7)
-        assert len(record.events) == 1
-        assert np.allclose(psi, KET0, atol=1e-14)
+    def test_damped_oscillator_builds_no_law(self, monkeypatch):
+        """The dim-11 oscillator's channel a has rank 10, so its clicks do
+        not reset the state: every stretch is a segment, and no law is built."""
+        laws, segments = self.count_builds(monkeypatch)
+        gen = damped_oscillator_generator(1.0, 1.0, 11)
+        psi0 = coherent_vector(CoherentStateSpec(1.0, 11))
+        ensemble_average(psi0, gen, 1.0, 20, base_seed=72)
+        assert trajectories._renewal(gen, trajectories._propagator(gen)) is None
+        assert laws == [] and len(segments) > 20
 
-    def test_driven_clicks_make_no_states_call(self):
-        record, _ = run_trajectory(KET1, driven_decay_generator(1.3, 0.9), 12.0, seed=1)
-        assert len(record.events) >= 3
+    def test_rank_one_channel_above_dimension_five_builds_no_law(self, monkeypatch):
+        """A law sums n(n+1)/2 exponentials per probe on Python floats, so
+        from dimension 6 on a rank-one channel keeps the segment path."""
+        laws, segments = self.count_builds(monkeypatch)
+        rng = np.random.default_rng(6)
+        a, b = random_state(rng, 6), random_state(rng, 6)
+        gen = LindbladGenerator(np.diag(rng.normal(size=6)), ((1.0, np.outer(a, b.conj())),))
+        assert trajectories._propagator(gen).mode == "eig"
+        record, _ = run_trajectory(a, gen, 20.0, seed=2)
+        assert trajectories._renewal(gen, trajectories._propagator(gen)) is None
+        assert laws == [] and len(segments) == len(record.events) + 1
 
     def test_rk_probes_cost_a_few_steps(self, monkeypatch):
         """On a forced-rk dim-70 one-click trajectory every RK45 `march` has
@@ -644,15 +792,22 @@ class TestPropagatorCache:
         assert built == [2]
 
     def test_generator_and_propagator_die_without_cycle_collector(self):
+        """A run that built survival laws leaves no cycle: the generator, its
+        propagator, its renewal and both laws are freed by reference
+        counting alone."""
         gen = driven_decay_generator(1.3, 0.9)
         gc.disable()
         try:
-            run_trajectory(KET0, gen, 2.0, seed=3)
+            record, _ = run_trajectory(KET0, gen, 6.0, seed=3)
+            assert record.events
             prop = trajectories._propagator(gen)
             assert trajectories._propagator(gen) is prop
-            refs = [weakref.ref(gen), weakref.ref(prop)]
-            del gen, prop
-            assert [ref() for ref in refs] == [None, None]
+            renewal = trajectories._renewal(gen, prop)
+            laws = [renewal._initial[1], *renewal._laws]
+            assert all(isinstance(law, operator_core._SurvivalLaw) for law in laws)
+            refs = [weakref.ref(obj) for obj in (gen, prop, renewal, *laws)]
+            del gen, prop, renewal, laws
+            assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             gc.enable()
 
