@@ -291,18 +291,21 @@ class Propagator:
     if nonfinite) the mode is picked once: "eig" if the eigenvectors have
     cond < _EIG_COND_MAX, else "rk" on y -> -i K y. From `derivative` (that
     map on flat arrays) it is "rk"; `rtol` and `atol` serve rk mode only.
-    Nothing held refers back to it."""
+    `cond` is that condition number (inf from `derivative`). Nothing held
+    refers back to it."""
 
     def __init__(self, k=None, derivative=None, rtol=1e-10, atol=1e-13):
         self.rtol, self.atol, self._fun, self.n = rtol, atol, derivative, None
         self._stack = self._gram = None
+        self.cond = math.inf
         if k is None:
             self.mode = "rk"
             return
         k = as_operator(k)
         n = self.n = k.shape[0]
         vals, vecs = np.linalg.eig(k)
-        if np.linalg.cond(vecs) < _EIG_COND_MAX:
+        self.cond = float(np.linalg.cond(vecs))
+        if self.cond < _EIG_COND_MAX:
             self.mode, self._rates, self._vecs = "eig", -1j * vals, vecs
             self._inv = np.linalg.inv(vecs)
         else:
@@ -401,7 +404,10 @@ class _SurvivalLaw:
     G = V†V and w = 1 on the diagonal, 2 off it, and E_jk = conj(r_j) + r_k
     for the rates r. `probe` sums it and its rate of loss -dS/dt on Python
     floats and forms no state, so the state slots of `probe` and `bracket`
-    are None; `at(t)` forms y(t) as `_EigSegment` does.
+    are None; `at(t)` is the `_EigSegment` of x. The terms are of size
+    cond(V)^2 and cancel to S, so S carries about eps cond(V)^2 of rounding
+    where the segment's |y|^2 carries eps cond(V): a caller builds laws
+    only for a well-conditioned V.
 
     A table of S at `_LAW_NODES` even times spans [0, T], where T doubles
     from the fastest decay time 1/max(-Re E) until S falls to `_LAW_FLOOR`
@@ -415,15 +421,13 @@ class _SurvivalLaw:
     arrays and lists of the propagator, never the propagator itself."""
 
     def __init__(self, prop: Propagator, x, bras):
-        rates, vecs, n = prop._rates, prop._vecs, prop.n
-        c = prop._inv @ x
-        self._rates, self._vecs, self._c = rates, vecs, c
-        r, w, g = rates.tolist(), c.tolist(), prop._gram.tolist()
+        self._seg, n = _EigSegment(prop, x), prop.n
+        r, w, g = prop._rates.tolist(), self._seg._c.tolist(), prop._gram.tolist()
         terms = [((2.0 if j < k else 1.0) * g[j][k] * w[j].conjugate() * w[k],
                   r[j].conjugate() + r[k]) for j in range(n) for k in range(j, n)]
         self._terms = [(amp, exp_, amp * exp_) for amp, exp_ in terms if amp]
         self._coords = list(zip(r, w))
-        self._rows = (bras @ vecs).tolist()
+        self._rows = (bras @ prop._vecs).tolist()
         self._s0 = self.probe(0.0)[1]
         self._table = None
         fastest = max((-exp_.real for _, exp_, _ in self._terms), default=0.0)
@@ -441,7 +445,7 @@ class _SurvivalLaw:
             self._table = step, (-np.exp(np.outer(times, exps)) @ amp).real.tolist()
 
     def at(self, t: float) -> np.ndarray:
-        return self._vecs @ (np.exp(t * self._rates) * self._c)
+        return self._seg.at(t)
 
     def bracket(self, level: float, t_end: float):
         lo, s_lo = 0.0, self._s0

@@ -28,6 +28,12 @@ _EPS = float(np.finfo(float).eps)
 # a survival law sums n(n+1)/2 exponentials per probe on Python floats; from
 # dimension 6 on, a segment's one numpy product per probe was cheaper per click
 _LAW_MAX_DIM = 5
+# a survival law's terms are of size cond(V)^2 for the eigenvectors V and
+# cancel to at most 1, so it rounds to about eps cond^2 where a segment's
+# |y|^2 rounds to eps cond: up to cond 4 that stays within 16 ulps. Near the
+# driven qubit's exceptional point (cond 22 at omega = 0.251 gamma) click
+# times would leave the segment loop's by 5e-11 relative
+_LAW_COND_MAX = 4.0
 
 
 def effective_hamiltonian(gen: LindbladGenerator) -> np.ndarray:
@@ -241,14 +247,15 @@ _RENEWALS = weakref.WeakKeyDictionary()
 
 
 def _renewal(gen: LindbladGenerator, prop: Propagator):
-    """gen's `_Renewal`: None outside eig mode, above `_LAW_MAX_DIM`, without
-    channels, or with a channel whose second singular value exceeds eps
-    times its first."""
+    """gen's `_Renewal`: None outside eig mode, above `_LAW_MAX_DIM` or
+    `_LAW_COND_MAX`, without channels, or with a channel whose second
+    singular value exceeds eps times its first."""
     renewal = _RENEWALS.get(gen, False)
     if renewal is not False:
         return renewal
     renewal = None
-    if prop.mode == "eig" and gen.channels and gen.dim <= _LAW_MAX_DIM:
+    if prop.mode == "eig" and prop.cond <= _LAW_COND_MAX and gen.channels \
+            and gen.dim <= _LAW_MAX_DIM:
         kets, bras = [], []
         for rate, op in gen.channels:
             u, s, vh = np.linalg.svd(op)

@@ -597,12 +597,13 @@ class TestRenewal:
     @pytest.mark.parametrize("gen, psi0, horizon", [
         (decay_generator(0.7), KET1, 4.0),
         (driven_decay_generator(0.125, 1.0), KET1, 8.0),
+        (driven_decay_generator(0.22, 1.0), KET1, 8.0),
         (driven_decay_generator(1.0, 1.0), KET1, 6.0),
         (driven_decay_generator(3.0, 1.0), KET1, 5.0),
         (lambda_generator(), np.eye(3)[2].astype(complex), 8.0),
         (complex_rank_one_generator(), random_state(np.random.default_rng(5), 3), 6.0),
         (driven_decay_generator(1.3, 0.9), (KET0 + 0.5j * KET1) / math.sqrt(1.25), 6.0),
-    ], ids=["decay", "omega=gamma/8", "omega=gamma", "omega=3gamma", "lambda",
+    ], ids=["decay", "omega=gamma/8", "omega=0.22gamma", "omega=gamma", "omega=3gamma", "lambda",
             "complex-rank-one", "initial-superposition"])
     def test_matches_the_segment_loop(self, gen, psi0, horizon):
         prop = trajectories._propagator(gen)
@@ -619,13 +620,35 @@ class TestRenewal:
         assert {k for _, k in clicks} == set(range(len(gen.channels)))
         assert len(clicks) >= 20
 
-    @pytest.mark.parametrize("omega", [1.0, 0.251], ids=["omega=gamma", "omega=0.251gamma"])
+    @pytest.mark.parametrize("omega", [0.251, 0.2501, 0.25001])
+    def test_no_law_near_the_exceptional_point(self, omega):
+        """Just above omega = gamma / 4 the eigenvectors are still in eig
+        mode but near parallel (cond 22 to 224), where a law's survival
+        would round to eps cond^2. The segment loop runs there and meets
+        the same bars."""
+        gen = driven_decay_generator(omega, 1.0)
+        prop = trajectories._propagator(gen)
+        assert prop.mode == "eig" and prop.cond > trajectories._LAW_COND_MAX
+        assert trajectories._renewal(gen, prop) is None
+        clicks = 0
+        for index in range(60):
+            record, psi = run_trajectory(KET1, gen, 8.0, seed=4, index=index)
+            want, want_psi = segment_run(KET1, gen, 8.0, 4, index)
+            assert [k for _, k in record.events] == [k for _, k in want]
+            np.testing.assert_allclose([t for t, _ in record.events],
+                                       [t for t, _ in want], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(psi, want_psi, rtol=0, atol=1e-12)
+            clicks += len(record.events)
+        assert clicks >= 20
+
+    @pytest.mark.parametrize("omega", [1.0, 0.3], ids=["omega=gamma", "omega=0.3gamma"])
     def test_probes_per_click_do_not_grow_with_the_horizon(self, monkeypatch, omega):
         """Each stretch's first probe lies in one interval of its law's
         table, wherever the horizon is. With n_traj * horizon fixed at 3e4,
         probes per click at horizon 3e4 stay within one of those at horizon
         3. Bracketing [0, time left] made 5.4 and 17.5 at omega = gamma, and
-        4.5 and 15.3 at omega = 0.251 gamma."""
+        4.8 and 16.0 at omega = 0.3 gamma, the slowest decay on the law
+        path (cond 3.3)."""
         gen = driven_decay_generator(omega, 1.0)
         probes = []
         update = trajectories._update
@@ -973,6 +996,15 @@ class TestRunTrajectory:
         record, psi = run_trajectory(psi0, gen, 2.0, seed=3)
         assert record.events == ()
         assert np.allclose(psi, expm(-2j * h) @ psi0, atol=1e-9)
+
+    def test_dark_state_returned_bit_for_bit(self):
+        """|g> under pure decay never clicks, and its law has no decaying
+        term, so the horizon's state is |g> itself."""
+        gen = decay_generator(1.0)
+        for index in range(20):
+            record, psi = run_trajectory(KET0, gen, 5.0, seed=2, index=index)
+            assert record.events == ()
+            assert np.array_equal(psi, KET0)
 
     def test_deterministic_for_fixed_seed(self):
         gen = driven_decay_generator()
