@@ -57,8 +57,8 @@ _DISCRETE_CUTOFFS = 50.0
 # (2k+d-2, B_2k/(2k)! (2k+d-3)!) for k = 1..8 give the terms coef x^-(2k-1)
 # g_(2k+d-2); the first omitted one, k = 9, is below 1e-17 of the sum there.
 _EM_START = 15.0
-# below this y/x the d = 1 tail integral is its leading term, exact to
-# (y/x)^2/6 < 1e-300, while (y/x)^2 itself nears underflow
+# below this r = y/x every tail integral is its leading term, exact to a
+# relative r^2 < 1e-300, while r^2 itself nears underflow
 _TINY_RATIO = 1e-150
 _EM_TERMS = {d: tuple((2 * k + d - 2, b / math.factorial(2 * k) * math.factorial(2 * k + d - 3))
                       for k, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
@@ -221,21 +221,38 @@ def _matsubara_sum(d: int, c: float, w: float, y: float) -> float:
         em += coef * inv_power * (2.0 * math.exp(-k * L) * math.sin(0.5 * k * theta) ** 2
                                   - math.expm1(-k * L))
         inv_power *= inv * inv
+    # the integrals y theta - x L, c L and c g_1 are y r/2, s y r/2 and s y r
+    # (1 + O(r^2)) with r = y/x, s = c/x; x L, L and g_1 are lost once r^2
+    # underflows, so below _TINY_RATIO the leading terms are taken
+    r = y / x
     if d == 1:
-        # y theta - x L = y r/2 (1 - r^2/6 + ...) with r = y/x; x L is lost
-        # once r^2 underflows, so below _TINY_RATIO the leading term is taken
-        r = y / x
         integral = 0.5 * y * r if r < _TINY_RATIO else y * theta - x * L
         return total + integral + (0.5 * L + em)
     s = c / x
-    return total + s ** (d - 2) * (c * low[d - 2] + s * (0.5 * low[d - 1] + em))
+    integral = (d - 1) * s * (0.5 * y * r) if r < _TINY_RATIO else c * low[d - 2]
+    return total + s ** (d - 2) * (integral + s * (0.5 * low[d - 1] + em))
+
+
+def _beyond_range(d: int, r: float) -> float:
+    """The series divided by y where x = 1 + c is beyond the float range.
+    The series is then its Euler-Maclaurin integral, to 1/x, at c/x = 1 and
+    y/x = r = omega_c t: y theta - x L, c L and c g_1 at x = y/r, so y
+    times theta - L/r, L/r and g_1/r, taken at their leading terms r/2, r/2
+    and r below _TINY_RATIO."""
+    if r < _TINY_RATIO:
+        return (1.0 if d == 3 else 0.5) * r
+    L, g1, _ = _low_orders(1.0, r)
+    if d == 1:
+        return math.atan(r) - L / r
+    return (L if d == 2 else g1) / r
 
 
 def F_th(j: SpectralDensity, temperature, t) -> float:
     """Thermal excess decay function, weight coth(w/2T) - 1 on top of J/w^2,
-    as the series of the module docstring. A value beyond the float range
-    raises, naming a, T/omega_c and T t, and so does a T/omega_c beyond it,
-    where the d = 1 series would round to 0."""
+    as the series of the module docstring. Where T/omega_c is beyond the
+    float range the series is its integral, y = T t times `_beyond_range`
+    of omega_c t, which tends to (d - 1)! a T t^2 omega_c for omega_c t << 1.
+    A value beyond the float range raises, naming a, T/omega_c and T t."""
     temperature, t = float(temperature), float(t)
     if temperature < 0:
         raise PhysicsError("temperature must be nonnegative")
@@ -245,8 +262,12 @@ def F_th(j: SpectralDensity, temperature, t) -> float:
         return 0.0
     c = temperature / j.omega_c
     y = temperature * t
-    th = j.a * (2.0 * _matsubara_sum(j.d, c, 1.0 + c, y))
-    if not (math.isfinite(th) and math.isfinite(c)):
+    if c < math.inf:
+        th = _matsubara_sum(j.d, c, 1.0 + c, y)
+    else:
+        th = y * _beyond_range(j.d, j.omega_c * t)
+    th = j.a * (2.0 * th)
+    if not math.isfinite(th):
         raise PhysicsError(f"F_th overflows: a = {j.a!r}, T/omega_c = {c!r}, T t = {y!r}")
     return th
 

@@ -135,6 +135,15 @@ _EIG_COND_MAX = 1e8
 # 2**-53, the smallest nonzero level numpy's `Generator.random` draws
 _LAW_NODES = 257
 _LAW_FLOOR = 2.0 ** -53
+# a survival law sums n(n+1)/2 exponentials per probe on Python floats; from
+# order 6 on, a segment's one numpy product per probe was cheaper per click
+_LAW_MAX_DIM = 5
+# a survival law's terms are of size cond(V)^2 for the eigenvectors V and
+# cancel to at most 1, so it rounds to about eps cond^2 where a segment's
+# |y|^2 rounds to eps cond: up to cond 4 that stays within 16 ulps. Near the
+# driven qubit's exceptional point (cond 22 at omega = 0.251 gamma) click
+# times would leave the segment loop's by 5e-11 relative
+_LAW_COND_MAX = 4.0
 
 
 # -- adaptive Dormand-Prince 5(4) ------------------------------------------------
@@ -291,7 +300,8 @@ class Propagator:
     if nonfinite) the mode is picked once: "eig" if the eigenvectors have
     cond < _EIG_COND_MAX, else "rk" on y -> -i K y. From `derivative` (that
     map on flat arrays) it is "rk"; `rtol` and `atol` serve rk mode only.
-    `cond` is that condition number (inf from `derivative`). Nothing held
+    `cond` is that condition number (inf from `derivative`); with the mode
+    and the order it also decides whether `law` gives a law. Nothing held
     refers back to it."""
 
     def __init__(self, k=None, derivative=None, rtol=1e-10, atol=1e-13):
@@ -324,7 +334,7 @@ class Propagator:
             return x.copy()
         if self.mode == "eig":
             if x.ndim == 1:
-                return self._vecs @ (np.exp(t * self._rates) * (self._inv @ x))
+                return _eig_state(self, self._inv @ x, t)
             cols = self._inv @ x.reshape(self.n, -1)
             return (self._vecs @ (np.exp(t * self._rates)[:, None] * cols)
                     ).reshape(x.shape)
@@ -345,9 +355,14 @@ class Propagator:
         return _EigSegment(self, x)
 
     def law(self, x, bras):
-        """The survival law of one vector x in eig mode, a `_SurvivalLaw`:
-        the segment of x as sums on Python floats, with the overlaps of y(t)
-        with each row of the matrix `bras`. G = V†V is formed once here."""
+        """The survival law of one vector x, a `_SurvivalLaw`: the segment
+        of x as sums on Python floats, with the overlaps of y(t) with each
+        row of the matrix `bras`. None where such sums would miss a
+        segment's bars or cost more than it: in rk mode, above
+        `_LAW_COND_MAX` or above order `_LAW_MAX_DIM`. G = V†V is formed
+        once here."""
+        if self.mode == "rk" or self.cond > _LAW_COND_MAX or self.n > _LAW_MAX_DIM:
+            return None
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.n,):
             raise DimensionError(f"law of a state of shape {x.shape} for K of order {self.n}")
@@ -360,19 +375,25 @@ def _norm_sq(y) -> float:
     return float(np.vdot(y, y).real)
 
 
+def _eig_state(owner, c, t: float) -> np.ndarray:
+    """V (e^{t rates} * c), the eig-mode state at t of eigen coordinates c,
+    from the V and rates of `owner`, a Propagator or an `_EigSegment`."""
+    return owner._vecs @ (np.exp(t * owner._rates) * c)
+
+
 class _EigSegment:
     """y(t) from the eigen coordinates c = V^-1 x, formed once: every state
-    is V (e^{t rates} * c), bit for bit `Propagator.apply(x, t)`, and none
-    is propagated from another.
+    is `_eig_state`, bit for bit `Propagator.apply(x, t)`, and none is
+    propagated from another.
 
-    `bracket(level, t_end)` returns (lo, hi, |y(lo)|^2, |y(hi)|^2, y(hi))
-    with lo = 0 and hi = t_end. The end state and its survival do not
-    depend on the level, so they are formed once per t_end and kept: a
-    caller that brackets many levels to one t_end, or asks `at(t_end)`
-    after its bracket, gets the same array back each time and must not
-    write it. `probe(t)` returns y(t), |y(t)|^2 and its rate of loss
-    -d|y|^2/dt = -2 Re <y|dy/dt>, all from one product with
-    [V; V diag(rates)]. `at(t)` returns y(t)."""
+    `bracket(level, t_end)` returns (lo, hi, |y(lo)|^2, |y(hi)|^2) with
+    lo = 0 and hi = t_end. The end state and its survival do not depend on
+    the level, so they are formed once per t_end and kept: a caller that
+    brackets many levels to one t_end, or asks `at(t_end)` after its
+    bracket, gets the same array back each time and must not write it.
+    `probe(t)` returns |y(t)|^2 and its rate of loss -d|y|^2/dt =
+    -2 Re <y|dy/dt>, both from one product with [V; V diag(rates)].
+    `at(t)` returns y(t)."""
 
     def __init__(self, prop: Propagator, x):
         self._rates, self._vecs, self._stack = prop._rates, prop._vecs, prop._stack
@@ -382,19 +403,18 @@ class _EigSegment:
     def at(self, t: float) -> np.ndarray:
         if self._end is not None and self._end[0] == t:
             return self._end[1]
-        return self._vecs @ (np.exp(t * self._rates) * self._c)
+        return _eig_state(self, self._c, t)
 
     def bracket(self, level: float, t_end: float):
         if self._end is None or self._end[0] != t_end:
             end = self.at(t_end)
             self._end = t_end, end, _norm_sq(end)
-        _, end, s_end = self._end
-        return 0.0, t_end, self._s0, s_end, end
+        return 0.0, t_end, self._s0, self._end[2]
 
     def probe(self, t: float):
         both, n = self._stack @ (np.exp(t * self._rates) * self._c), self._n
         y, dy = both[:n], both[n:]
-        return y, _norm_sq(y), -2.0 * float(np.vdot(y, dy).real)
+        return _norm_sq(y), -2.0 * float(np.vdot(y, dy).real)
 
 
 class _SurvivalLaw:
@@ -403,11 +423,10 @@ class _SurvivalLaw:
     S(t) = Re sum_{j<=k} A_jk e^{E_jk t}: A_jk = w conj(c_j) c_k G_jk with
     G = V†V and w = 1 on the diagonal, 2 off it, and E_jk = conj(r_j) + r_k
     for the rates r. `probe` sums it and its rate of loss -dS/dt on Python
-    floats and forms no state, so the state slots of `probe` and `bracket`
-    are None; `at(t)` is the `_EigSegment` of x. The terms are of size
-    cond(V)^2 and cancel to S, so S carries about eps cond(V)^2 of rounding
-    where the segment's |y|^2 carries eps cond(V): a caller builds laws
-    only for a well-conditioned V.
+    floats and forms no state; `at(t)` is the `_EigSegment` of x. The terms
+    are of size cond(V)^2 and cancel to S, so S carries about eps cond(V)^2
+    of rounding where the segment's |y|^2 carries eps cond(V): `Propagator.law`
+    builds laws only for a well-conditioned V.
 
     A table of S at `_LAW_NODES` even times spans [0, T], where T doubles
     from the fastest decay time 1/max(-Re E) until S falls to `_LAW_FLOOR`
@@ -428,14 +447,14 @@ class _SurvivalLaw:
         self._terms = [(amp, exp_, amp * exp_) for amp, exp_ in terms if amp]
         self._coords = list(zip(r, w))
         self._rows = (bras @ prop._vecs).tolist()
-        self._s0 = self.probe(0.0)[1]
+        self._s0 = self.probe(0.0)[0]
         self._table = None
         fastest = max((-exp_.real for _, exp_, _ in self._terms), default=0.0)
         if fastest > 0.0:
             span = 1.0 / fastest
-            s = self.probe(span)[1]
+            s = self.probe(span)[0]
             for _ in range(53):
-                s_next = self.probe(2.0 * span)[1]
+                s_next = self.probe(2.0 * span)[0]
                 if s <= _LAW_FLOOR or s - s_next <= _LAW_FLOOR:
                     break
                 span, s = 2.0 * span, s_next
@@ -455,10 +474,10 @@ class _SurvivalLaw:
             step, neg = self._table
             i = bisect_left(neg, -level)
             if 0 < i < len(neg) and i * step <= t_end:
-                return (i - 1) * step, i * step, -neg[i - 1], -neg[i], None
+                return (i - 1) * step, i * step, -neg[i - 1], -neg[i]
             if 0 < i and (i - 1) * step < t_end:
                 lo, s_lo = (i - 1) * step, -neg[i - 1]
-        return lo, t_end, s_lo, self.probe(t_end)[1], None
+        return lo, t_end, s_lo, self.probe(t_end)[0]
 
     def probe(self, t: float):
         s = rate = 0.0
@@ -466,7 +485,7 @@ class _SurvivalLaw:
             w = cmath.exp(exp_ * t)
             s += (amp * w).real
             rate -= (slope * w).real
-        return None, s, rate
+        return s, rate
 
     def amplitudes(self, t: float) -> list:
         z = [cmath.exp(r * t) * c for r, c in self._coords]
@@ -478,9 +497,9 @@ class _RkSegment:
     `march` from x toward t_end and leaves it at the first accepted step
     with |y|^2 <= level, so nothing past the crossing is integrated: that
     step is hi and the one before it lo. Without a crossing the march ends
-    at hi = t_end, and y(hi) is the end state. After it, `probe(t)` and
-    `at(t)` for t >= lo make one-stop marches from y(lo), and the probe's
-    rate of loss is -2 Re <y|fun(y)>."""
+    at hi = t_end. It keeps y(lo), so `at(lo)` marches nothing, and
+    `probe(t)` and `at(t)` for t > lo make one-stop marches from it; the
+    probe's rate of loss is -2 Re <y|fun(y)>."""
 
     def __init__(self, prop: Propagator, x):
         self._prop, self._x, self._lo, self._y_lo = prop, x, 0.0, x
@@ -501,11 +520,11 @@ class _RkSegment:
                 break
             lo, y_lo, s_lo = hi, y, s
         self._lo, self._y_lo = float(lo), y_lo
-        return self._lo, float(hi), s_lo, s, y
+        return self._lo, float(hi), s_lo, s
 
     def probe(self, t: float):
         y = self.at(t)
-        return y, _norm_sq(y), -2.0 * float(np.vdot(y, self._prop._fun(y)).real)
+        return _norm_sq(y), -2.0 * float(np.vdot(y, self._prop._fun(y)).real)
 
 
 def trace_distance(rho, sigma) -> float:

@@ -93,24 +93,17 @@ def _flow_rhs(gen: LindbladGenerator | MonitoredParticle):
     """`nonlinear_rhs` compiled for one generator. A MonitoredParticle applies
     H as ifft(kinetic * fft(xi)) and folds its real monitor diagonal d into
     one coefficient vector, rate [<d> d - d^2/2 + <d^2>/2 - <d>^2], with <.>
-    taken in xi. A LindbladGenerator forms L+L once per channel and keeps a
-    diagonal L as its diagonal d, with L+L = |d|^2."""
+    taken in xi. A LindbladGenerator forms L+L once per channel."""
     if isinstance(gen, MonitoredParticle):
         return _particle_rhs(gen)
-    h, terms = gen.hamiltonian, []
-    for rate, op in gen.channels:
-        diag = np.diagonal(op)
-        if np.count_nonzero(op) == np.count_nonzero(diag):
-            terms.append((rate, diag, np.abs(diag) ** 2))
-        else:
-            terms.append((rate, op, dag(op) @ op))
+    h = gen.hamiltonian
+    terms = [(rate, op, dag(op) @ op) for rate, op in gen.channels]
 
     def rhs(xi):
         xi = np.asarray(xi, dtype=complex)
         out = -1j * (h @ xi)
         for rate, op, ll in terms:
-            l_xi = op * xi if op.ndim == 1 else op @ xi
-            ll_xi = ll * xi if ll.ndim == 1 else ll @ xi
+            l_xi, ll_xi = op @ xi, ll @ xi
             exp_l = np.vdot(xi, l_xi)
             exp_ll = np.vdot(xi, ll_xi).real
             out += rate * (np.conj(exp_l) * (l_xi - exp_l * xi)

@@ -25,15 +25,6 @@ _BISECT_REL = 1e-10
 _DARK_WEIGHT = 1e-14
 _NORM_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
-# a survival law sums n(n+1)/2 exponentials per probe on Python floats; from
-# dimension 6 on, a segment's one numpy product per probe was cheaper per click
-_LAW_MAX_DIM = 5
-# a survival law's terms are of size cond(V)^2 for the eigenvectors V and
-# cancel to at most 1, so it rounds to about eps cond^2 where a segment's
-# |y|^2 rounds to eps cond: up to cond 4 that stays within 16 ulps. Near the
-# driven qubit's exceptional point (cond 22 at omega = 0.251 gamma) click
-# times would leave the segment loop's by 5e-11 relative
-_LAW_COND_MAX = 4.0
 
 
 def effective_hamiltonian(gen: LindbladGenerator) -> np.ndarray:
@@ -44,23 +35,26 @@ def effective_hamiltonian(gen: LindbladGenerator) -> np.ndarray:
     return h_c
 
 
-# one Propagator of H_C per generator: generators are immutable and hash by
-# identity, and a Propagator holds no reference to its generator, so it lives
-# exactly as long as the generator it was built from
-_PROPAGATORS = weakref.WeakKeyDictionary()
+# the no-jump evolution of each generator: the Propagator of its H_C and its
+# `_Renewal` (None where a click need not reset the state), built at its
+# first use. Generators are immutable and hash by identity, and neither
+# object holds a reference to its generator, so both live exactly as long as
+# the generator they were built from
+_NO_JUMP = weakref.WeakKeyDictionary()
 
 
-def _propagator(gen: LindbladGenerator) -> Propagator:
-    prop = _PROPAGATORS.get(gen)
-    if prop is None:
-        prop = _PROPAGATORS[gen] = Propagator(effective_hamiltonian(gen))
-    return prop
+def _no_jump(gen: LindbladGenerator) -> tuple:
+    """(Propagator of H_C, `_Renewal` or None) of gen."""
+    entry = _NO_JUMP.get(gen)
+    if entry is None:
+        entry = _NO_JUMP[gen] = Propagator(effective_hamiltonian(gen)), _renewal(gen)
+    return entry
 
 
 def no_jump_propagate(psi, gen: LindbladGenerator, tau: float) -> np.ndarray:
     """Unnormalized conditioned state exp(-i tau H_C) psi; its squared norm
     is the probability that no jump occurred up to tau."""
-    return _propagator(gen).apply(psi, tau)
+    return _no_jump(gen)[0].apply(psi, tau)
 
 
 def _start(lo, hi, a, b, log_u):
@@ -96,7 +90,7 @@ def _waiting_time(seg, u: float, lo: float, hi: float, s_lo: float, s_hi: float)
     b = math.log(s_hi) if s_hi > 0.0 else -math.inf
     tau, last = _start(lo, hi, math.log(s_lo), b, log_u), hi - lo
     while True:
-        _, s, rate = seg.probe(tau)
+        s, rate = seg.probe(tau)
         f = (math.log(s) if s > 0.0 else -math.inf) - log_u
         new, lo, hi, done = _update(tau, lo, hi, last, f, f * s / rate if rate else math.nan)
         if done:
@@ -104,31 +98,23 @@ def _waiting_time(seg, u: float, lo: float, hi: float, s_lo: float, s_hi: float)
         tau, last = new, abs(new - tau)
 
 
-def sample_jump_time(psi, gen: LindbladGenerator, u: float, t_max: float):
-    """Waiting time by survival inversion: first tau with
-    |no_jump_propagate(psi, tau)|^2 = u; None when no jump occurs by t_max."""
-    tau = sample_jump_times(psi, gen, [u], t_max)[0]
-    return None if np.isinf(tau) else float(tau)
-
-
 def sample_jump_times(psi, gen: LindbladGenerator, us, t_max: float) -> np.ndarray:
-    """Waiting times for an array of survival levels: 0.0 where the survival
-    of psi is already at or below u, inf where it stays above u up to t_max.
-    Each level is solved alone by `_waiting_time` on one segment of psi,
-    whose `bracket` starts from psi every time."""
+    """Waiting times by survival inversion for an array of levels u: the
+    first tau with |no_jump_propagate(psi, tau)|^2 = u, 0.0 where the
+    survival of psi is already at or below u, inf where it stays above u up
+    to t_max. Each level is solved alone by `_waiting_time` on one segment
+    of psi, whose `bracket` starts from psi every time."""
     us = np.asarray(us, dtype=float)
     if not np.all((us > 0.0) & (us < 1.0)):
         raise PhysicsError("u must lie in (0, 1)")
-    t_max = float(t_max)
-    if not 0.0 < t_max < math.inf:
-        raise PhysicsError(f"t_max must be positive and finite, got {t_max!r}")
+    t_max = _horizon(t_max)
     psi = np.asarray(psi, dtype=complex)
     if not np.all(np.isfinite(psi)):
         raise PhysicsError("state has non-finite entries")
-    seg = _propagator(gen).segment(psi)
+    seg = _no_jump(gen)[0].segment(psi)
     out = np.empty(us.size)
     for i, u in enumerate(us.ravel().tolist()):
-        lo, hi, s_lo, s_hi, _ = seg.bracket(u, t_max)
+        lo, hi, s_lo, s_hi = seg.bracket(u, t_max)
         if s_lo <= u:
             out[i] = 0.0
         elif s_hi > u:
@@ -210,9 +196,10 @@ class _Renewal:
     |a_k> (`Propagator.law`) whatever came before: a renewal process
     (Cohen-Tannoudji & Dalibard, Europhys. Lett. 1, 441 (1986)). Each law
     is built at the first click into its channel, and one more serves the
-    last initial state, so at most len(channels) + 1 are kept. A law's
-    amplitudes are over the rows sqrt(gamma_k) s_k <b_k|, whose squared
-    moduli are the channel weights at a click."""
+    last initial state, so at most len(channels) + 1 are kept; where the
+    propagator gives no law, `initial` returns None and no click reaches
+    `click`. A law's amplitudes are over the rows sqrt(gamma_k) s_k <b_k|,
+    whose squared moduli are the channel weights at a click."""
 
     def __init__(self, kets, bras):
         self._kets, self._bras = kets, bras
@@ -220,7 +207,8 @@ class _Renewal:
         self._initial = None, None
 
     def initial(self, prop: Propagator, psi0):
-        """The law of psi0 (DimensionError for a state of another shape)."""
+        """The law of psi0, or None (DimensionError for a state of another
+        shape where the propagator gives laws)."""
         key = psi0.shape, psi0.tobytes()
         last, law = self._initial
         if last != key:
@@ -240,33 +228,19 @@ class _Renewal:
         return k, reset, amps[k] / abs(amps[k])
 
 
-# the `_Renewal` of each generator, or None where a click need not reset the
-# state; built by a generator's first trajectory and kept, like its
-# propagator, for the generator's life
-_RENEWALS = weakref.WeakKeyDictionary()
-
-
-def _renewal(gen: LindbladGenerator, prop: Propagator):
-    """gen's `_Renewal`: None outside eig mode, above `_LAW_MAX_DIM` or
-    `_LAW_COND_MAX`, without channels, or with a channel whose second
-    singular value exceeds eps times its first."""
-    renewal = _RENEWALS.get(gen, False)
-    if renewal is not False:
-        return renewal
-    renewal = None
-    if prop.mode == "eig" and prop.cond <= _LAW_COND_MAX and gen.channels \
-            and gen.dim <= _LAW_MAX_DIM:
-        kets, bras = [], []
-        for rate, op in gen.channels:
-            u, s, vh = np.linalg.svd(op)
-            if s.size > 1 and s[1] > _EPS * s[0]:
-                break
-            kets.append(u[:, 0])
-            bras.append(math.sqrt(rate) * s[0] * vh[0])
-        else:
-            renewal = _Renewal(kets, np.array(bras))
-    _RENEWALS[gen] = renewal
-    return renewal
+def _renewal(gen: LindbladGenerator):
+    """gen's `_Renewal`: None without channels, or with a channel whose
+    second singular value exceeds eps times its first."""
+    if not gen.channels:
+        return None
+    kets, bras = [], []
+    for rate, op in gen.channels:
+        u, s, vh = np.linalg.svd(op)
+        if s.size > 1 and s[1] > _EPS * s[0]:
+            return None
+        kets.append(u[:, 0])
+        bras.append(math.sqrt(rate) * s[0] * vh[0])
+    return _Renewal(kets, np.array(bras))
 
 
 def _normalized(psi) -> np.ndarray:
@@ -277,12 +251,11 @@ def _normalized(psi) -> np.ndarray:
 
 
 def _run(psi0, gen, horizon, rng):
-    prop = _propagator(gen)
-    renewal = _renewal(gen, prop)
+    prop, renewal = _no_jump(gen)
     psi, t, events = np.array(psi0, dtype=complex), 0.0, []
-    # under a renewal every stretch is a survival law, which forms no state
-    # between clicks: the state is law.at(t) times `phase`, normalized;
-    # otherwise each stretch is one segment of the state psi
+    # where a renewal's propagator gives laws, every stretch is a survival
+    # law, which forms no state between clicks: the state is law.at(t) times
+    # `phase`, normalized; otherwise each stretch is one segment of psi
     law = renewal.initial(prop, psi) if renewal else None
     phase = 1.0
     while True:
@@ -293,7 +266,7 @@ def _run(psi0, gen, horizon, rng):
         # the horizon, or in rk mode the state where the survival falls to u on
         # the way), and no crossing is sought unless it has fallen to u
         seg, t_max = law or prop.segment(psi), horizon - t
-        lo, hi, s_lo, s_hi, _ = seg.bracket(u, t_max)
+        lo, hi, s_lo, s_hi = seg.bracket(u, t_max)
         if s_hi > u:
             break
         tau = _waiting_time(seg, u, lo, hi, s_lo, s_hi)
@@ -338,7 +311,7 @@ def run_trajectory(psi0, gen: LindbladGenerator, horizon: float, seed: int,
 def record_operator(record: JumpRecord, gen: LindbladGenerator) -> np.ndarray:
     """Compound conditioning operator M_R: no-jump stretches interleaved with
     the recorded jump operators, ending at the horizon."""
-    prop = _propagator(gen)
+    prop = _no_jump(gen)[0]
     m = np.eye(gen.dim, dtype=complex)
     t_prev = 0.0
     for t_i, k_i in record.events:

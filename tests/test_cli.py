@@ -640,6 +640,20 @@ class TestExitCodes:
         cols = [header.index(k) for k in ("f_vac", "f_th", "visibility")]
         assert all(math.isfinite(float(row[i])) for row in rows for i in cols)
 
+    def test_dephase_beyond_the_cutoff_ratio_range(self, tmp_path, capsys):
+        """T/omega_c = 1e600 is beyond the float range, and this config once
+        exited 3; F_th is 2 a T t^2 omega_c = 2 t^2 there."""
+        params = {"a": 1.0, "omega_c": 1e-300, "temperature": 1e300, "d": 3,
+                  "t_min": 1e-3, "t_max": 1.0, "n_points": 3}
+        cfg = write_config(tmp_path, {"scenario": "dephase", "params": params})
+        assert main(["validate", cfg]) == 0
+        out = tmp_path / "beyond.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        ts = [float(row[header.index("t")]) for row in rows]
+        f_th = [float(row[header.index("f_th")]) for row in rows]
+        np.testing.assert_allclose(f_th, [2.0 * t * t for t in ts], rtol=1e-12)
+
     @pytest.mark.parametrize("params", [
         # (T/omega_c)^2 = 1e400 is beyond the float range
         {"a": 1.0, "omega_c": 1.0, "temperature": 1e200, "d": 3},

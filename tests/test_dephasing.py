@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import polygamma
@@ -320,14 +320,39 @@ class TestThermalDecay:
         assert F_th(j, 2.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_raises_where_the_cutoff_ratio_overflows(self, d):
-        """T/omega_c = 1e320 rounds to inf. F_th is about (d - 1)! a T t^2
-        omega_c there, which the series cannot reach, so every d raises
-        naming a, T/omega_c and T t; d = 1 once returned 0.0."""
+    def test_finite_where_the_cutoff_ratio_overflows(self, d):
+        """F_th is (d - 1)! a T t^2 omega_c for omega_c t << 1 << T/omega_c:
+        at T/omega_c = 1e300, and at 1e320 and 1e600, which round to inf
+        (at 1e600 omega_c/T underflows to 0 as well). There every d once
+        raised, and d = 1 before that returned 0.0. Only a value beyond the
+        float range raises, naming a, T/omega_c and T t."""
+        want = math.factorial(d - 1)
+        for omega_c, temp in ((1e-150, 1e150), (1e-160, 1e160), (1e-300, 1e300)):
+            j = SpectralDensity(a=1.0, omega_c=omega_c, d=d)
+            assert F_th(j, temp, 1.0) == pytest.approx(want, rel=1e-12)
+            assert F_th(j, temp, 1e-3) == pytest.approx(want * 1e-6, rel=1e-12)
         j = SpectralDensity(a=1.0, omega_c=1e-160, d=d)
-        with pytest.raises(PhysicsError,
-                           match=r"a = 1\.0, T/omega_c = inf, T t = 1e\+160"):
-            F_th(j, 1e160, 1.0)
+        assert F_th(j, 1e160, 1e80) == pytest.approx(want * 1e160, rel=1e-12)
+        with pytest.raises(PhysicsError, match=r"a = 1\.0, T/omega_c = inf, T t = inf"):
+            F_th(j, 1e160, 1e160)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(d=st.sampled_from((1, 2, 3)), log_omega_c=st.floats(-300.0, 280.0),
+           share=st.floats(0.0, 1.0), log_omega_c_t=st.floats(-300.0, -7.0))
+    # (omega_c t)^2 = 1e-400 underflows where T/omega_c = 1e300 is finite: the
+    # tail integral c L once rounded to 0 there
+    @example(d=2, log_omega_c=-150.0, share=1.0, log_omega_c_t=-200.0)
+    def test_small_cutoff_time_limit(self, d, log_omega_c, share, log_omega_c_t):
+        """Within 1e-12 of (d - 1)! a T t^2 omega_c wherever omega_c t <= 1e-7
+        and T/omega_c >= 1e13, over the whole double range, T/omega_c beyond
+        it included, down to values of 1e-290."""
+        omega_c = 10.0 ** log_omega_c
+        temp = 10.0 ** (log_omega_c + 13.0 + share * (300.0 - 13.0 - log_omega_c))
+        t = 10.0 ** log_omega_c_t / omega_c
+        want = math.factorial(d - 1) * (temp * t) * (omega_c * t)
+        assume(math.isfinite(temp * t) and 1e-290 < want < math.inf)
+        j = SpectralDensity(a=0.3, omega_c=omega_c, d=d)
+        assert F_th(j, temp, t) == pytest.approx(0.3 * want, rel=1e-12, abs=0.0)
 
     def test_long_time_linear_in_t(self):
         # deep thermal regime: slope approaches a/t_T with O(t_T/t) correction

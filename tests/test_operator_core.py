@@ -9,9 +9,10 @@ from scipy.linalg import expm
 
 from decolab import operator_core as oc
 from decolab.errors import DimensionError, PhysicsError
+from decolab.lindblad import LindbladGenerator
 from decolab.trajectories import effective_hamiltonian
 
-from conftest import random_density, random_generator, random_unitary
+from conftest import random_density, random_generator, random_state, random_unitary
 
 
 def test_vectorize_roundtrip_exact():
@@ -197,10 +198,10 @@ class TestPropagator:
                 assert np.array_equal(prop.apply(psi, t), prop.apply(psi[:, None], t)[:, 0])
 
     def test_eig_segment_states_are_apply_bit_for_bit(self, rng):
-        """An eig-mode segment forms c = V^-1 x once. Its end state, every
-        probe state and every state `at` a time equal `apply(x, t)` bit for
-        bit, whatever order the times come in, and a probe's rate of loss
-        is <y|i(K - K†)|y>."""
+        """An eig-mode segment forms c = V^-1 x once. Its end state and
+        every state `at` a time equal `apply(x, t)` bit for bit, and so do
+        the bracket's and every probe's survival, whatever order the times
+        come in; a probe's rate of loss is <y|i(K - K†)|y>."""
         for dim in range(2, 71, 4):
             drift = effective_hamiltonian(random_generator(rng, dim, 1))
             prop = oc.Propagator(drift)
@@ -208,22 +209,22 @@ class TestPropagator:
             loss = 1j * (drift - drift.conj().T)
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             seg = prop.segment(psi)
-            lo, hi, s_lo, s_hi, end = seg.bracket(0.5, 2.5)
+            lo, hi, s_lo, s_hi = seg.bracket(0.5, 2.5)
             want = prop.apply(psi, 2.5)
             assert (lo, hi, s_lo) == (0.0, 2.5, float(np.vdot(psi, psi).real))
-            assert np.array_equal(end, want) and s_hi == float(np.vdot(want, want).real)
+            assert np.array_equal(seg.at(2.5), want) and s_hi == float(np.vdot(want, want).real)
             for t in rng.permutation(np.concatenate([rng.uniform(0.0, 2.5, 8), [2.5]])):
                 want = prop.apply(psi, t)
-                y, s, rate = seg.probe(t)
-                assert np.array_equal(y, want) and np.array_equal(seg.at(t), want)
+                s, rate = seg.probe(t)
+                assert np.array_equal(seg.at(t), want)
                 assert s == float(np.vdot(want, want).real)
                 assert rate == pytest.approx(np.vdot(want, loss @ want).real, rel=1e-9)
 
     def test_rk_segment_stops_at_the_crossing(self, rng, monkeypatch):
         """An rk-mode segment's bracket leaves its one `march` at the first
         accepted step whose |y|^2 is at or below the level, and probes march
-        from the step before; without a crossing it ends on the state
-        `apply` forms, bit for bit."""
+        from the step before; without a crossing it ends on the survival of
+        the state `apply` forms, bit for bit."""
         self.force(monkeypatch, "rk")
         drift = effective_hamiltonian(random_generator(rng, 6))
         prop = oc.Propagator(drift)
@@ -238,21 +239,24 @@ class TestPropagator:
                 yield t, y
 
         monkeypatch.setattr(oc, "march", recording)
-        lo, hi, s_lo, s_end, end = prop.segment(psi).bracket(0.0, 4.0)
-        assert hi == 4.0 and s_end > 0.0
-        assert np.array_equal(end, prop.apply(psi, 4.0))
+        lo, hi, s_lo, s_end = prop.segment(psi).bracket(0.0, 4.0)
+        end = prop.apply(psi, 4.0)
+        assert hi == 4.0 and s_end > 0.0 and s_end == float(np.vdot(end, end).real)
         level = 0.5 * (1.0 + s_end)
         steps.clear()
         seg = prop.segment(psi)
-        lo, hi, s_lo, s_hi, y_hi = seg.bracket(level, 4.0)
+        lo, hi, s_lo, s_hi = seg.bracket(level, 4.0)
         assert steps[-2:] == [lo, hi] and hi < 4.0
         assert s_lo > level >= s_hi
-        np.testing.assert_allclose(y_hi, expm(-1j * hi * drift) @ psi, rtol=0, atol=1e-9)
+        steps.clear()
+        np.testing.assert_allclose(seg.at(lo), expm(-1j * lo * drift) @ psi, rtol=0, atol=1e-9)
+        assert steps == []
         for t in (lo, 0.5 * (lo + hi), hi):
-            y, s, rate = seg.probe(t)
+            s, rate = seg.probe(t)
+            y = seg.at(t)
             want = expm(-1j * t * drift) @ psi
             np.testing.assert_allclose(y, want, rtol=0, atol=1e-9)
-            assert np.array_equal(seg.at(t), y)
+            assert s == float(np.vdot(y, y).real)
             assert rate == pytest.approx(
                 np.vdot(want, 1j * (drift - drift.conj().T) @ want).real, rel=1e-8)
 
@@ -285,6 +289,63 @@ class TestPropagator:
                 if name in binds:
                     binds[name].add(path.stem)
         assert binds == {"_expm": set(), "_DormandPrince": {"operator_core"}}
+
+
+def traject_qubit(omega, gamma=1.0):
+    """The `traject` scenario's generator: drive omega sigma_x and decay of
+    |0> into |1> at gamma, one rank-one channel."""
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    return LindbladGenerator(omega * sx, ((gamma, np.array([[0, 0], [1, 0]], dtype=complex)),))
+
+
+class TestLaw:
+    """`Propagator.law` alone decides whether a stretch is a survival law:
+    None where its Gram-form sum would miss a segment's bars or cost more,
+    a law otherwise. The three driven-qubit routes of `traject` are pinned
+    here: rk mode at omega = gamma/4, a segment at eigenvector cond 22
+    (omega = 0.251 gamma), a law at omega = gamma."""
+
+    BRAS = np.array([[1.0, 0.0]], dtype=complex)
+
+    def test_none_in_rk_mode(self):
+        prop = oc.Propagator(effective_hamiltonian(traject_qubit(0.25)))
+        assert prop.mode == "rk" and prop.cond > oc._EIG_COND_MAX
+        assert prop.law(np.array([0.0, 1.0]), self.BRAS) is None
+        assert oc.Propagator(derivative=lambda y: -y).law(np.ones(2), self.BRAS) is None
+
+    def test_none_above_the_cond_bound(self):
+        prop = oc.Propagator(effective_hamiltonian(traject_qubit(0.251)))
+        assert prop.mode == "eig" and 22.0 < prop.cond < 23.0
+        assert prop.cond > oc._LAW_COND_MAX
+        assert prop.law(np.array([0.0, 1.0]), self.BRAS) is None
+
+    def test_none_above_order_five(self):
+        """A rank-one channel at dimension 6 with well-conditioned
+        eigenvectors: only the order bound refuses the law."""
+        rng = np.random.default_rng(6)
+        a, b = random_state(rng, 6), random_state(rng, 6)
+        gen = LindbladGenerator(np.diag(rng.normal(size=6)), ((1.0, np.outer(a, b.conj())),))
+        prop = oc.Propagator(effective_hamiltonian(gen))
+        assert prop.mode == "eig" and prop.cond <= oc._LAW_COND_MAX and prop.n == 6
+        assert prop.n > oc._LAW_MAX_DIM
+        assert prop.law(a, b.conj()[None, :]) is None
+
+    def test_law_at_omega_equal_gamma(self):
+        """At omega = gamma (cond 1.29) a law is built; its survival and
+        rate of loss hold the segment's to 1e-14, its bracket has the
+        segment's shape, and a state of another shape is DimensionError."""
+        prop = oc.Propagator(effective_hamiltonian(traject_qubit(1.0)))
+        assert prop.mode == "eig" and prop.cond == pytest.approx(1.29, abs=0.01)
+        ket1 = np.array([0.0, 1.0], dtype=complex)
+        law, seg = prop.law(ket1, self.BRAS), prop.segment(ket1)
+        assert isinstance(law, oc._SurvivalLaw)
+        for t in (0.0, 0.3, 2.0, 7.5):
+            assert law.probe(t) == pytest.approx(seg.probe(t), rel=1e-14, abs=1e-16)
+            assert np.array_equal(law.at(t), seg.at(t))
+        lo, hi, s_lo, s_hi = law.bracket(0.5, 3.0)
+        assert 0.0 <= lo < hi <= 3.0 and s_lo > 0.5 >= s_hi
+        with pytest.raises(DimensionError, match="for K of order 2"):
+            prop.law(np.ones(3), self.BRAS)
 
 
 class TestMetrics:

@@ -37,7 +37,6 @@ from decolab.trajectories import (
     record_operator,
     record_probability_density,
     run_trajectory,
-    sample_jump_time,
     sample_jump_times,
 )
 from conftest import random_generator, random_state
@@ -55,6 +54,11 @@ def decay_generator(gamma):
 
 def driven_decay_generator(omega=1.0, gamma=0.5):
     return LindbladGenerator(omega * SX, ((gamma, SM),))
+
+
+def propagator(gen):
+    """The cached no-jump Propagator of gen."""
+    return trajectories._no_jump(gen)[0]
 
 
 # a norm guard written as `abs(norm - 1) > tol` lets NaN through
@@ -171,21 +175,21 @@ class TestWaitingTimes:
     def test_exponential_inversion(self):
         gen = decay_generator(0.7)
         for u in (0.9, 0.5, 0.1, 0.01):
-            tau = sample_jump_time(KET1, gen, u, 100.0)
+            tau = sample_jump_times(KET1, gen, [u], 100.0)[0]
             assert tau == pytest.approx(-math.log(u) / 0.7, rel=1e-8)
 
     def test_no_jump_when_survival_stays_high(self):
         gen = decay_generator(0.7)
         u = math.exp(-0.7 * 2.0) / 2
-        assert sample_jump_time(KET1, gen, u, 1.0) is None
+        assert sample_jump_times(KET1, gen, [u], 1.0)[0] == math.inf
 
     def test_dark_state_never_jumps(self):
-        assert sample_jump_time(KET0, decay_generator(1.0), 0.5, 50.0) is None
+        assert sample_jump_times(KET0, decay_generator(1.0), [0.5], 50.0)[0] == math.inf
 
     def test_inverts_survival_probability(self, rng):
         gen = random_generator(rng, 3)
         psi = random_state(rng, 3)
-        tau = sample_jump_time(psi, gen, 0.4, 50.0)
+        tau = sample_jump_times(psi, gen, [0.4], 50.0)[0]
         out = no_jump_propagate(psi, gen, tau)
         assert float(np.vdot(out, out).real) == pytest.approx(0.4, abs=1e-8)
 
@@ -199,8 +203,7 @@ class TestWaitingTimes:
         assert np.isinf(batch).any() and np.isfinite(batch).any()
         assert sample_jump_times(psi, gen, us[::-1], 2.0).tolist() == batch[::-1].tolist()
         for u, t_batch in zip(us, batch):
-            t_single = sample_jump_time(psi, gen, float(u), 2.0)
-            assert t_batch == (math.inf if t_single is None else t_single)
+            assert t_batch == sample_jump_times(psi, gen, [u], 2.0)[0]
 
     @pytest.mark.parametrize("levels", [1, 2000])
     def test_one_end_state_per_call(self, monkeypatch, levels):
@@ -215,7 +218,7 @@ class TestWaitingTimes:
 
         monkeypatch.setattr(operator_core._EigSegment, "at", counting)
         gen = driven_decay_generator(1.3, 0.9)
-        assert trajectories._propagator(gen).mode == "eig"
+        assert propagator(gen).mode == "eig"
         us = np.random.default_rng(4).uniform(0.02, 0.98, levels)
         taus = sample_jump_times(KET1, gen, us, 5.0)
         assert calls == [5.0]
@@ -237,7 +240,7 @@ class TestWaitingTimes:
         gen = decay_generator(1.0)
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(PhysicsError):
-                sample_jump_time(KET1, gen, bad, 1.0)
+                sample_jump_times(KET1, gen, [bad], 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_state_rejected(self, bad):
@@ -249,7 +252,7 @@ class TestWaitingTimes:
     def test_bad_t_max_rejected(self, t_max):
         """An infinite t_max, which the segment's bracket would march toward
         forever in rk mode, is refused with the others."""
-        with pytest.raises(PhysicsError, match="t_max must be positive and finite"):
+        with pytest.raises(PhysicsError, match="horizon must be positive and finite"):
             sample_jump_times(KET1, decay_generator(1.0), [0.5], t_max)
 
     @pytest.mark.parametrize("psi", [np.ones(3) / math.sqrt(3.0), np.eye(2)],
@@ -271,7 +274,7 @@ class TestDriversAgree:
         (decay_generator(0.7), (KET0 + KET1) / math.sqrt(2.0)),
     ], ids=["driven", "decay", "decay-to-half"])
     def test_grid_free_solver_matches_expm(self, gen, psi):
-        assert trajectories._propagator(gen).mode == "eig"
+        assert propagator(gen).mode == "eig"
         h_c = effective_hamiltonian(gen)
         t_max = 12.0
         end = expm(-1j * t_max * h_c) @ psi
@@ -299,14 +302,14 @@ class TestRkSegment:
     def test_waiting_time_and_state_match_expm(self, monkeypatch):
         monkeypatch.setattr(operator_core, "_EIG_COND_MAX", 0.0)
         gen = driven_decay_generator(1.3, 0.9)
-        prop = trajectories._propagator(gen)
+        prop = propagator(gen)
         assert prop.mode == "rk"
         psi = (KET0 + 0.5j * KET1) / math.sqrt(1.25)
         h_c = effective_hamiltonian(gen)
         t_max = 12.0
         for u in self.US:
             seg = prop.segment(psi)
-            lo, hi, s_lo, s_hi, _ = seg.bracket(u, t_max)
+            lo, hi, s_lo, s_hi = seg.bracket(u, t_max)
             assert s_lo > u >= s_hi and hi < t_max
             tau = trajectories._waiting_time(seg, u, lo, hi, s_lo, s_hi)
             want = brentq(lambda t: math.log(
@@ -332,10 +335,10 @@ class TestPropagatorModes:
         gen = driven_decay_generator(1.3, 0.9)
         with monkeypatch.context() as patch:
             self.force(patch, mode)
-            assert trajectories._propagator(gen).mode == mode
+            assert propagator(gen).mode == mode
             psi = (KET0 + 0.5j * KET1) / math.sqrt(1.25)
             batch = sample_jump_times(psi, gen, self.US, 4.0)
-            single = [sample_jump_time(psi, gen, u, 4.0) for u in self.US]
+            single = [sample_jump_times(psi, gen, [u], 4.0)[0] for u in self.US]
             record = JumpRecord(((0.4, 0), (1.7, 0), (2.05, 0)), 3.5)
             return batch, single, record_operator(record, gen)
 
@@ -360,7 +363,7 @@ class TestPropagatorModes:
         assert np.isinf(ref_times).any() and np.isfinite(ref_times).sum() >= 5
         for mode in ("eig", "rk"):
             times, single, op = self.results(monkeypatch, mode)
-            assert times.tolist() == [math.inf if t is None else t for t in single]
+            assert times.tolist() == single
             np.testing.assert_allclose(times, ref_times, rtol=1e-9)
             np.testing.assert_allclose(op, ref_op, rtol=0, atol=1e-9)
 
@@ -371,11 +374,11 @@ class TestPropagatorModes:
         gen = damped_oscillator_generator(1.0, 0.5, 70)
         psi = coherent_vector(CoherentStateSpec(2.0, 70))
         us = np.array([0.05, 0.3, 0.8])
-        assert trajectories._propagator(gen).mode == "eig"
+        assert propagator(gen).mode == "eig"
         eig_times = sample_jump_times(psi, gen, us, 3.0)
         self.force(monkeypatch, "rk")
         rk_gen = damped_oscillator_generator(1.0, 0.5, 70)
-        assert trajectories._propagator(rk_gen).mode == "rk"
+        assert propagator(rk_gen).mode == "rk"
         assert np.isfinite(eig_times).all()
         np.testing.assert_allclose(sample_jump_times(psi, rk_gen, us, 3.0),
                                    eig_times, rtol=1e-9)
@@ -479,7 +482,7 @@ class TestPostJumpWaitingTimes:
     @staticmethod
     def generator(omega, gamma, mode):
         gen = LindbladGenerator(omega * SX, ((gamma, SP),))
-        assert trajectories._propagator(gen).mode == mode
+        assert propagator(gen).mode == mode
         return gen
 
     @staticmethod
@@ -544,7 +547,7 @@ def segment_run(psi0, gen, horizon, seed, index):
     laws: one `Propagator.segment` of the state per stretch, the shared
     `_waiting_time`, and `apply_jump` on the normalized state at each click.
     Returns (events, final state)."""
-    prop = trajectories._propagator(gen)
+    prop = propagator(gen)
     rng = Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
     psi, t, events = np.array(psi0, dtype=complex), 0.0, []
     while True:
@@ -552,12 +555,12 @@ def segment_run(psi0, gen, horizon, seed, index):
         while u == 0.0:
             u = rng.random()
         seg, t_max = prop.segment(psi), horizon - t
-        lo, hi, s_lo, s_hi, psi = seg.bracket(u, t_max)
+        lo, hi, s_lo, s_hi = seg.bracket(u, t_max)
         jump = False
         if s_hi <= u:
             tau = trajectories._waiting_time(seg, u, lo, hi, s_lo, s_hi)
             jump = t + tau < horizon
-            psi = seg.at(tau if jump else t_max)
+        psi = seg.at(tau if jump else t_max)
         psi = psi / math.sqrt(np.vdot(psi, psi).real)
         if not jump:
             return events, psi
@@ -606,8 +609,8 @@ class TestRenewal:
     ], ids=["decay", "omega=gamma/8", "omega=0.22gamma", "omega=gamma", "omega=3gamma", "lambda",
             "complex-rank-one", "initial-superposition"])
     def test_matches_the_segment_loop(self, gen, psi0, horizon):
-        prop = trajectories._propagator(gen)
-        assert trajectories._renewal(gen, prop) is not None
+        prop, renewal = trajectories._no_jump(gen)
+        assert renewal.initial(prop, psi0) is not None
         clicks = set()
         for index in range(60):
             record, psi = run_trajectory(psi0, gen, horizon, seed=4, index=index)
@@ -627,9 +630,9 @@ class TestRenewal:
         would round to eps cond^2. The segment loop runs there and meets
         the same bars."""
         gen = driven_decay_generator(omega, 1.0)
-        prop = trajectories._propagator(gen)
-        assert prop.mode == "eig" and prop.cond > trajectories._LAW_COND_MAX
-        assert trajectories._renewal(gen, prop) is None
+        prop, renewal = trajectories._no_jump(gen)
+        assert prop.mode == "eig" and prop.cond > operator_core._LAW_COND_MAX
+        assert renewal.initial(prop, KET1) is None
         clicks = 0
         for index in range(60):
             record, psi = run_trajectory(KET1, gen, 8.0, seed=4, index=index)
@@ -679,13 +682,16 @@ class TestWorkPerTrajectory:
 
     @staticmethod
     def count_builds(monkeypatch):
-        """The states of every `Propagator.law` and `Propagator.segment` call."""
+        """The states of every law that `Propagator.law` builds and of every
+        `Propagator.segment` call."""
         laws, segments = [], []
         law, segment = operator_core.Propagator.law, operator_core.Propagator.segment
 
         def counting_law(prop, x, bras):
-            laws.append(np.array(x))
-            return law(prop, x, bras)
+            built = law(prop, x, bras)
+            if built is not None:
+                laws.append(np.array(x))
+            return built
 
         def counting_segment(prop, x):
             segments.append(np.array(x))
@@ -736,7 +742,7 @@ class TestWorkPerTrajectory:
         gen = damped_oscillator_generator(1.0, 1.0, 11)
         psi0 = coherent_vector(CoherentStateSpec(1.0, 11))
         ensemble_average(psi0, gen, 1.0, 20, base_seed=72)
-        assert trajectories._renewal(gen, trajectories._propagator(gen)) is None
+        assert trajectories._no_jump(gen)[1] is None
         assert laws == [] and len(segments) > 20
 
     def test_rank_one_channel_above_dimension_five_builds_no_law(self, monkeypatch):
@@ -746,9 +752,10 @@ class TestWorkPerTrajectory:
         rng = np.random.default_rng(6)
         a, b = random_state(rng, 6), random_state(rng, 6)
         gen = LindbladGenerator(np.diag(rng.normal(size=6)), ((1.0, np.outer(a, b.conj())),))
-        assert trajectories._propagator(gen).mode == "eig"
+        assert propagator(gen).mode == "eig"
         record, _ = run_trajectory(a, gen, 20.0, seed=2)
-        assert trajectories._renewal(gen, trajectories._propagator(gen)) is None
+        prop, renewal = trajectories._no_jump(gen)
+        assert renewal is not None and prop.law(a, renewal._bras) is None
         assert laws == [] and len(segments) == len(record.events) + 1
 
     def test_rk_probes_cost_a_few_steps(self, monkeypatch):
@@ -768,7 +775,7 @@ class TestWorkPerTrajectory:
                                 ((0.3, np.outer(np.eye(dim)[0], c)),))
         marches = self.count_marches(monkeypatch)
         record, _ = run_trajectory(c, gen, 6.0, seed=5)
-        assert trajectories._propagator(gen).mode == "rk"
+        assert propagator(gen).mode == "rk"
         assert len(record.events) == 1
         # the bracket march to the crossing, then the probes, the state at
         # the click and the bracket march to the horizon after it
@@ -787,7 +794,7 @@ class TestWorkPerTrajectory:
         marches = self.count_marches(monkeypatch)
         clicks = sum(len(run_trajectory(psi, gen, 3.0, seed=1, index=i)[0].events)
                      for i in range(5))
-        assert trajectories._propagator(gen).mode == "rk"
+        assert propagator(gen).mode == "rk"
         assert clicks == 12
         assert all(stops == 1 for stops, _ in marches)
         assert sum(rhs for _, rhs in marches) < 24000
@@ -823,9 +830,8 @@ class TestPropagatorCache:
         try:
             record, _ = run_trajectory(KET0, gen, 6.0, seed=3)
             assert record.events
-            prop = trajectories._propagator(gen)
-            assert trajectories._propagator(gen) is prop
-            renewal = trajectories._renewal(gen, prop)
+            prop, renewal = trajectories._no_jump(gen)
+            assert propagator(gen) is prop
             laws = [renewal._initial[1], *renewal._laws]
             assert all(isinstance(law, operator_core._SurvivalLaw) for law in laws)
             refs = [weakref.ref(obj) for obj in (gen, prop, renewal, *laws)]
